@@ -14,19 +14,16 @@ from dataclasses import dataclass
 from .exceptions import BudgetExceededError
 from .families import ENUMERATION_CAP, enumerate_odd_unicyclic
 from .graphs import Classification, Graph, classify
-from .linalg import CharPoly, charpoly_exact
+from .linalg import CharPoly
 from .periodicity import (
-    DEFAULT_ANGLE_TOL,
     DEFAULT_BIT_BUDGET,
-    DEFAULT_K_MAX,
-    DEFAULT_Q_MAX,
     DegreeConditionVerdict,
     PeriodReport,
     degree_condition_filter,
     find_period,
     integrality_filter,
 )
-from .walk import build_transition_matrix
+from .walk import transition_charpoly
 
 
 @dataclass(frozen=True)
@@ -63,7 +60,6 @@ class CensusRecord:
 @dataclass(frozen=True)
 class CensusResult:
     max_n: int
-    k_max: int
     records: tuple[CensusRecord, ...]
 
     def odd_periodic(self) -> tuple[CensusRecord, ...]:
@@ -75,9 +71,6 @@ class CensusResult:
 
 def run_census(
     max_n: int,
-    k_max: int = DEFAULT_K_MAX,
-    tol: float = DEFAULT_ANGLE_TOL,
-    q_max: int = DEFAULT_Q_MAX,
     bit_budget: int = DEFAULT_BIT_BUDGET,
     cap: int = ENUMERATION_CAP,
 ) -> CensusResult:
@@ -89,14 +82,11 @@ def run_census(
     records = []
     for g in enumerate_odd_unicyclic(max_n, cap=cap):
         cls = classify(g)
-        # the transition charpoly, same object the period filter consumes
-        cp = charpoly_exact(build_transition_matrix(g).matrix)
+        cp = transition_charpoly(g)
         failing = integrality_filter(cp)
         condition = degree_condition_filter(cls.decomposition, g)
         try:
-            report = find_period(
-                g, k_max=k_max, tol=tol, q_max=q_max, bit_budget=bit_budget
-            )
+            report = find_period(g, bit_budget=bit_budget)
             note = None
         except BudgetExceededError as err:
             report = None
@@ -112,4 +102,4 @@ def run_census(
                 budget_note=note,
             )
         )
-    return CensusResult(max_n=max_n, k_max=k_max, records=tuple(records))
+    return CensusResult(max_n=max_n, records=tuple(records))

@@ -33,11 +33,7 @@ from .families import (
     two_tail_graph,
 )
 from .graphs import Classification, Graph, classify, read_graph_file, write_graph_file
-from .linalg import charpoly_exact
 from .periodicity import (
-    DEFAULT_ANGLE_TOL,
-    DEFAULT_K_MAX,
-    DEFAULT_Q_MAX,
     branch_integrality_instances,
     chebyshev_eigen_check,
     cycle_matching_identity_check,
@@ -47,7 +43,7 @@ from .periodicity import (
     matching_split_check,
     tail_recurrence_check,
 )
-from .walk import build_transition_matrix, spectral_map_check
+from .walk import spectral_map_check, transition_charpoly
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +106,6 @@ def _period_block(rep) -> dict:
         "verdict": rep.verdict,
         "period": rep.period,
         "failing_indices": list(rep.failing_indices),
-        "k_max": rep.k_max,
         "candidate_source": rep.candidate_source,
         "graph_hash": rep.graph_hash,
     }
@@ -174,7 +169,7 @@ def cmd_analyze(args) -> int:
     g = _load_graph(args)
     started = time.perf_counter()
     cls = classify(g)
-    cp = charpoly_exact(build_transition_matrix(g).matrix)
+    cp = transition_charpoly(g)
     failing = integrality_filter(cp)
     report = {
         "graph": _graph_block(g),
@@ -188,7 +183,7 @@ def cmd_analyze(args) -> int:
     if cls.kind == "odd_unicycle":
         cond = degree_condition_filter(cls.decomposition, g)
         report["degree_condition"] = _degree_condition_block(cond)
-    period = find_period(g, k_max=args.k_max, tol=args.tol, q_max=args.q_max)
+    period = find_period(g)
     report["period"] = _period_block(period)
     report["spectral_map"] = _spectral_block(spectral_map_check(g))
     if not args.no_timing:
@@ -202,13 +197,10 @@ def cmd_census(args) -> int:
     # cap above the default triggers the enumeration's runtime warning;
     # above the hard limit it raises and we exit 2
     cap = max(ENUMERATION_CAP, args.max_n)
-    result = run_census(
-        args.max_n, k_max=args.k_max, tol=args.tol, q_max=args.q_max, cap=cap
-    )
+    result = run_census(args.max_n, cap=cap)
     odd = result.odd_periodic()
     report = {
         "max_n": result.max_n,
-        "k_max": result.k_max,
         "records": [_record_block(r) for r in result.records],
         "summary": {
             "total_records": len(result.records),
@@ -254,7 +246,7 @@ def _suite_table1(args) -> list:
             want = 2 if (m, n) == (1, 1) else 4
             targets.append(("K_{%d,%d}" % (m, n), complete_bipartite(m, n), want))
     for label, g, want in targets:
-        rep = find_period(g, k_max=args.k_max, tol=args.tol, q_max=args.q_max)
+        rep = find_period(g)
         ok = rep.verdict == "periodic" and rep.period == want
         detail = "" if ok else "got %s/%s" % (rep.verdict, rep.period)
         cases.append(("%s period %d" % (label, want), ok, detail))
@@ -382,13 +374,7 @@ def _suite_chebyshev(args) -> list:
 
 def _suite_main_theorem(args) -> list:
     cases = []
-    result = run_census(
-        args.max_n,
-        k_max=args.k_max,
-        tol=args.tol,
-        q_max=args.q_max,
-        cap=max(ENUMERATION_CAP, args.max_n),
-    )
+    result = run_census(args.max_n, cap=max(ENUMERATION_CAP, args.max_n))
     odd = result.odd_periodic()
     for record in odd:
         ok = record.is_cycle and record.period_report.period == record.graph.n
@@ -482,9 +468,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--json", action="store_true", help="compact single-line JSON"
     )
-    common.add_argument("--k-max", type=int, default=DEFAULT_K_MAX)
-    common.add_argument("--tol", type=float, default=DEFAULT_ANGLE_TOL)
-    common.add_argument("--q-max", type=int, default=DEFAULT_Q_MAX)
     common.add_argument("--max-n", type=int, default=ENUMERATION_CAP)
     common.add_argument(
         "--no-timing", action="store_true", help="omit timing for stable output"

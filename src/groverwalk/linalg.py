@@ -96,14 +96,6 @@ class RationalMatrix:
     def to_float(self) -> list[list[float]]:
         return [[float(x) for x in row] for row in self.entries]
 
-    def bit_size(self) -> int:
-        """Total bits across all numerators and denominators."""
-        total = 0
-        for row in self.entries:
-            for x in row:
-                total += x.numerator.bit_length() + x.denominator.bit_length()
-        return total
-
     def __repr__(self) -> str:
         return "RationalMatrix(%d x %d)" % (self.rows, self.cols)
 

@@ -1,12 +1,14 @@
 """Period detection and the matching-sum identities that certify it.
 
 A graph is periodic when some power of its arc evolution operator is the
-identity; the period is the least such exponent. Detection runs in three
-stages: an exact integrality filter that refutes most graphs outright, a
-numeric spectral guess confirmed by exact matrix powers, and a bounded
-exhaustive sweep as the fallback. Every "periodic" verdict carries an
-exact certificate; "no period up to k_max" is an honest bound, not a
-proof of aperiodicity.
+identity; the period is the least such exponent. Detection is one exact
+route from the transition characteristic polynomial cp. The integrality
+filter refutes most graphs outright. For a graph that passes it,
+P(y) = 2^n cp(y/2) is a monic integer polynomial whose roots are real and
+lie in [-2, 2], so by Kronecker's theorem it factors completely into the
+minimal polynomials Psi_d of 2cos(2 pi/d). The d that occur are the orders
+of the arc eigenvalues, their lcm is the period, and the period is
+certified exactly, minimality included, before it is reported.
 
 The second half of the module verifies combinatorial identities between
 characteristic-polynomial coefficients and weighted matching sums on
@@ -17,6 +19,7 @@ force the graph to be a bare odd cycle.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -39,23 +42,9 @@ from .graphs import (
     enumerate_matchings,
     write_graph_file,
 )
-from .linalg import (
-    CharPoly,
-    RationalMatrix,
-    charpoly_exact,
-    is_integer,
-    mat_mul,
-    mat_pow,
-)
-from .walk import (
-    build_grover_operator,
-    build_transition_matrix,
-    transition_spectrum,
-)
+from .linalg import CharPoly, is_integer
+from .walk import build_grover_operator, transition_charpoly, transition_spectrum
 
-DEFAULT_K_MAX = 10000
-DEFAULT_ANGLE_TOL = 1e-12
-DEFAULT_Q_MAX = 512
 DEFAULT_BIT_BUDGET = 10**6
 
 
@@ -119,180 +108,201 @@ def degree_condition_filter(
     return DegreeConditionVerdict("violates")
 
 
-def detect_rational_angle(
-    x: float, tol: float = DEFAULT_ANGLE_TOL, q_max: int = DEFAULT_Q_MAX
-) -> tuple[int, int] | None:
-    """Find p/q with q <= q_max and |x - p/q| <= tol, via continued fractions.
+# ---------------------------------------------------------------------------
+# Period detection. Polynomials are integer coefficient lists, low to high.
 
-    x is a ratio of an angle to pi, so it lies in [0, 1]. Returns the
-    reduced pair or None when no convergent is close enough.
-    """
-    if x < -tol or x > 1 + tol:
+
+def _prime_factors(k: int) -> list[int]:
+    primes = []
+    p = 2
+    while p * p <= k:
+        if k % p == 0:
+            primes.append(p)
+            while k % p == 0:
+                k //= p
+        p += 1
+    if k > 1:
+        primes.append(k)
+    return primes
+
+
+def _totient(d: int) -> int:
+    phi = d
+    for p in _prime_factors(d):
+        phi -= phi // p
+    return phi
+
+
+def _divide_monic(a: list[int], b: tuple[int, ...]) -> list[int] | None:
+    """Exact quotient a / b for a monic b, or None when b does not divide a."""
+    if len(a) < len(b):
         return None
-    # walk the continued-fraction convergents of x
-    p_prev, q_prev = 1, 0
-    p_cur, q_cur = int(math.floor(x)), 1
-    frac = x - math.floor(x)
-    for _ in range(64):
-        if abs(x - p_cur / q_cur) <= tol:
-            gcd = math.gcd(p_cur, q_cur)
-            return p_cur // gcd, q_cur // gcd
-        if frac == 0:
-            break
-        recip = 1.0 / frac
-        a = int(math.floor(recip))
-        frac = recip - a
-        p_cur, p_prev = a * p_cur + p_prev, p_cur
-        q_cur, q_prev = a * q_cur + q_prev, q_cur
-        if q_cur > q_max:
-            break
-    return None
+    db = len(b) - 1
+    rest = list(a)
+    quot = [0] * (len(a) - db)
+    for i in range(len(quot) - 1, -1, -1):
+        c = quot[i] = rest[i + db]
+        if c:
+            for j, bj in enumerate(b):
+                rest[i + j] -= c * bj
+    return None if any(rest[:db]) else quot
 
 
-def _order_on_unit_circle(p: int, q: int) -> int:
-    # multiplicative order of exp(i pi p/q): least k with k*p ≡ 0 mod 2q
-    return 2 * q // math.gcd(p, 2 * q)
+@functools.cache
+def _cyclotomic(d: int) -> tuple[int, ...]:
+    """Phi_d: x^d - 1 divided by Phi_e for every proper divisor e of d."""
+    poly = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            poly = _divide_monic(poly, _cyclotomic(e))
+    return tuple(poly)
+
+
+def real_cyclotomic(d: int) -> tuple[int, ...]:
+    """Psi_d, the minimal polynomial of 2cos(2 pi/d), low to high.
+
+    Psi_1 = y - 2 and Psi_2 = y + 2. For d >= 3, Phi_d is palindromic of
+    degree 2k = phi(d), and x^(-k) Phi_d(x) = Psi_d(x + 1/x) (Watkins and
+    Zeitlin 1993): each x^j + x^(-j) is C_j(x + 1/x) with C_0 = 2,
+    C_1 = y and C_(j+1) = y C_j - C_(j-1).
+    """
+    if d < 1:
+        raise InvalidParameterError("order must be >= 1, got %d" % d)
+    if d <= 2:
+        return (-2 if d == 1 else 2, 1)
+    phi = _cyclotomic(d)
+    k = (len(phi) - 1) // 2
+    psi = [phi[k]] + [0] * k
+    prev, cur = [2], [0, 1]
+    for j in range(1, k + 1):
+        for i, c in enumerate(cur):
+            psi[i] += phi[k + j] * c
+        nxt = [0] + cur
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
+    return tuple(psi)
+
+
+def _cyclotomic_orders(poly: list[int]) -> list[int]:
+    """Each d whose Psi_d divides poly, once per factor; poly must split.
+
+    A factor of degree at most n = deg poly has phi(d) <= 2n, and
+    phi(d) >= sqrt(d/2) for every d, so d <= 8n^2 covers them all.
+    """
+    orders = []
+    for d in range(1, 8 * len(poly) ** 2):
+        if len(poly) == 1:
+            break
+        if _totient(d) > 2 * (len(poly) - 1):
+            continue
+        psi = real_cyclotomic(d)
+        while (quot := _divide_monic(poly, psi)) is not None:
+            poly = quot
+            orders.append(d)
+    if len(poly) > 1:
+        # Kronecker's theorem rules this out for a polynomial that passed
+        # the integrality filter, so it is a defect, never a verdict
+        raise RuntimeError("factor %r is not a product of Psi_d" % (poly,))
+    return orders
+
+
+def _budget_check(m: list[list[int]], bit_budget: int) -> None:
+    bits = sum(x.bit_length() for row in m for x in row)
+    if bits > bit_budget:
+        raise BudgetExceededError(
+            "certificate: matrix entries reached %d bits (budget %d)"
+            % (bits, bit_budget),
+            bits=bits,
+        )
+
+
+def _int_mat_pow(a: list[list[int]], k: int, bit_budget: int) -> list[list[int]]:
+    """a**k by repeated squaring, every product held to the bit budget."""
+
+    def mul(x, y):
+        cols = list(zip(*y))
+        out = [[sum(s * t for s, t in zip(row, col)) for col in cols] for row in x]
+        _budget_check(out, bit_budget)
+        return out
+
+    result = [[int(i == j) for j in range(len(a))] for i in range(len(a))]
+    while k:
+        if k & 1:
+            result = mul(result, a)
+        k >>= 1
+        if k:
+            a = mul(a, a)
+    return result
+
+
+def certify_period(g: Graph, p: int, bit_budget: int = DEFAULT_BIT_BUDGET) -> bool:
+    """True iff p is the least k >= 1 with U^k = I, decided exactly.
+
+    Runs on the integer matrix A = L*U, L the lcm of the degrees, so no
+    Fraction is involved: p is a period when A^p = L^p I, and the least
+    one when A^(p/q) != L^(p/q) I for every prime q dividing p.
+    """
+    if p < 1:
+        raise InvalidParameterError("period must be >= 1, got %d" % p)
+    scale = math.lcm(*g.degree)
+    u = build_grover_operator(g).matrix
+    a = [[int(x * scale) for x in row] for row in u.entries]
+
+    def is_period(k: int) -> bool:
+        power = _int_mat_pow(a, k, bit_budget)
+        return all(
+            x == (scale**k if i == j else 0)
+            for i, row in enumerate(power)
+            for j, x in enumerate(row)
+        )
+
+    return is_period(p) and not any(is_period(p // q) for q in _prime_factors(p))
 
 
 @dataclass(frozen=True)
 class PeriodReport:
     """Outcome of period detection.
 
-    verdict is one of "periodic", "refuted_by_integrality", or
-    "no_period_up_to". period is set only for "periodic". failing_indices
-    lists the integrality violations for the refuted case. candidate_source
-    records whether the confirmed period came from the spectral guess or
-    the exhaustive sweep.
+    verdict is "periodic" or "refuted_by_integrality". period is set only
+    for "periodic". failing_indices lists the integrality violations for
+    the refuted case. candidate_source names the route that found the
+    certified period: "cyclotomic", or None when refuted.
     """
 
     verdict: str
     period: int | None
     failing_indices: tuple[int, ...]
-    k_max: int
     candidate_source: str | None
     graph_hash: str
 
 
-def _budget_check(m: RationalMatrix, bit_budget: int) -> None:
-    bits = m.bit_size()
-    if bits > bit_budget:
-        raise BudgetExceededError(
-            "matrix entries reached %d bits (budget %d)" % (bits, bit_budget),
-            bits=bits,
-        )
+def find_period(g: Graph, bit_budget: int = DEFAULT_BIT_BUDGET) -> PeriodReport:
+    """Decide periodicity of the arc evolution operator exactly.
 
-
-def _scan_minimal(
-    u: RationalMatrix, k: int, bit_budget: int
-) -> int:
-    """Least d in 1..k with u^d = I, given that u^k = I is already known."""
-    acc = u
-    for d in range(1, k):
-        if acc.is_identity():
-            return d
-        acc = mat_mul(acc, u)
-        _budget_check(acc, bit_budget)
-    return k
-
-
-def find_period(
-    g: Graph,
-    k_max: int = DEFAULT_K_MAX,
-    tol: float = DEFAULT_ANGLE_TOL,
-    q_max: int = DEFAULT_Q_MAX,
-    bit_budget: int = DEFAULT_BIT_BUDGET,
-) -> PeriodReport:
-    """Decide periodicity of the arc evolution operator.
-
-    Stage 1 refutes via the integrality filter. Stage 2 maps the numeric
-    vertex spectrum through arccos, detects rational angle multiples with
-    continued fractions, and exactly verifies the implied least common
-    multiple (doubled if needed for a leftover -1 eigenvalue). Stage 3
-    multiplies exact powers one by one up to k_max. Minimality of every
-    reported period is certified by a full exact scan below it.
+    A graph that fails the integrality filter is refuted. Otherwise the
+    period is the lcm of the d whose Psi_d divides P(y) = 2^n cp(y/2),
+    with 2 added when m > n: the arc operator then has -1 eigenvalues
+    outside the image of the vertex spectrum (on a bipartite graph Psi_2
+    divides P anyway). The period is certified by certify_period before
+    it is reported; bit_budget caps the entry size of its matrix powers.
     """
-    if k_max < 1:
-        raise InvalidParameterError("k_max must be >= 1, got %d" % k_max)
     digest = graph_hash(g)
-    cp = charpoly_exact(build_transition_matrix(g).matrix)
+    cp = transition_charpoly(g)
     failing = integrality_filter(cp)
     if failing:
-        return PeriodReport(
-            verdict="refuted_by_integrality",
-            period=None,
-            failing_indices=failing,
-            k_max=k_max,
-            candidate_source=None,
-            graph_hash=digest,
-        )
-
-    u = build_grover_operator(g).matrix
-
-    candidate = _spectral_candidate(g, tol, q_max)
-    if candidate is not None:
-        for k in (candidate, 2 * candidate):
-            power = mat_pow(u, k)
-            _budget_check(power, bit_budget)
-            if power.is_identity():
-                period = _scan_minimal(u, k, bit_budget)
-                return PeriodReport(
-                    verdict="periodic",
-                    period=period,
-                    failing_indices=(),
-                    k_max=k_max,
-                    candidate_source="spectral",
-                    graph_hash=digest,
-                )
-
-    acc = u
-    for d in range(1, k_max + 1):
-        if acc.is_identity():
-            return PeriodReport(
-                verdict="periodic",
-                period=d,
-                failing_indices=(),
-                k_max=k_max,
-                candidate_source="exhaustive",
-                graph_hash=digest,
-            )
-        if d < k_max:
-            acc = mat_mul(acc, u)
-            _budget_check(acc, bit_budget)
-    return PeriodReport(
-        verdict="no_period_up_to",
-        period=None,
-        failing_indices=(),
-        k_max=k_max,
-        candidate_source=None,
-        graph_hash=digest,
-    )
+        return PeriodReport("refuted_by_integrality", None, failing, None, digest)
+    n = cp.degree
+    scaled = [int(cp[k] * 2 ** (n - k)) for k in range(n + 1)]
+    period = math.lcm(*_cyclotomic_orders(scaled), 2 if g.m > g.n else 1)
+    if not certify_period(g, period, bit_budget):
+        raise RuntimeError("period %d failed its exact certificate" % period)
+    return PeriodReport("periodic", period, (), "cyclotomic", digest)
 
 
-def _spectral_candidate(g: Graph, tol: float, q_max: int) -> int | None:
-    """lcm of the orders implied by the numeric vertex spectrum, or None."""
-    # snap near +-1 before arccos: its derivative blows up at the ends, so
-    # an eigenvalue off by 1e-16 there lands the angle 1e-8 off
-    clamp = 1e-12
-    candidate = 1
-    for lam in transition_spectrum(g).values:
-        if lam > 1 + clamp or lam < -1 - clamp:
-            return None
-        if lam >= 1 - clamp:
-            continue
-        if lam <= -1 + clamp:
-            candidate = math.lcm(candidate, 2)
-            continue
-        ratio = math.acos(lam) / math.pi
-        pq = detect_rational_angle(ratio, tol, q_max)
-        if pq is None:
-            return None
-        candidate = math.lcm(candidate, _order_on_unit_circle(*pq))
-    return candidate
-
-
-def odd_period_query(g: Graph, k_max: int = DEFAULT_K_MAX) -> bool:
-    """True iff the graph is periodic with an odd period (within k_max)."""
-    report = find_period(g, k_max=k_max)
+def odd_period_query(g: Graph) -> bool:
+    """True iff the graph is periodic with an odd period."""
+    report = find_period(g)
     return report.verdict == "periodic" and report.period % 2 == 1
 
 
@@ -318,7 +328,7 @@ def cycle_matching_identity_check(
         raise IndexOutOfRangeError(
             "coefficient index %d out of range for t=%d" % (index, t)
         )
-    cp = charpoly_exact(build_transition_matrix(g).matrix)
+    cp = transition_charpoly(g)
     cycle_set = set(d.cycle)
     off_cycle = [
         e for e in g.edges if e[0] not in cycle_set and e[1] not in cycle_set
@@ -479,7 +489,7 @@ def matching_split_check(g: Graph, t: int) -> bool:
         raise IndexOutOfRangeError(
             "coefficient index %d out of range" % (g.n - 2 * t)
         )
-    cp = charpoly_exact(build_transition_matrix(g).matrix)
+    cp = transition_charpoly(g)
     outer_total = matching_sum(g, t, frame.outer_edges)
     core = set(frame.core_edges)
     touching = Fraction(0)

@@ -11,13 +11,20 @@ leftover eigenvalues sitting at +1 or -1.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exceptions import InvalidParameterError
 from .graphs import Arc, Graph
-from .linalg import RationalMatrix, Spectrum, charpoly_exact, eigenvalues_symmetric
+from .linalg import (
+    CharPoly,
+    RationalMatrix,
+    Spectrum,
+    charpoly_exact,
+    eigenvalues_symmetric,
+)
 
 
 @dataclass(frozen=True)
@@ -76,6 +83,15 @@ def build_transition_matrix(g: Graph) -> TransitionMatrix:
         w = Fraction(1, g.degree[u])
         rows.append([w if v in g.adj[u] else zero for v in range(g.n)])
     return TransitionMatrix(matrix=RationalMatrix(rows))
+
+
+@functools.lru_cache(maxsize=256)
+def transition_charpoly(g: Graph) -> CharPoly:
+    """Exact characteristic polynomial of the transition matrix.
+
+    Cached, because every layer reads it; a CharPoly is immutable.
+    """
+    return charpoly_exact(build_transition_matrix(g).matrix)
 
 
 def symmetrize(g: Graph) -> list[list[float]]:

@@ -52,7 +52,7 @@ def _line(ok: bool, label: str, detail: str = "") -> bool:
 @pytest.fixture(scope="module")
 def desk_census():
     started = time.perf_counter()
-    result = run_census(9, k_max=10000)
+    result = run_census(9)
     return result, time.perf_counter() - started
 
 

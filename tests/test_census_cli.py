@@ -1,19 +1,28 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from groverwalk import cli
 from groverwalk.census import run_census
 from groverwalk.periodicity import graph_hash
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
 def run_cli(*argv, **kwargs):
+    # the child needs src on its path even when only pytest's config adds it
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "groverwalk", *argv],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
         **kwargs,
     )
 
@@ -95,7 +104,7 @@ def test_cli_analyze_twotail():
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["period"]["period"] == 60
-    assert report["period"]["candidate_source"] == "spectral"
+    assert report["period"]["candidate_source"] == "cyclotomic"
     assert report["charpoly"]["matrix"] == "transition"
     assert report["degree_condition"]["kind"] == "one_degree_four"
     assert report["spectral_map"]["matched"] is True
@@ -168,8 +177,17 @@ def test_cli_out_file(tmp_path):
         ("analyze",),
         ("census", "--max-n", "13"),
         ("gen",),
+        ("census", "--max-n", "5", "--k-max", "10"),
     ],
-    ids=["bad-kind", "even-cycle-family", "missing-file", "no-source", "over-cap", "gen-no-family"],
+    ids=[
+        "bad-kind",
+        "even-cycle-family",
+        "missing-file",
+        "no-source",
+        "over-cap",
+        "gen-no-family",
+        "removed-k-max",
+    ],
 )
 def test_cli_exit_two(argv):
     proc = run_cli(*argv)
@@ -192,12 +210,15 @@ def test_cli_verify_table1():
     assert "FAIL" not in proc.stdout
 
 
-def test_cli_verify_failure_exit_code():
-    # starving both the angle detector and the sweep leaves every target
-    # unresolved, which must surface as exit 1, not a crash
-    proc = run_cli("verify", "--suite", "table1", "--q-max", "1", "--k-max", "1")
-    assert proc.returncode == 1
-    assert "suite table1: fail" in proc.stdout
+def test_cli_verify_failure_exit_code(monkeypatch, capsys):
+    # a failing case must surface as exit 1 and a fail line, not a crash
+    monkeypatch.setitem(
+        cli._SUITES, "table1", lambda args: [("forced case", False, "wrong period")]
+    )
+    assert cli.main(["verify", "--suite", "table1"]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL forced case: wrong period" in out
+    assert "suite table1: fail (1 cases)" in out
 
 
 def test_cli_verify_chebyshev_span():

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groverwalk.exceptions import (
     BudgetExceededError,
@@ -18,13 +20,14 @@ from groverwalk.families import (
 from groverwalk.graphs import build_graph, classify
 from groverwalk.linalg import charpoly_exact, is_integer
 from groverwalk.periodicity import (
+    _cyclotomic_orders,
     branch_frame,
     branch_integrality_instances,
+    certify_period,
     chebyshev_eigen_check,
     chebyshev_table,
     cycle_matching_identity_check,
     degree_condition_filter,
-    detect_rational_angle,
     find_period,
     graph_hash,
     integrality_filter,
@@ -32,6 +35,7 @@ from groverwalk.periodicity import (
     matching_split_check,
     matching_sum,
     odd_period_query,
+    real_cyclotomic,
     tail_recurrence_check,
 )
 from groverwalk.walk import build_grover_operator, build_transition_matrix
@@ -64,7 +68,7 @@ def test_known_periods(g, want):
     assert report.verdict == "periodic"
     assert report.period == want
     assert report.failing_indices == ()
-    assert report.candidate_source == "spectral"
+    assert report.candidate_source == "cyclotomic"
     assert report.graph_hash == graph_hash(g)
 
 
@@ -102,48 +106,107 @@ def test_period_matches_brute_oracle(n):
     assert find_period(g).period == want
 
 
-def test_spectral_stage_ignores_k_max():
-    # the k_max bound only limits the exhaustive sweep; an exactly
-    # confirmed spectral candidate may exceed it
-    report = find_period(cycle_graph(5), k_max=4)
-    assert report.verdict == "periodic"
-    assert report.period == 5
-    assert report.candidate_source == "spectral"
-
-
-def test_exhaustive_fallback():
-    # q_max=1 starves the angle detector, forcing the sweep
-    report = find_period(cycle_graph(3), q_max=1)
-    assert report.verdict == "periodic"
-    assert report.period == 3
-    assert report.candidate_source == "exhaustive"
-
-
-def test_no_period_up_to():
-    report = find_period(cycle_graph(3), k_max=2, q_max=1)
-    assert report.verdict == "no_period_up_to"
-    assert report.period is None
-    assert report.k_max == 2
-
-
-def test_k_max_validation():
-    with pytest.raises(InvalidParameterError):
-        find_period(cycle_graph(3), k_max=0)
-
-
 def test_bit_budget():
     with pytest.raises(BudgetExceededError) as info:
         find_period(two_tail_graph(3, 1), bit_budget=10)
     assert info.value.bits > 10
+    assert str(info.value).startswith("certificate: ")
 
 
-def test_detect_rational_angle():
-    assert detect_rational_angle(0.5) == (1, 2)
-    assert detect_rational_angle(2 / 3) == (2, 3)
-    assert detect_rational_angle(0.0) == (0, 1)
-    assert detect_rational_angle(1.0) == (1, 1)
-    assert detect_rational_angle(math.acos(1 / 3) / math.pi) is None
-    assert detect_rational_angle(1 / 513, q_max=512) is None
+def _totient(d):
+    return sum(1 for k in range(1, d + 1) if math.gcd(k, d) == 1)
+
+
+def test_real_cyclotomic():
+    assert real_cyclotomic(1) == (-2, 1)
+    assert real_cyclotomic(2) == (2, 1)
+    assert real_cyclotomic(3) == (1, 1)
+    assert real_cyclotomic(4) == (0, 1)
+    assert real_cyclotomic(5) == (-1, 1, 1)
+    assert real_cyclotomic(6) == (-1, 1)
+    for d in range(3, 31):
+        psi = real_cyclotomic(d)
+        assert len(psi) - 1 == _totient(d) // 2
+        assert psi[-1] == 1
+        # 2cos(2 pi/d) is a root
+        y = 2 * math.cos(2 * math.pi / d)
+        assert abs(sum(c * y**i for i, c in enumerate(psi))) < 1e-9
+    with pytest.raises(InvalidParameterError):
+        real_cyclotomic(0)
+
+
+def test_cyclotomic_orders():
+    # phi(90) = 24, the largest order a degree-12 factor can have
+    assert _cyclotomic_orders(list(real_cyclotomic(90))) == [90]
+    # y^2 (y - 2) = Psi_4^2 Psi_1, each factor reported once
+    assert _cyclotomic_orders([0, 0, -2, 1]) == [1, 4, 4]
+    # y - 3 has its root outside [-2, 2]: a defect, never a verdict
+    with pytest.raises(RuntimeError):
+        _cyclotomic_orders([-3, 1])
+
+
+def _passes_filter(g):
+    return not integrality_filter(charpoly_exact(build_transition_matrix(g).matrix))
+
+
+def test_filter_passers_are_periodic(connected_by_n):
+    # Kronecker: past the filter, every root of 2^n cp(y/2) is 2cos(2 pi/d)
+    passed = 0
+    for n in range(2, 7):
+        for g in connected_by_n[n]:
+            report = find_period(g)
+            if _passes_filter(g):
+                passed += 1
+                assert report.verdict == "periodic", g
+            else:
+                assert report.verdict == "refuted_by_integrality", g
+    assert passed > 0
+
+
+def _brute(g, k_max):
+    rows = tuple(tuple(row) for row in build_grover_operator(g).matrix.entries)
+    return brute_period(rows, k_max)
+
+
+def test_periods_match_brute_oracle_small(connected_by_n):
+    for n in range(2, 6):
+        for g in connected_by_n[n]:
+            report = find_period(g)
+            if report.verdict == "periodic":
+                assert _brute(g, report.period) == report.period, g
+
+
+@st.composite
+def connected_graphs(draw):
+    n = draw(st.integers(2, 6))
+    # a random spanning tree keeps the graph connected
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    spare = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
+    if spare:
+        edges |= draw(st.sets(st.sampled_from(spare)))
+    return build_graph(n, sorted(edges))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(g=connected_graphs(), data=st.data())
+def test_period_properties(g, data):
+    perm = data.draw(st.permutations(range(g.n)))
+    a = find_period(g)
+    b = find_period(g.relabel(perm))
+    assert (a.verdict, a.period) == (b.verdict, b.period)
+    if a.verdict == "periodic":
+        assert _brute(g, a.period) == a.period
+
+
+@pytest.mark.parametrize(
+    "g,p", [(g, p) for _, g, p in PERIOD_TABLE], ids=[x[0] for x in PERIOD_TABLE]
+)
+def test_certificate_rejects_wrong_periods(g, p):
+    assert certify_period(g, p)
+    assert not certify_period(g, p + 1)
+    assert not certify_period(g, 2 * p)
+    with pytest.raises(InvalidParameterError):
+        certify_period(g, 0)
 
 
 def test_degree_condition():
