@@ -21,7 +21,6 @@ from .periodicity import (
     PeriodReport,
     degree_condition_filter,
     find_period,
-    integrality_filter,
 )
 from .walk import transition_charpoly
 
@@ -82,8 +81,6 @@ def run_census(
     records = []
     for g in enumerate_odd_unicyclic(max_n, cap=cap):
         cls = classify(g)
-        cp = transition_charpoly(g)
-        failing = integrality_filter(cp)
         condition = degree_condition_filter(cls.decomposition, g)
         try:
             report = find_period(g, bit_budget=bit_budget)
@@ -95,8 +92,9 @@ def run_census(
             CensusRecord(
                 graph=g,
                 classification=cls,
-                charpoly=cp,
-                integrality_failures=failing,
+                charpoly=transition_charpoly(g),
+                # only a graph that passed the filter reaches the budget
+                integrality_failures=report.failing_indices if report else (),
                 degree_condition=condition,
                 period_report=report,
                 budget_note=note,

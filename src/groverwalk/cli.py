@@ -39,7 +39,6 @@ from .periodicity import (
     cycle_matching_identity_check,
     degree_condition_filter,
     find_period,
-    integrality_filter,
     matching_split_check,
     tail_recurrence_check,
 )
@@ -169,22 +168,20 @@ def cmd_analyze(args) -> int:
     g = _load_graph(args)
     started = time.perf_counter()
     cls = classify(g)
-    cp = transition_charpoly(g)
-    failing = integrality_filter(cp)
+    period = find_period(g)
     report = {
         "graph": _graph_block(g),
         "classification": _classification_block(cls),
-        "charpoly": _charpoly_block(cp),
+        "charpoly": _charpoly_block(transition_charpoly(g)),
         "integrality": {
-            "failing_indices": list(failing),
-            "passed": not failing,
+            "failing_indices": list(period.failing_indices),
+            "passed": not period.failing_indices,
         },
+        "period": _period_block(period),
     }
     if cls.kind == "odd_unicycle":
         cond = degree_condition_filter(cls.decomposition, g)
         report["degree_condition"] = _degree_condition_block(cond)
-    period = find_period(g)
-    report["period"] = _period_block(period)
     report["spectral_map"] = _spectral_block(spectral_map_check(g))
     if not args.no_timing:
         report["timing"] = {"seconds": time.perf_counter() - started}

@@ -51,14 +51,6 @@ class NonSquareError(GroverWalkError, ValueError):
     """A square matrix was required."""
 
 
-class NotSymmetricError(GroverWalkError, ValueError):
-    """The numeric eigensolver was handed a non-symmetric matrix."""
-
-
-class NoConvergenceError(GroverWalkError, ArithmeticError):
-    """The Jacobi iteration did not reach the target off-diagonal norm."""
-
-
 class IndexOutOfRangeError(GroverWalkError, IndexError):
     """A coefficient or matching index falls outside the valid range."""
 
@@ -68,7 +60,7 @@ class ShapeMismatchError(GroverWalkError, ValueError):
 
 
 class ResidualExceededError(GroverWalkError, ArithmeticError):
-    """A numeric verification produced a residual above its tolerance."""
+    """An exact verification found an identity that does not hold."""
 
 
 class BudgetExceededError(GroverWalkError, ArithmeticError):

@@ -11,6 +11,7 @@ An arc is an ordered traversal of an edge. Arcs are totally ordered by
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,18 +37,31 @@ class Arc(NamedTuple):
         return Arc(self.terminus, self.origin)
 
 
+def _vertex_id(value, what: str) -> int:
+    """value as an int through operator.index; bools and ints pass."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParameterError("%s %r is not an integer" % (what, value)) from None
+
+
 class Graph:
     """Simple connected graph with a fixed canonical edge order."""
 
     __slots__ = ("n", "edges", "adj", "degree")
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int]]):
+        n = _vertex_id(n, "vertex count")
         if n < 1:
             raise EmptyGraphError("graph needs at least one vertex, got n=%d" % n)
         seen: set[Edge] = set()
         norm: list[Edge] = []
         for pair in edges:
-            u, v = pair
+            try:
+                u, v = pair
+            except (TypeError, ValueError):
+                raise InvalidParameterError("edge %r is not a pair" % (pair,)) from None
+            u, v = _vertex_id(u, "vertex id"), _vertex_id(v, "vertex id")
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidParameterError(
                     "edge (%r, %r) references a vertex outside 0..%d" % (u, v, n - 1)
@@ -59,6 +73,13 @@ class Graph:
                 raise DuplicateEdgeError("edge %r listed twice" % (e,))
             seen.add(e)
             norm.append(e)
+        if len(norm) < n - 1:
+            # checked before any per-vertex allocation, so a huge declared n
+            # with few edges is rejected at once
+            raise DisconnectedError(
+                "graph is not connected (%d vertices need at least %d edges, got %d)"
+                % (n, n - 1, len(norm))
+            )
         norm.sort()
         self.n = n
         self.edges = tuple(norm)

@@ -1,12 +1,9 @@
-"""Exact rational matrices, characteristic polynomials, and a symmetric
-eigensolver.
+"""Exact rational matrices and characteristic polynomials.
 
-The exact layer stores fractions.Fraction entries and never rounds. The
+Entries are fractions.Fraction and nothing is ever rounded. The
 characteristic polynomial uses the Faddeev-LeVerrier recurrence; to keep the
 inner loop on machine integers the matrix is first scaled by the common
 denominator, which is the same computation with the denominator factored out.
-The numeric layer is a cyclic Jacobi iteration on plain float lists, so the
-package needs no external numeric dependency.
 """
 
 from __future__ import annotations
@@ -15,13 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exceptions import (
-    DimensionMismatchError,
-    InvalidParameterError,
-    NoConvergenceError,
-    NonSquareError,
-    NotSymmetricError,
-)
+from .exceptions import DimensionMismatchError, InvalidParameterError, NonSquareError
 
 
 def is_integer(q: Fraction) -> bool:
@@ -93,9 +84,6 @@ class RationalMatrix:
     def row_sums(self) -> tuple[Fraction, ...]:
         return tuple(sum(row, Fraction(0)) for row in self.entries)
 
-    def to_float(self) -> list[list[float]]:
-        return [[float(x) for x in row] for row in self.entries]
-
     def __repr__(self) -> str:
         return "RationalMatrix(%d x %d)" % (self.rows, self.cols)
 
@@ -146,12 +134,6 @@ class CharPoly:
         acc = Fraction(0)
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
-
-    def eval_complex(self, z: complex) -> complex:
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + float(c)
         return acc
 
     def root_multiplicity(self, r: Fraction) -> int:
@@ -217,105 +199,3 @@ def charpoly_exact(m: RationalMatrix) -> CharPoly:
 
     coeffs = [Fraction(c[j], L ** (n - j)) for j in range(n + 1)]
     return CharPoly(tuple(coeffs))
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues of a real symmetric matrix, ascending, with vectors.
-
-    vectors[i] is the eigenvector for values[i]. pairs() clusters nearby
-    values into (value, multiplicity estimate) tuples.
-    """
-
-    values: tuple[float, ...]
-    vectors: tuple[tuple[float, ...], ...]
-
-    def pairs(self, cluster_tol: float = 1e-9) -> tuple[tuple[float, int], ...]:
-        out: list[tuple[float, int]] = []
-        for v in self.values:
-            if out and abs(v - out[-1][0]) <= cluster_tol:
-                val, mult = out[-1]
-                out[-1] = (val, mult + 1)
-            else:
-                out.append((v, 1))
-        return tuple(out)
-
-
-def _off_norm(a: list[list[float]]) -> float:
-    n = len(a)
-    s = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            s += 2.0 * a[i][j] * a[i][j]
-    return math.sqrt(s)
-
-
-def eigenvalues_symmetric(
-    s: list[list[float]],
-    off_tol: float = 1e-14,
-    max_sweeps: int = 100,
-    symmetry_tol: float = 1e-12,
-) -> Spectrum:
-    """Cyclic Jacobi eigensolver for a real symmetric matrix.
-
-    Sweeps rotate away every off-diagonal pair in row order until the
-    off-diagonal Frobenius norm drops to off_tol. Raises NotSymmetricError
-    on asymmetric input and NoConvergenceError after max_sweeps.
-    """
-    n = len(s)
-    if any(len(row) != n for row in s):
-        raise NonSquareError("eigensolver needs a square matrix")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(s[i][j] - s[j][i]) > symmetry_tol:
-                raise NotSymmetricError(
-                    "entry (%d,%d) differs from (%d,%d) by %g"
-                    % (i, j, j, i, abs(s[i][j] - s[j][i]))
-                )
-    a = [list(map(float, row)) for row in s]
-    v = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-    if n == 1:
-        return Spectrum((a[0][0],), ((1.0,),))
-
-    for _ in range(max_sweeps):
-        if _off_norm(a) <= off_tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p][q]
-                if apq == 0.0:
-                    continue
-                # skip rotations that cannot change anything at this scale
-                if abs(apq) < 1e-300:
-                    a[p][q] = a[q][p] = 0.0
-                    continue
-                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
-                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                if theta < 0.0:
-                    t = -t
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                sn = t * c
-                tau = sn / (1.0 + c)
-                app, aqq = a[p][p], a[q][q]
-                a[p][p] = app - t * apq
-                a[q][q] = aqq + t * apq
-                a[p][q] = a[q][p] = 0.0
-                for i in range(n):
-                    if i != p and i != q:
-                        aip, aiq = a[i][p], a[i][q]
-                        a[i][p] = a[p][i] = aip - sn * (aiq + tau * aip)
-                        a[i][q] = a[q][i] = aiq + sn * (aip - tau * aiq)
-                for i in range(n):
-                    vip, viq = v[i][p], v[i][q]
-                    v[i][p] = vip - sn * (viq + tau * vip)
-                    v[i][q] = viq + sn * (vip - tau * viq)
-    else:
-        raise NoConvergenceError(
-            "off-diagonal norm %g after %d sweeps" % (_off_norm(a), max_sweeps)
-        )
-
-    eigs = [(a[i][i], tuple(v[j][i] for j in range(n))) for i in range(n)]
-    eigs.sort(key=lambda pair: pair[0])
-    return Spectrum(
-        tuple(val for val, _ in eigs), tuple(vec for _, vec in eigs)
-    )

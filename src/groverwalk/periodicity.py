@@ -43,7 +43,7 @@ from .graphs import (
     write_graph_file,
 )
 from .linalg import CharPoly, is_integer
-from .walk import build_grover_operator, transition_charpoly, transition_spectrum
+from .walk import build_grover_operator, transition_charpoly
 
 DEFAULT_BIT_BUDGET = 10**6
 
@@ -133,10 +133,13 @@ def _totient(d: int) -> int:
     return phi
 
 
-def _divide_monic(a: list[int], b: tuple[int, ...]) -> list[int] | None:
-    """Exact quotient a / b for a monic b, or None when b does not divide a."""
+def _divide_monic(a: list, b: tuple) -> list | None:
+    """Exact quotient a / b for a monic b, or None when b does not divide a.
+
+    Works on int or Fraction coefficients; the zero polynomial divides out.
+    """
     if len(a) < len(b):
-        return None
+        return None if any(a) else [0]
     db = len(b) - 1
     rest = list(a)
     quot = [0] * (len(a) - db)
@@ -558,16 +561,6 @@ def chebyshev_table(max_index: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _chebyshev_value(j: int, x: float) -> float:
-    # U_j(x) by the recurrence; j >= 0
-    prev, cur = 1.0, 2.0 * x
-    if j == 0:
-        return prev
-    for _ in range(j - 1):
-        prev, cur = cur, 2.0 * x * cur - prev
-    return cur
-
-
 @dataclass(frozen=True)
 class ChebyshevReport:
     eigenvalues: tuple[float, ...]
@@ -578,44 +571,50 @@ class ChebyshevReport:
 def chebyshev_eigen_check(k: int, r: int, tol: float = 1e-10) -> ChebyshevReport:
     """Verify the closed-form tail eigenvectors on the two-tailed graph.
 
-    The graph is the odd cycle C_k with two pendant paths of r-1 edges
-    each sharing one cycle vertex. For each l = 1..r-1 the vector that
-    vanishes on the cycle and carries Chebyshev values U_{j-1}(lambda_l)
-    on one tail and their negatives on the other is an eigenvector for
-    lambda_l = cos((2l-1) pi / (2(r-1))). Checks the residual of the
-    eigen-equation and that each lambda_l shows up in the numeric
-    spectrum. Raises ResidualExceeded naming the first offending l.
+    The graph is the odd cycle C_k with two pendant paths of m = r-1 edges
+    each sharing one cycle vertex. For each root lambda_l =
+    cos((2l-1) pi / (2m)) of the first-kind Chebyshev polynomial T_m, the
+    vector that vanishes on the cycle and carries U_(j-1)(lambda_l) on one
+    tail and its negative on the other is an eigenvector for lambda_l.
+    Both claims are checked exactly, for all l at once, as polynomial
+    identities modulo T_m, whose roots are simple: T_m divides the
+    transition charpoly, and at every vertex v the eigen-residual
+    sum_(u~v) f_u(x) - deg(v) x f_v(x) vanishes modulo T_m. Raises
+    ResidualExceeded naming the failed divisibility or the first offending
+    vertex. The reported eigenvalues are the closed-form cosines and
+    max_residual is 0.0; tol is accepted for compatibility and unused.
     """
     if r < 2:
         raise InvalidParameterError("need r >= 2, got %d" % r)
     m = r - 1
     g = two_tail_graph(k, m)
-    n = g.n
-    spec = transition_spectrum(g).values
-    lambdas = []
-    worst = 0.0
-    for l in range(1, m + 1):
-        lam = math.cos((2 * l - 1) * math.pi / (2 * m))
-        lambdas.append(lam)
-        f = [0.0] * n
-        for j in range(1, m + 1):
-            value = _chebyshev_value(j - 1, lam)
-            f[k + j - 1] = value
-            f[k + m + j - 1] = -value
-        residual = 0.0
-        for v in range(n):
-            image = sum(f[x] for x in g.adj[v]) / g.degree[v]
-            residual = max(residual, abs(image - lam * f[v]))
-        if residual > tol:
-            raise ResidualExceededError(
-                "eigenvector residual %.3e exceeds %.3e at l=%d"
-                % (residual, tol, l)
-            )
-        if min(abs(s - lam) for s in spec) > tol:
-            raise ResidualExceededError(
-                "eigenvalue %.15g missing from the spectrum at l=%d" % (lam, l)
-            )
-        worst = max(worst, residual)
-    return ChebyshevReport(
-        eigenvalues=tuple(lambdas), max_residual=worst, tail_edges=m
+    u = chebyshev_table(m)
+    # T_1 = x and T_m = (U_m - U_(m-2)) / 2
+    t_m = (0, 1) if m == 1 else tuple(
+        (a - b) // 2 for a, b in zip(u[m], u[m - 2] + (0, 0))
     )
+    monic = tuple(Fraction(c, t_m[-1]) for c in t_m)
+    if _divide_monic(list(transition_charpoly(g).coeffs), monic) is None:
+        raise ResidualExceededError(
+            "T_%d does not divide the transition charpoly of twotail:%d,%d"
+            % (m, k, m)
+        )
+    f: list[tuple[int, ...]] = [()] * g.n
+    for j in range(1, m + 1):
+        f[k + j - 1] = u[j - 1]
+        f[k + m + j - 1] = tuple(-c for c in u[j - 1])
+    for v in range(g.n):
+        residual = [0] * (m + 1)
+        for x in g.adj[v]:
+            for i, c in enumerate(f[x]):
+                residual[i] += c
+        for i, c in enumerate(f[v]):
+            residual[i + 1] -= g.degree[v] * c
+        if _divide_monic(residual, monic) is None:
+            raise ResidualExceededError(
+                "eigen-residual at vertex %d is not 0 modulo T_%d" % (v, m)
+            )
+    lambdas = tuple(
+        math.cos((2 * l - 1) * math.pi / (2 * m)) for l in range(1, m + 1)
+    )
+    return ChebyshevReport(eigenvalues=lambdas, max_residual=0.0, tail_edges=m)

@@ -10,7 +10,6 @@ leftover eigenvalues sitting at +1 or -1.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -18,13 +17,7 @@ from fractions import Fraction
 
 from .exceptions import InvalidParameterError
 from .graphs import Arc, Graph
-from .linalg import (
-    CharPoly,
-    RationalMatrix,
-    Spectrum,
-    charpoly_exact,
-    eigenvalues_symmetric,
-)
+from .linalg import CharPoly, RationalMatrix, charpoly_exact
 
 
 @dataclass(frozen=True)
@@ -94,38 +87,27 @@ def transition_charpoly(g: Graph) -> CharPoly:
     return charpoly_exact(build_transition_matrix(g).matrix)
 
 
-def symmetrize(g: Graph) -> list[list[float]]:
-    """Degree-symmetrized adjacency, entry A_uv / sqrt(deg u * deg v).
-
-    Similar to the transition matrix, so it has the same spectrum, but
-    symmetric, which is what the Jacobi solver wants.
-    """
-    _require_walkable(g)
-    inv_sqrt = [1.0 / math.sqrt(d) if d else 0.0 for d in g.degree]
-    out = [[0.0] * g.n for _ in range(g.n)]
-    for u, v in g.edges:
-        w = inv_sqrt[u] * inv_sqrt[v]
-        out[u][v] = w
-        out[v][u] = w
-    return out
-
-
-def transition_spectrum(g: Graph) -> Spectrum:
-    """Numeric spectrum of the transition matrix via its symmetrization."""
-    return eigenvalues_symmetric(symmetrize(g))
+def _times_x2_minus_1(poly: list[Fraction], times: int) -> list[Fraction]:
+    """poly * (x^2 - 1)^times, coefficients low to high."""
+    for _ in range(times):
+        padded = [0, 0] + poly + [0, 0]
+        poly = [padded[k] - padded[k + 2] for k in range(len(poly) + 2)]
+    return poly
 
 
 @dataclass(frozen=True)
 class SpectralMapReport:
     """Outcome of checking the vertex-to-arc spectral correspondence.
 
-    residual_pairs holds ((re, im), |charpoly_U(z)|) for every predicted
-    arc eigenvalue z. unexplained counts arc eigenvalues beyond the mapped
-    ones; they must be absorbed by the exact multiplicities of +1 and -1.
+    predicted counts the arc eigenvalues that are images of vertex
+    eigenvalues, one for each +-1 and two for every other one. unexplained
+    counts the arc eigenvalues beyond those; they must be absorbed by the
+    surplus multiplicities of +1 and -1. max_residual is the largest
+    coefficient of the difference of the two sides of the identity, 0.0
+    when it holds.
     """
 
     matched: bool
-    residual_pairs: tuple[tuple[tuple[float, float], float], ...]
     max_residual: float
     predicted: int
     unexplained: int
@@ -136,58 +118,46 @@ class SpectralMapReport:
 def spectral_map_check(g: Graph, tol: float = 1e-8) -> SpectralMapReport:
     """Verify Spec(U) against the image of Spec(T) plus {+1, -1} absorbers.
 
-    Predicted values are exp(+-i arccos lambda) over the numeric vertex
-    spectrum, the pair collapsing to a single root when lambda is +-1. Each
-    prediction must annihilate the exact arc characteristic polynomial
-    within tol, and the leftover root count must equal the surplus exact
-    multiplicity of +1 and -1 in that polynomial.
+    Checks exactly the Konno-Sato identity (Quantum Inf. Process. 11, 2012)
+
+        charpoly_U(x) = (x^2 - 1)^(m - n) (2x)^n charpoly_T((x^2 + 1) / (2x)),
+
+    with (x^2 - 1)^(n - m) moved to the left side for a tree. Each vertex
+    eigenvalue lambda maps to the roots of x^2 - 2 lambda x + 1, that is
+    exp(+-i arccos lambda), and the identity accounts for the rest of the
+    arc spectrum at +-1. The counts come from exact root multiplicities;
+    tol is accepted for compatibility and unused.
     """
-    clamp = 1e-12
-    spec = transition_spectrum(g)
+    cp_t = transition_charpoly(g)
     p_u = charpoly_exact(build_grover_operator(g).matrix)
-    arc_count = p_u.degree
+    n, arc_count = cp_t.degree, p_u.degree
 
-    predicted: list[complex] = []
-    seen_plus = 0
-    seen_minus = 0
-    for lam in spec.values:
-        if lam > 1.0 + clamp or lam < -1.0 - clamp:
-            raise InvalidParameterError(
-                "transition eigenvalue %r outside [-1, 1]" % lam
-            )
-        if lam >= 1.0 - clamp:
-            predicted.append(1 + 0j)
-            seen_plus += 1
-        elif lam <= -1.0 + clamp:
-            predicted.append(-1 + 0j)
-            seen_minus += 1
-        else:
-            theta = math.acos(lam)
-            z = cmath.exp(1j * theta)
-            predicted.append(z)
-            predicted.append(z.conjugate())
+    # (2x)^n cp_t((x^2 + 1) / (2x)) = sum_j c_j 2^(n-j) x^(n-j) (x^2 + 1)^j
+    rhs = [Fraction(0)] * (2 * n + 1)
+    for j, c in enumerate(cp_t.coeffs):
+        for i in range(j + 1):
+            rhs[n - j + 2 * i] += c * 2 ** (n - j) * math.comb(j, i)
+    excess = g.m - n
+    lhs = _times_x2_minus_1(list(p_u.coeffs), max(-excess, 0))
+    rhs = _times_x2_minus_1(rhs, max(excess, 0))
+    diff = [a - b for a, b in zip(lhs, rhs, strict=True)]
 
-    residual_pairs = tuple(
-        ((z.real, z.imag), abs(p_u.eval_complex(z))) for z in predicted
-    )
-    max_residual = max((r for _, r in residual_pairs), default=0.0)
-
-    mult_plus = p_u.root_multiplicity(Fraction(1))
-    mult_minus = p_u.root_multiplicity(Fraction(-1))
-    plus_extra = mult_plus - seen_plus
-    minus_extra = mult_minus - seen_minus
-    unexplained = arc_count - len(predicted)
+    t_plus = cp_t.root_multiplicity(Fraction(1))
+    t_minus = cp_t.root_multiplicity(Fraction(-1))
+    predicted = 2 * n - t_plus - t_minus
+    plus_extra = p_u.root_multiplicity(Fraction(1)) - t_plus
+    minus_extra = p_u.root_multiplicity(Fraction(-1)) - t_minus
+    unexplained = arc_count - predicted
     matched = (
-        max_residual <= tol
+        not any(diff)
         and plus_extra >= 0
         and minus_extra >= 0
         and unexplained == plus_extra + minus_extra
     )
     return SpectralMapReport(
         matched=matched,
-        residual_pairs=residual_pairs,
-        max_residual=max_residual,
-        predicted=len(predicted),
+        max_residual=float(max(abs(d) for d in diff)),
+        predicted=predicted,
         unexplained=unexplained,
         plus_one_extra=plus_extra,
         minus_one_extra=minus_extra,

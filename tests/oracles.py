@@ -3,12 +3,14 @@
 Everything here recomputes results by a different method than the package:
 Bareiss elimination instead of Faddeev-LeVerrier, brute-force subset scans
 instead of recursive enumeration, permutation minima instead of pruned
-search. Agreement between the two is the point.
+search, a floating-point Jacobi eigensolver instead of exact polynomial
+identities. Agreement between the two is the point.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 
@@ -175,3 +177,119 @@ def brute_period(matrix, k_max: int):
             return d
         acc = mul(acc, matrix)
     return None
+
+
+def symmetrized_adjacency(n: int, edges):
+    """Entry A_uv / sqrt(deg u * deg v): symmetric, and similar to the
+    transition matrix, so it has the same spectrum."""
+    deg = [0] * n
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    out = [[0.0] * n for _ in range(n)]
+    for u, v in edges:
+        out[u][v] = out[v][u] = 1.0 / math.sqrt(deg[u] * deg[v])
+    return out
+
+
+def _off_norm(a) -> float:
+    return math.sqrt(
+        sum(2.0 * a[i][j] ** 2 for i in range(len(a)) for j in range(i + 1, len(a)))
+    )
+
+
+def jacobi_eigen(s, off_tol: float = 1e-14, max_sweeps: int = 100):
+    """(values, vectors) of a real symmetric matrix by cyclic Jacobi sweeps.
+
+    Values ascend and vectors[i] belongs to values[i]. Each sweep rotates
+    away every off-diagonal pair in row order until the off-diagonal
+    Frobenius norm is at most off_tol. Raises ValueError on asymmetric
+    input and ArithmeticError after max_sweeps.
+    """
+    n = len(s)
+    if any(len(row) != n for row in s):
+        raise ValueError("eigensolver needs a square matrix")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(s[i][j] - s[j][i]) > 1e-12:
+                raise ValueError("entry (%d,%d) differs from (%d,%d)" % (i, j, j, i))
+    a = [[float(x) for x in row] for row in s]
+    v = [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
+    sweeps = 0
+    while _off_norm(a) > off_tol:
+        if sweeps == max_sweeps:
+            raise ArithmeticError("no convergence after %d sweeps" % max_sweeps)
+        sweeps += 1
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p][q]
+                if abs(apq) < 1e-300:
+                    a[p][q] = a[q][p] = 0.0
+                    continue
+                theta = (a[q][q] - a[p][p]) / (2.0 * apq)
+                t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                if theta < 0.0:
+                    t = -t
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                sn = t * c
+                tau = sn / (1.0 + c)
+                a[p][p] -= t * apq
+                a[q][q] += t * apq
+                a[p][q] = a[q][p] = 0.0
+                for i in range(n):
+                    if i != p and i != q:
+                        aip, aiq = a[i][p], a[i][q]
+                        a[i][p] = a[p][i] = aip - sn * (aiq + tau * aip)
+                        a[i][q] = a[q][i] = aiq + sn * (aip - tau * aiq)
+                for row in v:
+                    vip, viq = row[p], row[q]
+                    row[p] = vip - sn * (viq + tau * vip)
+                    row[q] = viq + sn * (vip - tau * viq)
+    order = sorted(range(n), key=lambda i: a[i][i])
+    return (
+        tuple(a[i][i] for i in order),
+        tuple(tuple(v[j][i] for j in range(n)) for i in order),
+    )
+
+
+def transition_eigenvalues(n: int, edges) -> tuple[float, ...]:
+    """Numeric spectrum of the transition matrix, ascending."""
+    return jacobi_eigen(symmetrized_adjacency(n, edges))[0]
+
+
+def exact_rank(matrix) -> int:
+    """Rank over the rationals by fraction-free row reduction on integers."""
+    den = 1
+    for row in matrix:
+        for x in row:
+            den = math.lcm(den, Fraction(x).denominator)
+    rows = [[int(Fraction(x) * den) for x in row] for row in matrix]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col]:
+                factor = rows[i][col]
+                row = [x * top[col] - y * factor for x, y in zip(rows[i], top)]
+                g = math.gcd(*row)
+                rows[i] = [x // g for x in row] if g else row
+        rank += 1
+    return rank
+
+
+def eigenvalue_multiplicity(matrix, value) -> int:
+    """Geometric multiplicity of an exact eigenvalue: size - rank(M - value I).
+
+    For a diagonalizable matrix such as the orthogonal walk operator this
+    is also the algebraic multiplicity.
+    """
+    size = len(matrix)
+    shifted = [
+        [Fraction(matrix[i][j]) - (value if i == j else 0) for j in range(size)]
+        for i in range(size)
+    ]
+    return size - exact_rank(shifted)

@@ -75,6 +75,8 @@ def test_census_budget_marks_record():
     for record in hits:
         assert record.period_report is None
         assert "budget" in record.budget_note
+        # the certificate runs only after the integrality filter passed
+        assert record.integrality_failures == ()
     # the run still covers every class
     assert len(result.records) == 2
 

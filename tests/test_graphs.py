@@ -1,11 +1,20 @@
+import contextlib
+import io
+import os
+import tempfile
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from groverwalk import cli
 from groverwalk.exceptions import (
     DisconnectedError,
     DuplicateEdgeError,
     EmptyGraphError,
+    GroverWalkError,
     InvalidParameterError,
     LoopEdgeError,
     ParseError,
@@ -23,6 +32,7 @@ from groverwalk.graphs import (
 )
 
 from oracles import brute_cycles, brute_matchings
+from strategies import connected_graphs
 
 
 def test_build_p2():
@@ -62,6 +72,32 @@ def test_validation_errors():
         build_graph(2, [(0, 1), (1, 0)])
     with pytest.raises(EmptyGraphError):
         build_graph(0, [])
+
+
+def test_non_integer_ids_rejected():
+    with pytest.raises(InvalidParameterError):
+        build_graph(2, [(0, 0.5)])
+    with pytest.raises(InvalidParameterError):
+        build_graph(2, [("0", 1)])
+    with pytest.raises(InvalidParameterError):
+        build_graph(2.0, [(0, 1)])
+    with pytest.raises(InvalidParameterError):
+        build_graph(2, [(0,)])
+    # bools and other integer types pass through operator.index
+    assert build_graph(2, [(False, True)]) == build_graph(2, [(0, 1)])
+
+
+def test_too_few_edges_rejected_before_allocation():
+    # a connected graph on n vertices needs n - 1 edges; the check runs
+    # before anything per vertex is built, so a huge n costs nothing
+    started = time.perf_counter()
+    for text in ("300000 0\n", "1000000000 1\n0 1\n"):
+        with pytest.raises(DisconnectedError):
+            read_graph_file(text)
+    assert time.perf_counter() - started < 0.1
+    # edge errors still come first
+    with pytest.raises(LoopEdgeError):
+        build_graph(10**9, [(0, 0)])
 
 
 def test_edges_are_normalized_sorted():
@@ -157,6 +193,42 @@ def test_matchings_match_brute_force():
 def test_graph_file_round_trip():
     for g in enumerate_connected(5):
         assert read_graph_file(write_graph_file(g)) == g
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(g=connected_graphs(max_n=8))
+def test_graph_file_round_trip_property(g):
+    text = write_graph_file(g)
+    assert read_graph_file(text) == g
+    assert write_graph_file(read_graph_file(text)) == text
+
+
+_TOKENS = ["0", "1", "2", "3", "7", "-1", "10", "99999999999", "x", "2.5", "#", "1_0"]
+
+garbage_text = st.one_of(
+    st.text(max_size=40),
+    st.lists(
+        st.lists(st.sampled_from(_TOKENS), max_size=3).map(" ".join), max_size=6
+    ).map("\n".join),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(text=garbage_text)
+def test_garbage_files_raise_only_package_errors(text):
+    try:
+        read_graph_file(text)
+    except GroverWalkError:
+        pass
+    else:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "garbage.txt")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            assert cli.main(["analyze", path]) == 2
+    assert err.getvalue().startswith("error: ")
 
 
 def test_graph_file_format():

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groverwalk import periodicity
 from groverwalk.exceptions import (
     BudgetExceededError,
     IndexOutOfRangeError,
     InvalidParameterError,
+    ResidualExceededError,
     ShapeMismatchError,
 )
 from groverwalk.families import (
@@ -41,6 +43,7 @@ from groverwalk.periodicity import (
 from groverwalk.walk import build_grover_operator, build_transition_matrix
 
 from oracles import brute_period
+from strategies import connected_graphs
 
 
 PERIOD_TABLE = [
@@ -174,17 +177,6 @@ def test_periods_match_brute_oracle_small(connected_by_n):
             report = find_period(g)
             if report.verdict == "periodic":
                 assert _brute(g, report.period) == report.period, g
-
-
-@st.composite
-def connected_graphs(draw):
-    n = draw(st.integers(2, 6))
-    # a random spanning tree keeps the graph connected
-    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
-    spare = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in edges]
-    if spare:
-        edges |= draw(st.sets(st.sampled_from(spare)))
-    return build_graph(n, sorted(edges))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
@@ -344,3 +336,23 @@ def test_chebyshev_eigen_deeper():
     assert report.max_residual < 1e-10
     with pytest.raises(InvalidParameterError):
         chebyshev_eigen_check(3, 1)
+
+
+def test_chebyshev_check_rejects_wrong_charpoly(monkeypatch):
+    # the cycle C_9 has the two-tail graph's vertex count but not T_3 | cp
+    wrong = periodicity.transition_charpoly(cycle_graph(9))
+    monkeypatch.setattr(periodicity, "transition_charpoly", lambda g: wrong)
+    with pytest.raises(ResidualExceededError, match="does not divide"):
+        chebyshev_eigen_check(3, 4)
+
+
+def test_chebyshev_check_rejects_wrong_vector(monkeypatch):
+    # a chord from the first tail vertex to cycle vertex 1 breaks the
+    # eigen-equation at vertex 1; the charpoly is kept so divisibility holds
+    good = two_tail_graph(3, 3)
+    cp = periodicity.transition_charpoly(good)
+    bad = build_graph(good.n, list(good.edges) + [(1, 3)])
+    monkeypatch.setattr(periodicity, "two_tail_graph", lambda k, m: bad)
+    monkeypatch.setattr(periodicity, "transition_charpoly", lambda g: cp)
+    with pytest.raises(ResidualExceededError, match="vertex 1 "):
+        chebyshev_eigen_check(3, 4)

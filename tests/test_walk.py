@@ -1,8 +1,9 @@
-import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
+from groverwalk import walk
 from groverwalk.exceptions import InvalidParameterError
 from groverwalk.families import (
     complete_bipartite,
@@ -12,15 +13,20 @@ from groverwalk.families import (
 )
 from groverwalk.graphs import Arc, build_graph
 from groverwalk.linalg import RationalMatrix, charpoly_exact, mat_mul, mat_pow
+from groverwalk.periodicity import chebyshev_eigen_check
 from groverwalk.walk import (
     build_grover_operator,
     build_transition_matrix,
     spectral_map_check,
-    symmetrize,
-    transition_spectrum,
 )
 
-from oracles import oracle_grover_matrix
+from oracles import (
+    char_value,
+    eigenvalue_multiplicity,
+    oracle_grover_matrix,
+    transition_eigenvalues,
+)
+from strategies import connected_graphs
 
 
 def test_p2_operator_is_swap():
@@ -111,17 +117,35 @@ def test_transition_entries_c3():
             assert t[u, v] == want
 
 
-def test_symmetrize_p3():
-    s = symmetrize(path_graph(3))
-    assert abs(s[0][1] - 1 / math.sqrt(2)) < 1e-15
-    assert s[0][2] == 0.0
-    assert s == [list(row) for row in zip(*s)]
+def test_spectral_map_counts_match_oracle_spectrum(connected_by_n):
+    # the exact counts against the numeric vertex spectrum and the exact
+    # eigenspace dimensions of the arc operator at +1 and -1
+    graphs = 0
+    for n in range(2, 7):
+        for g in connected_by_n[n]:
+            graphs += 1
+            values = transition_eigenvalues(g.n, g.edges)
+            t_plus = sum(1 for x in values if abs(x - 1) < 1e-9)
+            t_minus = sum(1 for x in values if abs(x + 1) < 1e-9)
+            u = oracle_grover_matrix(g.n, g.edges)
+            report = spectral_map_check(g)
+            assert report.matched and report.max_residual == 0.0, g
+            assert report.predicted == 2 * g.n - t_plus - t_minus, g
+            assert report.unexplained == 2 * g.m - report.predicted, g
+            assert report.plus_one_extra == eigenvalue_multiplicity(u, 1) - t_plus, g
+            assert report.minus_one_extra == eigenvalue_multiplicity(u, -1) - t_minus, g
+    assert graphs == 142
 
 
-def test_transition_spectrum_c5():
-    spec = transition_spectrum(cycle_graph(5))
-    want = sorted(math.cos(2 * math.pi * j / 5) for j in range(5))
-    assert max(abs(a - b) for a, b in zip(spec.values, want)) < 1e-10
+@pytest.mark.parametrize("k", [3, 5])
+def test_chebyshev_eigenvalues_in_oracle_spectrum(k):
+    for r in range(2, 7):
+        g = two_tail_graph(k, r - 1)
+        values = transition_eigenvalues(g.n, g.edges)
+        report = chebyshev_eigen_check(k, r)
+        assert report.max_residual == 0.0
+        for lam in report.eigenvalues:
+            assert min(abs(x - lam) for x in values) < 1e-9, (k, r, lam)
 
 
 def test_single_vertex_rejected():
@@ -131,7 +155,7 @@ def test_single_vertex_rejected():
     with pytest.raises(InvalidParameterError):
         build_transition_matrix(g)
     with pytest.raises(InvalidParameterError):
-        symmetrize(g)
+        spectral_map_check(g)
 
 
 def test_spectral_map_p2():
@@ -158,11 +182,30 @@ def test_spectral_map_k23():
     report = spectral_map_check(g)
     assert report.matched
     assert report.unexplained == report.plus_one_extra + report.minus_one_extra
-    assert len(report.residual_pairs) == report.predicted
+    # bipartite: the vertex spectrum holds 1 and -1 once each
+    assert report.predicted == 2 * g.n - 2
+    assert report.max_residual == 0.0
 
 
-def test_spectral_map_residual_pairs_shape():
+def test_spectral_map_detects_wrong_charpoly(monkeypatch):
+    # C4 and P4 share n, but not the vertex spectrum: the identity must fail
+    p4_charpoly = walk.transition_charpoly(path_graph(4))
+    monkeypatch.setattr(walk, "transition_charpoly", lambda g: p4_charpoly)
     report = spectral_map_check(cycle_graph(4))
-    for (re, im), residual in report.residual_pairs:
-        assert abs(complex(re, im)) == pytest.approx(1.0, abs=1e-9)
-        assert residual <= report.max_residual
+    assert not report.matched
+    assert report.max_residual > 0
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(g=connected_graphs(max_n=7))
+def test_konno_sato_identity_property(g):
+    # the package checks the identity coefficient by coefficient; here both
+    # sides are evaluated at one point with Bareiss determinants
+    report = spectral_map_check(g)
+    assert report.matched and report.max_residual == 0.0
+    x = Fraction(3, 2)
+    u = oracle_grover_matrix(g.n, g.edges)
+    t = build_transition_matrix(g).matrix.entries
+    lhs = char_value(u, x) * (x * x - 1) ** (g.n - g.m)
+    rhs = (2 * x) ** g.n * char_value(t, (x * x + 1) / (2 * x))
+    assert lhs == rhs
