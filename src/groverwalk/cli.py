@@ -20,13 +20,14 @@ import time
 from fractions import Fraction
 
 from .census import CensusRecord, run_census
-from .exceptions import BudgetExceededError, GroverWalkError
+from .exceptions import BudgetExceededError, CapExceededError, GroverWalkError
 from .families import (
     ENUMERATION_CAP,
     complete_bipartite,
     cycle_graph,
     enumerate_connected,
     enumerate_odd_unicyclic,
+    family_arcs,
     make_family,
     parse_family,
     path_graph,
@@ -43,6 +44,11 @@ from .periodicity import (
     tail_recurrence_check,
 )
 from .walk import spectral_map_check, transition_charpoly
+
+# Largest arc count 2m that analyze and gen accept. The arc operator is
+# 2m x 2m, and at this size one analyze takes seconds; a family is checked
+# from its closed form before it is built, a graph file right after parsing.
+ARC_CAP = 128
 
 
 # ---------------------------------------------------------------------------
@@ -153,14 +159,29 @@ def _record_block(record: CensusRecord) -> dict:
 # Commands.
 
 
+def _check_arcs(arcs: int, what: str) -> None:
+    if arcs > ARC_CAP:
+        raise CapExceededError(
+            "%s has %d arcs; analyze and gen accept at most %d" % (what, arcs, ARC_CAP)
+        )
+
+
+def _family_graph(text: str) -> Graph:
+    spec = parse_family(text)
+    _check_arcs(family_arcs(spec), str(spec))
+    return make_family(spec)
+
+
 def _load_graph(args) -> Graph:
     if args.family and args.graph:
         raise GroverWalkError("give either a graph file or --family, not both")
     if args.family:
-        return make_family(parse_family(args.family))
+        return _family_graph(args.family)
     if args.graph:
         with open(args.graph, "r", encoding="utf-8") as handle:
-            return read_graph_file(handle.read())
+            g = read_graph_file(handle.read())
+        _check_arcs(2 * g.m, args.graph)
+        return g
     raise GroverWalkError("no graph given: pass a file path or --family")
 
 
@@ -221,7 +242,7 @@ def cmd_census(args) -> int:
 def cmd_gen(args) -> int:
     if not args.family:
         raise GroverWalkError("gen requires --family")
-    g = make_family(parse_family(args.family))
+    g = _family_graph(args.family)
     _write_text(write_graph_file(g), args.out)
     return 0
 

@@ -40,7 +40,7 @@ class ParseError(GroverWalkError, ValueError):
 
 
 class CapExceededError(GroverWalkError, ValueError):
-    """An enumeration was asked to go beyond its configured size cap."""
+    """An enumeration or an input graph goes beyond its configured size cap."""
 
 
 class DimensionMismatchError(GroverWalkError, ValueError):

@@ -53,35 +53,57 @@ def _arity(spec: FamilySpec, want: int) -> tuple[int, ...]:
     return spec.params
 
 
-def make_family(spec: FamilySpec) -> Graph:
+def family_arcs(spec: FamilySpec) -> int:
+    """Arc count 2m of the family member, from its closed form.
+
+    Raises InvalidParameterError for an unknown kind or a parameter out
+    of range, and builds nothing, so a size cap can be applied before any
+    allocation. make_family validates its spec through this function.
+    """
     kind = spec.kind
     if kind == "cycle":
         (k,) = _arity(spec, 1)
         if k < 3:
             raise InvalidParameterError("cycle needs k >= 3, got %d" % k)
-        return build_graph(k, [(i, (i + 1) % k) for i in range(k)])
+        return 2 * k
     if kind == "path":
         (r,) = _arity(spec, 1)
         if r < 2:
             raise InvalidParameterError("path needs >= 2 vertices, got %d" % r)
-        return build_graph(r, [(i, i + 1) for i in range(r - 1)])
+        return 2 * (r - 1)
     if kind == "kbipartite":
         m, n = _arity(spec, 2)
         if m < 1 or n < 1:
             raise InvalidParameterError("kbipartite needs m, n >= 1")
-        return build_graph(m + n, [(i, m + j) for i in range(m) for j in range(n)])
+        return 2 * m * n
     if kind == "twotail":
         k, r = _arity(spec, 2)
         if k < 3 or k % 2 == 0:
             raise InvalidParameterError("twotail needs odd k >= 3, got %d" % k)
         if r < 1:
             raise InvalidParameterError("twotail needs r >= 1, got %d" % r)
-        edges = [(i, i + 1) for i in range(k - 1)] + [(0, k - 1)]
-        for base in (k, k + r):  # two tails of r edges each
-            edges.append((0, base))
-            edges.extend((base + i, base + i + 1) for i in range(r - 1))
-        return build_graph(k + 2 * r, edges)
+        return 2 * (k + 2 * r)
     raise InvalidParameterError("unknown family kind %r" % spec.kind)
+
+
+def make_family(spec: FamilySpec) -> Graph:
+    family_arcs(spec)  # validates the kind and the parameters
+    kind = spec.kind
+    if kind == "cycle":
+        (k,) = spec.params
+        return build_graph(k, [(i, (i + 1) % k) for i in range(k)])
+    if kind == "path":
+        (r,) = spec.params
+        return build_graph(r, [(i, i + 1) for i in range(r - 1)])
+    if kind == "kbipartite":
+        m, n = spec.params
+        return build_graph(m + n, [(i, m + j) for i in range(m) for j in range(n)])
+    k, r = spec.params  # twotail
+    edges = [(i, i + 1) for i in range(k - 1)] + [(0, k - 1)]
+    for base in (k, k + r):  # two tails of r edges each
+        edges.append((0, base))
+        edges.extend((base + i, base + i + 1) for i in range(r - 1))
+    return build_graph(k + 2 * r, edges)
 
 
 def cycle_graph(k: int) -> Graph:

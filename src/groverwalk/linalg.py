@@ -1,9 +1,10 @@
 """Exact rational matrices and characteristic polynomials.
 
 Entries are fractions.Fraction and nothing is ever rounded. The
-characteristic polynomial uses the Faddeev-LeVerrier recurrence; to keep the
-inner loop on machine integers the matrix is first scaled by the common
-denominator, which is the same computation with the denominator factored out.
+characteristic polynomial uses the Faddeev-LeVerrier recurrence on the
+integer matrix obtained by clearing the common denominator, which is the same
+computation with the denominator factored out. The matrix is held as sparse
+rows and the working matrix as packed rows, one Python int per row.
 """
 
 from __future__ import annotations
@@ -26,7 +27,10 @@ class RationalMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries):
-        rows = tuple(tuple(Fraction(x) for x in row) for row in entries)
+        rows = tuple(
+            tuple(x if type(x) is Fraction else Fraction(x) for x in row)
+            for row in entries
+        )
         if not rows:
             raise InvalidParameterError("matrix needs at least one row")
         width = len(rows[0])
@@ -137,65 +141,92 @@ class CharPoly:
         return acc
 
     def root_multiplicity(self, r: Fraction) -> int:
-        """Exact multiplicity of the rational root r (0 if not a root)."""
-        coeffs = list(self.coeffs)
+        """Exact multiplicity of the rational root r (0 if not a root).
+
+        With r = a/b in lowest terms, the polynomial is scaled to integer
+        coefficients once and divided by the primitive factor b*x - a in
+        integers. By Gauss's lemma a quotient by b*x - a of an integer
+        polynomial has integer coefficients, so a step that b does not
+        divide exactly means b*x - a is not a factor.
+        """
+        r = Fraction(r)
+        a, b = r.numerator, r.denominator
+        scale = math.lcm(*(c.denominator for c in self.coeffs))
+        coeffs = [c.numerator * (scale // c.denominator) for c in self.coeffs]
         mult = 0
         while len(coeffs) > 1:
-            # synthetic division by (x - r)
-            quot = [Fraction(0)] * (len(coeffs) - 1)
-            acc = Fraction(0)
+            # p = (b x - a) q, so q_(j-1) = (p_j + a q_j) / b and p_0 = -a q_0
+            quot = [0] * (len(coeffs) - 1)
+            acc = 0
             for j in range(len(coeffs) - 1, 0, -1):
-                acc = coeffs[j] + acc * r
+                acc, rem = divmod(coeffs[j] + a * acc, b)
+                if rem:
+                    return mult
                 quot[j - 1] = acc
-            rem = coeffs[0] + acc * r
-            if rem != 0:
-                break
+            if coeffs[0] + a * acc:
+                return mult
             mult += 1
             coeffs = quot
         return mult
 
 
 def charpoly_exact(m: RationalMatrix) -> CharPoly:
-    """Characteristic polynomial by the Faddeev-LeVerrier recurrence.
+    """Characteristic polynomial by a sparse, packed-integer Faddeev-LeVerrier.
 
-    The recurrence runs on the integer matrix obtained by clearing the
-    common denominator L; if q(y) = det(y I - L*M) then the coefficient of
-    x**j in det(x I - M) is q_j * L**(j - n). Every division in the
-    recurrence is exact, which the code asserts.
+    The recurrence runs on the integer matrix B = L*M, L the lcm of the
+    denominators; if q(y) = det(y I - B) then the coefficient of x**j in
+    det(x I - M) is q_j * L**(j - n). With M_1 = I it reads
+
+        A_k = B M_k,   q_(n-k) = -tr(A_k) / k,   M_(k+1) = A_k + q_(n-k) I,
+
+    and every division is exact, which the code asserts. B is kept as
+    sparse rows of (column, value) pairs. Each row of M_k is one Python
+    int holding n slots of s bits, entry j in slot j as a signed value, so
+    row i of A_k is one big-int multiply-add per nonzero of row i of B.
+    The trace reads the diagonal slots after adding 2^(s-1) to every slot,
+    which turns each signed value into its unsigned slot digit.
+
+    Slot width. Let r >= 1 be the largest absolute row sum of B (r = 0
+    only for B = 0, where every entry is 0 or 1). Every entry of B^j is at
+    most r^j, since r bounds the infinity norm. q_(n-i) is (-1)^i times the
+    sum of the C(n, i) principal i x i minors of B, and by Hadamard each
+    minor is at most the product of its rows' Euclidean norms, so at most
+    r^i: |q_(n-i)| <= C(n, i) r^i. As A_k = sum_(i<k) q_(n-i) B^(k-i) and
+    M_k = sum_(i<k) q_(n-i) B^(k-1-i), every entry of both is at most
+    r^k sum_i C(n, i) <= 2^n r^n for k <= n. With s = n*bitlen(r) + n + 2
+    that is below 2^(s-2), so each signed entry fits its slot with room.
     """
     if m.rows != m.cols:
         raise NonSquareError("characteristic polynomial of a %dx%d matrix" % (m.rows, m.cols))
     n = m.rows
-    L = 1
-    for row in m.entries:
-        for x in row:
-            L = L * x.denominator // math.gcd(L, x.denominator)
-    b = [[int(x * L) for x in row] for row in m.entries]
+    L = math.lcm(*(x.denominator for row in m.entries for x in row if x))
+    b = [
+        [(j, x.numerator * (L // x.denominator)) for j, x in enumerate(row) if x]
+        for row in m.entries
+    ]
+    r = max(sum(abs(v) for _, v in row) for row in b)
+    s = n * r.bit_length() + n + 2
+    half = 1 << (s - 1)
+    mask = (1 << s) - 1
+    bias = half * (((1 << (s * n)) - 1) // mask)  # 2^(s-1) in every slot
+    shifts = [s * i for i in range(n)]  # slot i of a row starts at bit s*i
 
     c = [0] * (n + 1)
     c[n] = 1
-    work = [[0] * n for _ in range(n)]  # M_k, starts at zero
+    work = [1 << sh for sh in shifts]  # M_1 = I
     for k in range(1, n + 1):
-        # work <- b @ work + c[n-k+1] * I
-        prev = work
-        work = [[0] * n for _ in range(n)]
-        for i in range(n):
-            bi = b[i]
-            wi = work[i]
-            for l in range(n):
-                bil = bi[l]
-                if bil:
-                    pl = prev[l]
-                    for j in range(n):
-                        wi[j] += bil * pl[j]
-            wi[i] += c[n - k + 1]
-        tr = 0
-        for i in range(n):
-            bi = b[i]
-            for l in range(n):
-                tr += bi[l] * work[l][i]
+        prod = []  # A_k = B M_k
+        for row in b:
+            acc = 0
+            for j, v in row:
+                acc += v * work[j]
+            prod.append(acc)
+        tr = -n * half
+        for p, sh in zip(prod, shifts):
+            tr += ((p + bias) >> sh) & mask
         assert tr % k == 0
         c[n - k] = -(tr // k)
+        work = [p + (c[n - k] << sh) for p, sh in zip(prod, shifts)]
 
     coeffs = [Fraction(c[j], L ** (n - j)) for j in range(n + 1)]
     return CharPoly(tuple(coeffs))

@@ -197,6 +197,34 @@ def test_cli_exit_two(argv):
     assert proc.stderr.strip()
 
 
+@pytest.mark.parametrize("command", ["analyze", "gen"])
+@pytest.mark.parametrize("family", ["twotail:3,1000000", "path:1000000000", "kbipartite:9,8"])
+def test_cli_family_over_arc_cap(command, family, monkeypatch, capsys):
+    # the cap is read from the closed form, so the graph is never built
+    def refuse(spec):
+        raise AssertionError("built %s" % spec)
+
+    monkeypatch.setattr(cli, "make_family", refuse)
+    assert cli.main([command, "--family", family]) == 2
+    assert "at most %d" % cli.ARC_CAP in capsys.readouterr().err
+
+
+def test_cli_arc_cap_boundary(capsys):
+    # path:65 has exactly ARC_CAP arcs, path:66 two more
+    assert cli.ARC_CAP == 128
+    assert cli.main(["gen", "--family", "path:65"]) == 0
+    assert capsys.readouterr().out.startswith("65 64\n")
+    assert cli.main(["gen", "--family", "path:66"]) == 2
+    assert "path:66 has 130 arcs" in capsys.readouterr().err
+
+
+def test_cli_graph_file_over_arc_cap(tmp_path, capsys):
+    path = tmp_path / "big.graph"
+    path.write_text("66 65\n" + "".join("%d %d\n" % (i, i + 1) for i in range(65)))
+    assert cli.main(["analyze", str(path)]) == 2
+    assert "130 arcs" in capsys.readouterr().err
+
+
 def test_cli_rejects_malformed_file(tmp_path):
     path = tmp_path / "loop.graph"
     path.write_text("2 1\n0 0\n")

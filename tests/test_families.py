@@ -10,6 +10,7 @@ from groverwalk.families import (
     cycle_graph,
     enumerate_connected,
     enumerate_odd_unicyclic,
+    family_arcs,
     make_family,
     parse_family,
     path_graph,
@@ -85,6 +86,19 @@ def test_family_parameter_errors():
         make_family(parse_family("path:1"))
 
 
+def test_family_arcs_closed_form():
+    good = ["cycle:3", "cycle:10", "path:2", "path:12", "kbipartite:1,1"]
+    good += ["kbipartite:4,5", "twotail:3,1", "twotail:9,15"]
+    for text in good:
+        spec = parse_family(text)
+        assert family_arcs(spec) == 2 * make_family(spec).m
+    assert family_arcs(parse_family("twotail:3,1000000")) == 4000006
+    bad = ["cycle:2", "twotail:4,2", "twotail:3,0", "kbipartite:0,1", "path:1"]
+    for text in bad + ["nosuch:3", "cycle:3,4"]:
+        with pytest.raises(InvalidParameterError):
+            family_arcs(parse_family(text))
+
+
 def test_canonical_form_relabel_invariance():
     perms = [
         [1, 0, 2, 3, 4],
@@ -153,5 +167,6 @@ def test_enumeration_caps():
         enumerate_odd_unicyclic(13, cap=13)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        enumerate_odd_unicyclic(10, cap=10)
+        # the warning comes from the cap check, before any enumeration
+        enumerate_odd_unicyclic(3, cap=10)
         assert any(issubclass(w.category, RuntimeWarning) for w in caught)

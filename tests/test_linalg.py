@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groverwalk.exceptions import (
     DimensionMismatchError,
@@ -124,6 +126,56 @@ def test_charpoly_against_bareiss_oracle():
             assert cp.eval_exact(x) == char_value(m.entries, x)
 
 
+def assert_charpoly_matches_bareiss(entries):
+    # both sides have degree n, so n + 1 distinct points pin the polynomial
+    m = RationalMatrix(entries)
+    cp = charpoly_exact(m)
+    assert cp.degree == m.rows and cp[m.rows] == 1
+    for t in range(m.rows + 1):
+        x = Fraction(2 * t - m.rows, 3)
+        assert cp.eval_exact(x) == char_value(m.entries, x)
+    return cp
+
+
+@st.composite
+def sparse_matrices(draw, max_n: int = 8):
+    n = draw(st.integers(1, max_n))
+    denominators = st.integers(1, 12) if draw(st.booleans()) else st.just(1)
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(-1000, 1000), denominators),
+    )
+    return [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(entries=sparse_matrices())
+def test_charpoly_property_against_bareiss(entries):
+    assert_charpoly_matches_bareiss(entries)
+
+
+def test_charpoly_edge_cases():
+    for n in range(1, 9):
+        cp = assert_charpoly_matches_bareiss([[0] * n for _ in range(n)])
+        assert cp.coeffs == (0,) * n + (1,)
+    cp = assert_charpoly_matches_bareiss([[Fraction(-7, 3)]])
+    assert cp.coeffs == (Fraction(7, 3), 1)
+    # in r*J every entry of a power of B is within a factor n of the
+    # row-sum bound that the slot width rests on; cp is x^(n-1) (x - n r)
+    for n in range(1, 9):
+        for r in (1, 5, Fraction(7, 2), 10**6):
+            cp = assert_charpoly_matches_bareiss([[r] * n for _ in range(n)])
+            assert cp.coeffs == (0,) * (n - 1) + (-n * r, 1)
+    # signs alternating by row and column make negative slots next to
+    # positive ones, so packed rows borrow between slots
+    for n in range(2, 9):
+        mixed = [
+            [(-1) ** (i * j + i) * (i + 2 * j + 1) for j in range(n)] for i in range(n)
+        ]
+        assert_charpoly_matches_bareiss(mixed)
+        assert_charpoly_matches_bareiss([[-x for x in row] for row in mixed])
+
+
 def test_charpoly_eval_and_multiplicity():
     # (x - 1)^2 (x + 2)
     cp = CharPoly((Fraction(2), Fraction(-3), Fraction(0), Fraction(1)))
@@ -131,6 +183,28 @@ def test_charpoly_eval_and_multiplicity():
     assert cp.root_multiplicity(Fraction(1)) == 2
     assert cp.root_multiplicity(Fraction(-2)) == 1
     assert cp.root_multiplicity(Fraction(5)) == 0
+
+
+def test_root_multiplicity_at_non_integer_rationals():
+    # (2x - 1)^3 (x + 3), as integers and scaled to be monic
+    poly = [1]
+    for factor in ([-1, 2], [-1, 2], [-1, 2], [3, 1]):
+        poly = [
+            sum(poly[i] * factor[j - i] for i in range(len(poly)) if 0 <= j - i < 2)
+            for j in range(len(poly) + 1)
+        ]
+    for coeffs in (poly, [Fraction(c, 8) for c in poly]):
+        cp = CharPoly(tuple(Fraction(c) for c in coeffs))
+        assert cp.root_multiplicity(Fraction(1, 2)) == 3
+        assert cp.root_multiplicity(Fraction(-3)) == 1
+        assert cp.root_multiplicity(Fraction(1, 3)) == 0
+        assert cp.root_multiplicity(Fraction(-1, 2)) == 0
+        assert cp.root_multiplicity(Fraction(3, 2)) == 0
+    # 3x - 1: the floor quotient by 2x - 1 leaves remainder 0 at the constant
+    # term, so only the exactness of each step rules 1/2 out
+    cp = CharPoly((Fraction(-1), Fraction(3)))
+    assert cp.root_multiplicity(Fraction(1, 2)) == 0
+    assert cp.root_multiplicity(Fraction(1, 3)) == 1
 
 
 def test_eigen_diag():

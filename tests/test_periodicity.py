@@ -224,6 +224,28 @@ def test_odd_period_query():
     assert not odd_period_query(two_tail_graph(3, 2))
 
 
+def test_find_period_is_cached(monkeypatch):
+    certify = periodicity.certify_period
+    calls = []
+
+    def counting(g, p, bit_budget):
+        calls.append(p)
+        return certify(g, p, bit_budget)
+
+    monkeypatch.setattr(periodicity, "certify_period", counting)
+    g = cycle_graph(7).relabel([3, 6, 0, 5, 2, 4, 1])
+    first = find_period(g)
+    assert first.period == 7 and calls == [7]
+    assert find_period(g) is first
+    assert odd_period_query(g)
+    assert calls == [7]
+    # a budget overrun is raised again on every call, never cached
+    for attempt in (1, 2):
+        with pytest.raises(BudgetExceededError):
+            find_period(g, bit_budget=10)
+        assert calls == [7] * (1 + attempt)
+
+
 def test_graph_hash():
     a = graph_hash(cycle_graph(3))
     assert a == graph_hash(cycle_graph(3))
