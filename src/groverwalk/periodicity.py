@@ -22,6 +22,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,7 +44,7 @@ from .graphs import (
     write_graph_file,
 )
 from .linalg import CharPoly, is_integer
-from .walk import build_grover_operator, transition_charpoly
+from .walk import grover_arc_rows, transition_charpoly
 
 DEFAULT_BIT_BUDGET = 10**6
 
@@ -133,19 +134,27 @@ def _totient(d: int) -> int:
     return phi
 
 
-def _divide_monic(a: list, b: tuple) -> list | None:
-    """Exact quotient a / b for a monic b, or None when b does not divide a.
+def _divide_exact(a: list[int], b: tuple[int, ...]) -> list[int] | None:
+    """Exact quotient a / b in integers, or None when b does not divide a.
 
-    Works on int or Fraction coefficients; the zero polynomial divides out.
+    b must be primitive, its coefficients coprime, as every monic
+    polynomial is. By Gauss's lemma the quotient of an integer polynomial
+    by a primitive divisor has integer coefficients, so the division stops
+    at the first step that the leading coefficient of b does not divide
+    exactly. The zero polynomial divides out.
     """
     if len(a) < len(b):
         return None if any(a) else [0]
     db = len(b) - 1
+    lead = b[db]
     rest = list(a)
     quot = [0] * (len(a) - db)
     for i in range(len(quot) - 1, -1, -1):
-        c = quot[i] = rest[i + db]
+        c, r = divmod(rest[i + db], lead)
+        if r:
+            return None
         if c:
+            quot[i] = c
             for j, bj in enumerate(b):
                 rest[i + j] -= c * bj
     return None if any(rest[:db]) else quot
@@ -157,7 +166,7 @@ def _cyclotomic(d: int) -> tuple[int, ...]:
     poly = [-1] + [0] * (d - 1) + [1]
     for e in range(1, d):
         if d % e == 0:
-            poly = _divide_monic(poly, _cyclotomic(e))
+            poly = _divide_exact(poly, _cyclotomic(e))
     return tuple(poly)
 
 
@@ -200,7 +209,7 @@ def _cyclotomic_orders(poly: list[int]) -> list[int]:
         if _totient(d) > 2 * (len(poly) - 1):
             continue
         psi = real_cyclotomic(d)
-        while (quot := _divide_monic(poly, psi)) is not None:
+        while (quot := _divide_exact(poly, psi)) is not None:
             poly = quot
             orders.append(d)
     if len(poly) > 1:
@@ -220,47 +229,113 @@ def _budget_check(m: list[list[int]], bit_budget: int) -> None:
         )
 
 
-def _int_mat_pow(a: list[list[int]], k: int, bit_budget: int) -> list[list[int]]:
-    """a**k by repeated squaring, every product held to the bit budget."""
+# bits of the packed right operand per column block: a product's working
+# memory stays near the size of its operands even when its slots are wide
+_PACKED_BITS = 1 << 22
 
-    def mul(x, y):
-        cols = list(zip(*y))
-        out = [[sum(s * t for s, t in zip(row, col)) for col in cols] for row in x]
-        _budget_check(out, bit_budget)
-        return out
 
-    result = [[int(i == j) for j in range(len(a))] for i in range(len(a))]
-    while k:
-        if k & 1:
-            result = mul(result, a)
-        k >>= 1
-        if k:
-            a = mul(a, a)
-    return result
+def _packed_mul(
+    x: list[list[int]], y: list[list[int]], bit_budget: int
+) -> list[list[int]]:
+    """x @ y on packed rows, the product held to the bit budget.
+
+    Each row of y is packed into one Python int of signed s-bit slots,
+    entry j in slot j, so row i of the product is one big-int multiply-add
+    per nonzero of row i of x. The slots are read back after adding
+    2^(s-1) to every slot, which turns each signed value into its unsigned
+    slot digit. The columns of y are packed a block at a time, each block
+    at most _PACKED_BITS bits over all rows (and one column at least).
+
+    Slot width. Entry (i, j) of the product is sum_k x_ik y_kj, so its
+    absolute value is at most sum_k |x_ik| max|y| <= B = ||x||_inf max|y|,
+    for any integer matrices. With s = bitlen(B) + 2 every entry lies below
+    2^(s-2) in absolute value, so every biased digit lies in [0, 2^s) with
+    one bit to spare, and the biased row is an ordinary base-2^s number
+    whose digits are the entries.
+    """
+    norm_x = max(sum(map(abs, row)) for row in x)
+    bound = norm_x * max(max(map(abs, row)) for row in y)
+    s = bound.bit_length() + 2
+    half = 1 << (s - 1)
+    mask = (1 << s) - 1
+    nonzeros = [[(j, v) for j, v in enumerate(row) if v] for row in x]
+    width = max(1, _PACKED_BITS // (s * len(y)))  # columns per block
+    out = [[] for _ in x]
+    for c0 in range(0, len(y[0]), width):
+        block = [row[c0 : c0 + width] for row in y]
+        shifts = range(0, s * len(block[0]), s)  # slot j starts at bit s*j
+        bias = half * (((1 << shifts.stop) - 1) // mask)  # 2^(s-1) in every slot
+        packed = [sum(v << sh for v, sh in zip(row, shifts) if v) for row in block]
+        for pairs, dest in zip(nonzeros, out):
+            acc = bias
+            for j, v in pairs:
+                acc += v * packed[j]
+            dest.extend([((acc >> sh) & mask) - half for sh in shifts])
+    _budget_check(out, bit_budget)
+    return out
+
+
+def _int_mat_powers(a: list[list[int]], exponents: list[int], bit_budget: int):
+    """Yield a**k for each k >= 1 in exponents, in order, by shared squarings.
+
+    Each power follows the square-and-multiply order of the classic loop
+    (multiply in squaring i when bit i of k is set, then square), so every
+    product is checked against the bit budget at the same point and with
+    the same value. The product of the identity with a**(2**i) is the
+    squaring itself and is only checked. Squaring i, a**(2**i), is made
+    once, the first time a power needs it, and dropped once no later
+    exponent needs it or a squaring made from it.
+    """
+    squares = [a]
+    for pos, k in enumerate(exponents):
+        later = 0
+        for e in exponents[pos + 1 :]:
+            later |= e
+        result = None
+        i = 0
+        while k:
+            if k & 1:
+                if result is None:
+                    result = squares[i]
+                    _budget_check(result, bit_budget)
+                else:
+                    result = _packed_mul(result, squares[i], bit_budget)
+            k >>= 1
+            if k and len(squares) == i + 1:
+                squares.append(_packed_mul(squares[i], squares[i], bit_budget))
+            if not (later >> i) & 1 and (len(squares) > i + 1 or not later >> i):
+                squares[i] = None
+            i += 1
+        yield result
 
 
 def certify_period(g: Graph, p: int, bit_budget: int = DEFAULT_BIT_BUDGET) -> bool:
     """True iff p is the least k >= 1 with U^k = I, decided exactly.
 
-    Runs on the integer matrix A = L*U, L the lcm of the degrees, so no
+    Runs on the integer matrix A = L*U from grover_arc_rows, so no
     Fraction is involved: p is a period when A^p = L^p I, and the least
-    one when A^(p/q) != L^(p/q) I for every prime q dividing p.
+    one when A^(p/q) != L^(p/q) I for every prime q dividing p. The
+    powers share their squarings (_int_mat_powers), and each is built only
+    while the verdict is open: A^(p/q) after A^p = L^p I and after
+    A^(p/q') != L^(p/q') I for every smaller prime q'.
     """
+    try:
+        p = operator.index(p)
+    except TypeError:
+        raise InvalidParameterError("period %r is not an integer" % (p,)) from None
     if p < 1:
         raise InvalidParameterError("period must be >= 1, got %d" % p)
-    scale = math.lcm(*g.degree)
-    u = build_grover_operator(g).matrix
-    a = [[int(x * scale) for x in row] for row in u.entries]
-
-    def is_period(k: int) -> bool:
-        power = _int_mat_pow(a, k, bit_budget)
-        return all(
+    scale, a = grover_arc_rows(g)
+    exponents = [p] + [p // q for q in _prime_factors(p)]
+    checks = (
+        all(
             x == (scale**k if i == j else 0)
             for i, row in enumerate(power)
             for j, x in enumerate(row)
         )
-
-    return is_period(p) and not any(is_period(p // q) for q in _prime_factors(p))
+        for k, power in zip(exponents, _int_mat_powers(a, exponents, bit_budget))
+    )
+    return next(checks) and not any(checks)
 
 
 @dataclass(frozen=True)
@@ -603,8 +678,12 @@ def chebyshev_eigen_check(k: int, r: int, tol: float = 1e-10) -> ChebyshevReport
     t_m = (0, 1) if m == 1 else tuple(
         (a - b) // 2 for a, b in zip(u[m], u[m - 2] + (0, 0))
     )
-    monic = tuple(Fraction(c, t_m[-1]) for c in t_m)
-    if _divide_monic(list(transition_charpoly(g).coeffs), monic) is None:
+    # T_m is primitive (its coefficients sum to T_m(1) = 1), so it divides
+    # cp exactly when it divides cp scaled to integer coefficients
+    coeffs = transition_charpoly(g).coeffs
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    cp = [c.numerator * (scale // c.denominator) for c in coeffs]
+    if _divide_exact(cp, t_m) is None:
         raise ResidualExceededError(
             "T_%d does not divide the transition charpoly of twotail:%d,%d"
             % (m, k, m)
@@ -620,7 +699,7 @@ def chebyshev_eigen_check(k: int, r: int, tol: float = 1e-10) -> ChebyshevReport
                 residual[i] += c
         for i, c in enumerate(f[v]):
             residual[i + 1] -= g.degree[v] * c
-        if _divide_monic(residual, monic) is None:
+        if _divide_exact(residual, t_m) is None:
             raise ResidualExceededError(
                 "eigen-residual at vertex %d is not 0 modulo T_%d" % (v, m)
             )

@@ -45,26 +45,38 @@ def _require_walkable(g: Graph) -> None:
         )
 
 
-def build_grover_operator(g: Graph) -> GroverOperator:
-    """Exact arc-space operator.
+def grover_arc_rows(g: Graph) -> tuple[int, list[list[int]]]:
+    """L, the lcm of the degrees, and the rows of the integer operator A = L*U.
 
-    Entry (e, f) is 2/deg(t(f)) when f feeds into e (t(f) = o(e)) and e is
-    not the reversal of f; the reversal gets 2/deg(t(f)) - 1; everything
-    else is 0. The result is orthogonal with row sums 1.
+    Rows and columns follow g.arcs(). Entry (e, f) is 2L/deg(t(f)) when f
+    feeds into e (t(f) = o(e)) and e is not the reversal of f; the
+    reversal gets 2L/deg(t(f)) - L; everything else is 0. Every entry is
+    an integer because deg(t(f)) divides L.
     """
     _require_walkable(g)
     arcs = g.arcs()
     index = {arc: i for i, arc in enumerate(arcs)}
-    size = len(arcs)
-    zero = Fraction(0)
-    rows = [[zero] * size for _ in range(size)]
+    scale = math.lcm(*g.degree)
+    rows = [[0] * len(arcs) for _ in arcs]
     for fi, f in enumerate(arcs):
-        w = Fraction(2, g.degree[f.terminus])
+        w = 2 * scale // g.degree[f.terminus]
         for nbr in g.adj[f.terminus]:
-            e = Arc(f.terminus, nbr)
-            ei = index[e]
-            rows[ei][fi] = w - 1 if e == f.reverse() else w
-    return GroverOperator(matrix=RationalMatrix(rows), arcs=arcs)
+            rows[index[Arc(f.terminus, nbr)]][fi] = w - scale if nbr == f.origin else w
+    return scale, rows
+
+
+def build_grover_operator(g: Graph) -> GroverOperator:
+    """Exact arc-space operator U = A/L, the rows of grover_arc_rows over L.
+
+    Entry (e, f) is 2/deg(t(f)) when f feeds into e and e is not the
+    reversal of f, and 2/deg(t(f)) - 1 on the reversal. The result is
+    orthogonal with row sums 1.
+    """
+    scale, rows = grover_arc_rows(g)
+    # one Fraction per distinct entry; Fractions are immutable
+    values = {x: Fraction(x, scale) for x in {x for row in rows for x in row}}
+    matrix = RationalMatrix([[values[x] for x in row] for row in rows])
+    return GroverOperator(matrix=matrix, arcs=g.arcs())
 
 
 def build_transition_matrix(g: Graph) -> TransitionMatrix:

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,9 @@ from groverwalk.graphs import build_graph, classify
 from groverwalk.linalg import charpoly_exact, is_integer
 from groverwalk.periodicity import (
     _cyclotomic_orders,
+    _divide_exact,
+    _int_mat_powers,
+    _packed_mul,
     branch_frame,
     branch_integrality_instances,
     certify_period,
@@ -42,7 +46,12 @@ from groverwalk.periodicity import (
 )
 from groverwalk.walk import build_grover_operator, build_transition_matrix
 
-from oracles import brute_period
+from oracles import (
+    brute_period,
+    int_mat_mul,
+    prime_divisors,
+    square_and_multiply_certificate,
+)
 from strategies import connected_graphs
 
 
@@ -112,8 +121,8 @@ def test_period_matches_brute_oracle(n):
 def test_bit_budget():
     with pytest.raises(BudgetExceededError) as info:
         find_period(two_tail_graph(3, 1), bit_budget=10)
-    assert info.value.bits > 10
-    assert str(info.value).startswith("certificate: ")
+    assert info.value.bits == 138
+    assert str(info.value) == "certificate: matrix entries reached 138 bits (budget 10)"
 
 
 def _totient(d):
@@ -146,6 +155,26 @@ def test_cyclotomic_orders():
     # y - 3 has its root outside [-2, 2]: a defect, never a verdict
     with pytest.raises(RuntimeError):
         _cyclotomic_orders([-3, 1])
+
+
+def test_divide_exact():
+    t3 = (0, -3, 0, 4)  # T_3, primitive but not monic
+    q = [5, -1, 2]
+    a = [0] * 6
+    for i, u in enumerate(t3):
+        for j, v in enumerate(q):
+            a[i + j] += u * v
+    assert _divide_exact(a, t3) == q
+    a[0] += 1
+    assert _divide_exact(a, t3) is None
+    # 2x + 1 does not divide 3x + 1: the constant term cancels, but the
+    # leading step 3/2 is not an integer
+    assert _divide_exact([1, 3], (1, 2)) is None
+    assert _divide_exact([-1, 0, 1], (1, 1)) == [-1, 1]
+    # the zero polynomial divides out; a shorter nonzero one does not
+    assert _divide_exact([0, 0, 0], (1, 2)) == [0, 0]
+    assert _divide_exact([0], (1, 2)) == [0]
+    assert _divide_exact([3], (1, 2)) is None
 
 
 def _passes_filter(g):
@@ -199,6 +228,169 @@ def test_certificate_rejects_wrong_periods(g, p):
     assert not certify_period(g, 2 * p)
     with pytest.raises(InvalidParameterError):
         certify_period(g, 0)
+
+
+def test_certificate_on_all_small_periodic_graphs(connected_by_n):
+    # accepts p, rejects p + 1 and every p/q
+    periodic = 0
+    for n in range(2, 7):
+        for g in connected_by_n[n]:
+            report = find_period(g)
+            if report.verdict != "periodic":
+                continue
+            periodic += 1
+            p = report.period
+            assert certify_period(g, p), g
+            assert not certify_period(g, p + 1), g
+            for q in prime_divisors(p):
+                assert not certify_period(g, p // q), (g, q)
+    assert periodic > 0
+
+
+@pytest.mark.parametrize(
+    "g,p",
+    [
+        (cycle_graph(5), 5),
+        (cycle_graph(6), 6),
+        (path_graph(4), 6),
+        (complete_bipartite(2, 3), 4),
+        (two_tail_graph(3, 1), 60),
+        (two_tail_graph(3, 1), 61),
+        (two_tail_graph(3, 2), 168),
+        (two_tail_graph(5, 1), 140),
+    ],
+    ids=["C5", "C6", "P4", "K23", "TT31", "TT31-wrong", "TT32", "TT51"],
+)
+def test_certificate_budget_matches_square_and_multiply(g, p):
+    # for a budget just below each product's bit count, the certificate
+    # must stop at the same product, with the same bits, as plain
+    # square-and-multiply that builds every power from scratch
+    verdict, bits = square_and_multiply_certificate(g.n, g.edges, p)
+    assert certify_period(g, p, max(bits)) == verdict
+    for budget in sorted({b - 1 for b in bits}):
+        want = next(b for b in bits if b > budget)
+        with pytest.raises(BudgetExceededError) as info:
+            certify_period(g, p, budget)
+        assert info.value.bits == want
+        assert str(info.value) == (
+            "certificate: matrix entries reached %d bits (budget %d)" % (want, budget)
+        )
+
+
+def test_certificate_shares_squarings():
+    # 168 = 2^3 * 3 * 7: A^168, A^84, A^56 and A^24 share the squarings
+    # A^2 .. A^128, each made once; the result products are 2 + 2 + 2 + 1
+    calls = []
+
+    def counting(x, y, bit_budget):
+        calls.append(x is y)
+        return packed_mul(x, y, bit_budget)
+
+    packed_mul = periodicity._packed_mul
+    with mock.patch.object(periodicity, "_packed_mul", counting):
+        assert certify_period(two_tail_graph(3, 2), 168)
+    assert calls.count(True) == 7
+    assert calls.count(False) == 7
+
+
+@pytest.mark.parametrize("p", [3.0, "3", None, Fraction(3), 2.5])
+def test_certificate_rejects_non_integer_period(p):
+    with pytest.raises(InvalidParameterError):
+        certify_period(cycle_graph(3), p)
+
+
+def test_certificate_accepts_integer_like_period():
+    class Three:
+        def __index__(self):
+            return 3
+
+    assert certify_period(cycle_graph(3), Three())
+    assert not certify_period(cycle_graph(3), True)  # the index of True is 1
+
+
+@st.composite
+def int_matrices(draw, rows, cols):
+    """Mixed-sign integer matrices, some rows zero, some entries huge."""
+    top = draw(st.sampled_from([0, 1, 5, 2**31, 2**64 + 1, 2**200]))
+    entries = st.lists(st.integers(-top, top), min_size=cols, max_size=cols)
+    m = [draw(entries) for _ in range(rows)]
+    for i in draw(st.sets(st.integers(0, rows - 1), max_size=rows)):
+        m[i] = [0] * cols
+    return m
+
+
+@st.composite
+def extremal_pairs(draw, rows, inner, cols):
+    """x, y whose product has entries of absolute value ||x||_inf * max|y|.
+
+    Row i of x is c_i times a sign vector e, column j of y is d_j times
+    the same e, so entry (i, j) is inner * c_i * d_j; with the largest c
+    and d this is the slot bound itself, in either sign.
+    """
+    e = draw(st.lists(st.sampled_from([-1, 1]), min_size=inner, max_size=inner))
+    big = st.sampled_from([1, 3, 2**63 - 1, 2**64, -(2**64), -(2**100) + 1])
+    c = draw(st.lists(big, min_size=rows, max_size=rows))
+    d = draw(st.lists(big, min_size=cols, max_size=cols))
+    x = [[ci * ek for ek in e] for ci in c]
+    y = [[dj * ek for dj in d] for ek in e]
+    return x, y
+
+
+UNBOUNDED = 1 << 62
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    data=st.data(),
+    shape=st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8)),
+    extremal=st.booleans(),
+    block_bits=st.sampled_from([periodicity._PACKED_BITS, 64, 1]),
+)
+def test_packed_product_property(data, shape, extremal, block_bits):
+    rows, inner, cols = shape
+    if extremal:
+        x, y = data.draw(extremal_pairs(rows, inner, cols))
+    else:
+        x = data.draw(int_matrices(rows, inner))
+        y = data.draw(int_matrices(inner, cols))
+    # block_bits 1 packs one column at a time, 64 a few at a time
+    with mock.patch.object(periodicity, "_PACKED_BITS", block_bits):
+        got = _packed_mul(x, y, UNBOUNDED)
+    assert got == int_mat_mul(x, y)
+
+
+def test_packed_product_edge_cases():
+    assert _packed_mul([[0]], [[0]], 0) == [[0]]
+    assert _packed_mul([[-7]], [[3]], UNBOUNDED) == [[-21]]
+    assert _packed_mul([[0] * 4] * 3, [[5, -5]] * 4, UNBOUNDED) == [[0, 0]] * 3
+    assert _packed_mul([[1, -1]], [[0, 0], [0, 0]], UNBOUNDED) == [[0, 0]]
+    # the budget is the exact sum of the entries' bit lengths: 6 + 6 here
+    assert _packed_mul([[1, 1]], [[-32, 7], [-1, 25]], 12) == [[-33, 32]]
+    with pytest.raises(BudgetExceededError) as info:
+        _packed_mul([[1, 1]], [[-32, 7], [-1, 25]], 11)
+    assert info.value.bits == 12
+
+
+def _naive_power(a, k):
+    out = a
+    for _ in range(k - 1):
+        out = int_mat_mul(out, a)
+    return out
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(
+    data=st.data(),
+    size=st.integers(1, 6),
+    exponents=st.lists(st.integers(1, 40), min_size=1, max_size=5),
+)
+def test_packed_powers_property(data, size, exponents):
+    # any order of exponents, rising ones included, shares squarings
+    top = data.draw(st.sampled_from([0, 1, 2, 3]))
+    entry = st.integers(-top, top)
+    a = [data.draw(st.lists(entry, min_size=size, max_size=size)) for _ in range(size)]
+    got = list(_int_mat_powers(a, exponents, UNBOUNDED))
+    assert got == [_naive_power(a, k) for k in exponents]
 
 
 def test_degree_condition():

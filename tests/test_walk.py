@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from groverwalk.periodicity import chebyshev_eigen_check
 from groverwalk.walk import (
     build_grover_operator,
     build_transition_matrix,
+    grover_arc_rows,
     spectral_map_check,
 )
 
@@ -101,6 +103,23 @@ def test_operator_matches_oracle():
         assert tuple(tuple(row) for row in got.entries) == want
 
 
+def test_arc_rows_are_scaled_operator(connected_by_n):
+    # A = L*U entry by entry, against the package's Fraction operator and
+    # the oracle's independent entry rule
+    graphs = 0
+    for n in range(2, 7):
+        for g in connected_by_n[n]:
+            graphs += 1
+            scale, rows = grover_arc_rows(g)
+            assert scale == math.lcm(*g.degree), g
+            assert all(type(x) is int for row in rows for x in row), g
+            u = build_grover_operator(g).matrix.entries
+            assert rows == [[x * scale for x in row] for row in u], g
+            oracle = oracle_grover_matrix(g.n, g.edges)
+            assert rows == [[x * scale for x in row] for row in oracle], g
+    assert graphs == 142
+
+
 def test_transition_hub_row():
     g = two_tail_graph(3, 1)
     t = build_transition_matrix(g).matrix
@@ -152,6 +171,8 @@ def test_single_vertex_rejected():
     g = build_graph(1, [])
     with pytest.raises(InvalidParameterError):
         build_grover_operator(g)
+    with pytest.raises(InvalidParameterError):
+        grover_arc_rows(g)
     with pytest.raises(InvalidParameterError):
         build_transition_matrix(g)
     with pytest.raises(InvalidParameterError):
