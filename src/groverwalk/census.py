@@ -4,19 +4,19 @@ Walks the isomorph-free enumeration in canonical order and records, per
 graph, the classification, the exact transition characteristic polynomial,
 the integrality and cycle-degree filters, and the period verdict. The
 summary side collects the odd-periodic survivors, which at desk scale
-should be exactly the odd cycles.
+should be exactly the odd cycles. Every record gets an exact verdict: the
+period certificate works on the arc characteristic polynomial and has no
+size budget to run out of.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exceptions import BudgetExceededError
 from .families import ENUMERATION_CAP, enumerate_odd_unicyclic
 from .graphs import Classification, Graph, classify
 from .linalg import CharPoly
 from .periodicity import (
-    DEFAULT_BIT_BUDGET,
     DegreeConditionVerdict,
     PeriodReport,
     degree_condition_filter,
@@ -27,20 +27,14 @@ from .walk import transition_charpoly
 
 @dataclass(frozen=True)
 class CensusRecord:
-    """One odd-unicyclic isomorphism class and everything we know about it.
-
-    period_report is None only when the exact power scan blew through the
-    bit budget; budget_note then carries the message and the census as a
-    whole is marked incomplete.
-    """
+    """One odd-unicyclic isomorphism class and everything we know about it."""
 
     graph: Graph
     classification: Classification
     charpoly: CharPoly
     integrality_failures: tuple[int, ...]
     degree_condition: DegreeConditionVerdict
-    period_report: PeriodReport | None
-    budget_note: str | None = None
+    period_report: PeriodReport
 
     @property
     def is_cycle(self) -> bool:
@@ -49,11 +43,7 @@ class CensusRecord:
     @property
     def odd_periodic(self) -> bool:
         rep = self.period_report
-        return (
-            rep is not None
-            and rep.verdict == "periodic"
-            and rep.period % 2 == 1
-        )
+        return rep.verdict == "periodic" and rep.period % 2 == 1
 
 
 @dataclass(frozen=True)
@@ -65,39 +55,28 @@ class CensusResult:
         return tuple(r for r in self.records if r.odd_periodic)
 
     def budget_hits(self) -> tuple[CensusRecord, ...]:
-        return tuple(r for r in self.records if r.budget_note is not None)
+        """Always (): the period certificate has no size budget to exceed.
+
+        Kept because the acceptance criteria read it.
+        """
+        return ()
 
 
-def run_census(
-    max_n: int,
-    bit_budget: int = DEFAULT_BIT_BUDGET,
-    cap: int = ENUMERATION_CAP,
-) -> CensusResult:
-    """Analyze every odd-unicyclic class with at most max_n vertices.
-
-    A budget overrun marks the record and the run continues; callers decide
-    how loudly to complain.
-    """
+def run_census(max_n: int, cap: int = ENUMERATION_CAP) -> CensusResult:
+    """Analyze every odd-unicyclic class with at most max_n vertices."""
     records = []
     for g in enumerate_odd_unicyclic(max_n, cap=cap):
         cls = classify(g)
         condition = degree_condition_filter(cls.decomposition, g)
-        try:
-            report = find_period(g, bit_budget=bit_budget)
-            note = None
-        except BudgetExceededError as err:
-            report = None
-            note = str(err)
+        report = find_period(g)
         records.append(
             CensusRecord(
                 graph=g,
                 classification=cls,
                 charpoly=transition_charpoly(g),
-                # only a graph that passed the filter reaches the budget
-                integrality_failures=report.failing_indices if report else (),
+                integrality_failures=report.failing_indices,
                 degree_condition=condition,
                 period_report=report,
-                budget_note=note,
             )
         )
     return CensusResult(max_n=max_n, records=tuple(records))

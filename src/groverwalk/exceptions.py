@@ -62,10 +62,3 @@ class ShapeMismatchError(GroverWalkError, ValueError):
 class ResidualExceededError(GroverWalkError, ArithmeticError):
     """An exact verification found an identity that does not hold."""
 
-
-class BudgetExceededError(GroverWalkError, ArithmeticError):
-    """Exact matrix entries outgrew the configured bit budget."""
-
-    def __init__(self, message, bits=None):
-        super().__init__(message)
-        self.bits = bits

@@ -8,7 +8,8 @@ P(y) = 2^n cp(y/2) is a monic integer polynomial whose roots are real and
 lie in [-2, 2], so by Kronecker's theorem it factors completely into the
 minimal polynomials Psi_d of 2cos(2 pi/d). The d that occur are the orders
 of the arc eigenvalues, their lcm is the period, and the period is
-certified exactly, minimality included, before it is reported.
+certified exactly, minimality included, before it is reported: on the arc
+characteristic polynomial, independently of the transition side.
 
 The second half of the module verifies combinatorial identities between
 characteristic-polynomial coefficients and weighted matching sums on
@@ -27,7 +28,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exceptions import (
-    BudgetExceededError,
     IndexOutOfRangeError,
     InvalidParameterError,
     ResidualExceededError,
@@ -44,9 +44,7 @@ from .graphs import (
     write_graph_file,
 )
 from .linalg import CharPoly, is_integer
-from .walk import grover_arc_rows, transition_charpoly
-
-DEFAULT_BIT_BUDGET = 10**6
+from .walk import arc_charpoly, grover_arc_rows, transition_charpoly
 
 
 def graph_hash(g: Graph) -> str:
@@ -196,128 +194,72 @@ def real_cyclotomic(d: int) -> tuple[int, ...]:
     return tuple(psi)
 
 
+def _divide_out(poly, orders, factor, degree):
+    """Divide factor(d) out of poly as often as it goes, for each d in orders.
+
+    A d whose factor has degree(d) above what is left of poly is skipped
+    before factor(d) is built. Returns the d found, once per factor, and
+    the quotient left over.
+    """
+    found = []
+    for d in orders:
+        if len(poly) == 1:
+            break
+        if degree(d) > len(poly) - 1:
+            continue
+        while (quot := _divide_exact(poly, factor(d))) is not None:
+            poly = quot
+            found.append(d)
+    return found, poly
+
+
 def _cyclotomic_orders(poly: list[int]) -> list[int]:
     """Each d whose Psi_d divides poly, once per factor; poly must split.
 
     A factor of degree at most n = deg poly has phi(d) <= 2n, and
     phi(d) >= sqrt(d/2) for every d, so d <= 8n^2 covers them all.
     """
-    orders = []
-    for d in range(1, 8 * len(poly) ** 2):
-        if len(poly) == 1:
-            break
-        if _totient(d) > 2 * (len(poly) - 1):
-            continue
-        psi = real_cyclotomic(d)
-        while (quot := _divide_exact(poly, psi)) is not None:
-            poly = quot
-            orders.append(d)
-    if len(poly) > 1:
+    orders, rest = _divide_out(
+        poly,
+        range(1, 8 * len(poly) ** 2),
+        real_cyclotomic,
+        lambda d: (_totient(d) + 1) // 2,  # deg Psi_d
+    )
+    if len(rest) > 1:
         # Kronecker's theorem rules this out for a polynomial that passed
         # the integrality filter, so it is a defect, never a verdict
-        raise RuntimeError("factor %r is not a product of Psi_d" % (poly,))
+        raise RuntimeError("factor %r is not a product of Psi_d" % (rest,))
     return orders
 
 
-def _budget_check(m: list[list[int]], bit_budget: int) -> None:
-    bits = sum(x.bit_length() for row in m for x in row)
-    if bits > bit_budget:
-        raise BudgetExceededError(
-            "certificate: matrix entries reached %d bits (budget %d)"
-            % (bits, bit_budget),
-            bits=bits,
-        )
+def _is_orthogonal(scale: int, rows: list[list[int]]) -> bool:
+    """A A^T = L^2 I: the rows of A = L*U are orthogonal, each of length L."""
+    sparse = [[(j, v) for j, v in enumerate(row) if v] for row in rows]
+    square = scale * scale
+    return all(
+        sum(v * other[j] for j, v in nonzeros) == (square if i == k else 0)
+        for i, nonzeros in enumerate(sparse)
+        for k, other in enumerate(rows)
+    )
 
 
-# bits of the packed right operand per column block: a product's working
-# memory stays near the size of its operands even when its slots are wide
-_PACKED_BITS = 1 << 22
-
-
-def _packed_mul(
-    x: list[list[int]], y: list[list[int]], bit_budget: int
-) -> list[list[int]]:
-    """x @ y on packed rows, the product held to the bit budget.
-
-    Each row of y is packed into one Python int of signed s-bit slots,
-    entry j in slot j, so row i of the product is one big-int multiply-add
-    per nonzero of row i of x. The slots are read back after adding
-    2^(s-1) to every slot, which turns each signed value into its unsigned
-    slot digit. The columns of y are packed a block at a time, each block
-    at most _PACKED_BITS bits over all rows (and one column at least).
-
-    Slot width. Entry (i, j) of the product is sum_k x_ik y_kj, so its
-    absolute value is at most sum_k |x_ik| max|y| <= B = ||x||_inf max|y|,
-    for any integer matrices. With s = bitlen(B) + 2 every entry lies below
-    2^(s-2) in absolute value, so every biased digit lies in [0, 2^s) with
-    one bit to spare, and the biased row is an ordinary base-2^s number
-    whose digits are the entries.
-    """
-    norm_x = max(sum(map(abs, row)) for row in x)
-    bound = norm_x * max(max(map(abs, row)) for row in y)
-    s = bound.bit_length() + 2
-    half = 1 << (s - 1)
-    mask = (1 << s) - 1
-    nonzeros = [[(j, v) for j, v in enumerate(row) if v] for row in x]
-    width = max(1, _PACKED_BITS // (s * len(y)))  # columns per block
-    out = [[] for _ in x]
-    for c0 in range(0, len(y[0]), width):
-        block = [row[c0 : c0 + width] for row in y]
-        shifts = range(0, s * len(block[0]), s)  # slot j starts at bit s*j
-        bias = half * (((1 << shifts.stop) - 1) // mask)  # 2^(s-1) in every slot
-        packed = [sum(v << sh for v, sh in zip(row, shifts) if v) for row in block]
-        for pairs, dest in zip(nonzeros, out):
-            acc = bias
-            for j, v in pairs:
-                acc += v * packed[j]
-            dest.extend([((acc >> sh) & mask) - half for sh in shifts])
-    _budget_check(out, bit_budget)
-    return out
-
-
-def _int_mat_powers(a: list[list[int]], exponents: list[int], bit_budget: int):
-    """Yield a**k for each k >= 1 in exponents, in order, by shared squarings.
-
-    Each power follows the square-and-multiply order of the classic loop
-    (multiply in squaring i when bit i of k is set, then square), so every
-    product is checked against the bit budget at the same point and with
-    the same value. The product of the identity with a**(2**i) is the
-    squaring itself and is only checked. Squaring i, a**(2**i), is made
-    once, the first time a power needs it, and dropped once no later
-    exponent needs it or a squaring made from it.
-    """
-    squares = [a]
-    for pos, k in enumerate(exponents):
-        later = 0
-        for e in exponents[pos + 1 :]:
-            later |= e
-        result = None
-        i = 0
-        while k:
-            if k & 1:
-                if result is None:
-                    result = squares[i]
-                    _budget_check(result, bit_budget)
-                else:
-                    result = _packed_mul(result, squares[i], bit_budget)
-            k >>= 1
-            if k and len(squares) == i + 1:
-                squares.append(_packed_mul(squares[i], squares[i], bit_budget))
-            if not (later >> i) & 1 and (len(squares) > i + 1 or not later >> i):
-                squares[i] = None
-            i += 1
-        yield result
-
-
-def certify_period(g: Graph, p: int, bit_budget: int = DEFAULT_BIT_BUDGET) -> bool:
+def certify_period(g: Graph, p: int) -> bool:
     """True iff p is the least k >= 1 with U^k = I, decided exactly.
 
-    Runs on the integer matrix A = L*U from grover_arc_rows, so no
-    Fraction is involved: p is a period when A^p = L^p I, and the least
-    one when A^(p/q) != L^(p/q) I for every prime q dividing p. The
-    powers share their squarings (_int_mat_powers), and each is built only
-    while the verdict is open: A^(p/q) after A^p = L^p I and after
-    A^(p/q') != L^(p/q') I for every smaller prime q'.
+    Three exact checks, none of which raises U to a power:
+
+    1. A = L*U from grover_arc_rows has A A^T = L^2 I. So U is
+       orthogonal, hence diagonalizable, and U^k = I exactly when every
+       eigenvalue is a k-th root of unity.
+    2. charpoly_U has integer coefficients and is used up by dividing
+       out cyclotomic polynomials Phi_d with d | p. The d found are the
+       orders of the eigenvalues, so U^k = I exactly when every d
+       divides k.
+    3. The lcm of the d found is p, so p is the least such k.
+
+    A factor of the degree-N charpoly has phi(d) <= N, and
+    phi(d) >= sqrt(d/2) for every d, so d <= 2N^2 bounds the search
+    whatever the size of p, and p itself is never factored.
     """
     try:
         p = operator.index(p)
@@ -325,17 +267,15 @@ def certify_period(g: Graph, p: int, bit_budget: int = DEFAULT_BIT_BUDGET) -> bo
         raise InvalidParameterError("period %r is not an integer" % (p,)) from None
     if p < 1:
         raise InvalidParameterError("period must be >= 1, got %d" % p)
-    scale, a = grover_arc_rows(g)
-    exponents = [p] + [p // q for q in _prime_factors(p)]
-    checks = (
-        all(
-            x == (scale**k if i == j else 0)
-            for i, row in enumerate(power)
-            for j, x in enumerate(row)
-        )
-        for k, power in zip(exponents, _int_mat_powers(a, exponents, bit_budget))
-    )
-    return next(checks) and not any(checks)
+    scale, rows = grover_arc_rows(g)
+    if not _is_orthogonal(scale, rows):
+        return False
+    coeffs = arc_charpoly(g).coeffs
+    if not all(is_integer(c) for c in coeffs):
+        return False
+    divisors = (d for d in range(1, min(p, 2 * len(rows) ** 2) + 1) if p % d == 0)
+    orders, rest = _divide_out([int(c) for c in coeffs], divisors, _cyclotomic, _totient)
+    return len(rest) == 1 and math.lcm(*orders) == p
 
 
 @dataclass(frozen=True)
@@ -355,7 +295,7 @@ class PeriodReport:
     graph_hash: str
 
 
-def find_period(g: Graph, bit_budget: int = DEFAULT_BIT_BUDGET) -> PeriodReport:
+def find_period(g: Graph) -> PeriodReport:
     """Decide periodicity of the arc evolution operator exactly.
 
     A graph that fails the integrality filter is refuted. Otherwise the
@@ -363,18 +303,17 @@ def find_period(g: Graph, bit_budget: int = DEFAULT_BIT_BUDGET) -> PeriodReport:
     with 2 added when m > n: the arc operator then has -1 eigenvalues
     outside the image of the vertex spectrum (on a bipartite graph Psi_2
     divides P anyway). The period is certified by certify_period before
-    it is reported; bit_budget caps the entry size of its matrix powers.
+    it is reported.
 
-    Cached like transition_charpoly: a PeriodReport is immutable, and a
-    BudgetExceededError is raised again on every call, never cached.
+    Cached like transition_charpoly: a PeriodReport is immutable.
     """
-    return _find_period(g, bit_budget)
+    return _find_period(g)
 
 
 # find_period stays a plain function so that a wrapper installed around it
 # (bench/traced_cli.py) still sees and times every call
 @functools.lru_cache(maxsize=256)
-def _find_period(g: Graph, bit_budget: int) -> PeriodReport:
+def _find_period(g: Graph) -> PeriodReport:
     digest = graph_hash(g)
     cp = transition_charpoly(g)
     failing = integrality_filter(cp)
@@ -383,7 +322,7 @@ def _find_period(g: Graph, bit_budget: int) -> PeriodReport:
     n = cp.degree
     scaled = [int(cp[k] * 2 ** (n - k)) for k in range(n + 1)]
     period = math.lcm(*_cyclotomic_orders(scaled), 2 if g.m > g.n else 1)
-    if not certify_period(g, period, bit_budget):
+    if not certify_period(g, period):
         raise RuntimeError("period %d failed its exact certificate" % period)
     return PeriodReport("periodic", period, (), "cyclotomic", digest)
 

@@ -99,6 +99,17 @@ def transition_charpoly(g: Graph) -> CharPoly:
     return charpoly_exact(build_transition_matrix(g).matrix)
 
 
+@functools.lru_cache(maxsize=16)
+def arc_charpoly(g: Graph) -> CharPoly:
+    """Exact characteristic polynomial of the arc operator U.
+
+    Cached so that the period certificate and spectral_map_check share
+    one 2m x 2m charpoly per graph; the cache stays small because no
+    caller returns to a graph after its analysis.
+    """
+    return charpoly_exact(build_grover_operator(g).matrix)
+
+
 def _times_x2_minus_1(poly: list[Fraction], times: int) -> list[Fraction]:
     """poly * (x^2 - 1)^times, coefficients low to high."""
     for _ in range(times):
@@ -141,7 +152,7 @@ def spectral_map_check(g: Graph, tol: float = 1e-8) -> SpectralMapReport:
     tol is accepted for compatibility and unused.
     """
     cp_t = transition_charpoly(g)
-    p_u = charpoly_exact(build_grover_operator(g).matrix)
+    p_u = arc_charpoly(g)
     n, arc_count = cp_t.degree, p_u.degree
 
     # (2x)^n cp_t((x^2 + 1) / (2x)) = sum_j c_j 2^(n-j) x^(n-j) (x^2 + 1)^j

@@ -189,15 +189,12 @@ def int_mat_mul(x, y):
     return [[sum(s * t for s, t in zip(row, col)) for col in zip(*y)] for row in x]
 
 
-def square_and_multiply_certificate(n: int, edges, p: int):
+def square_and_multiply_certificate(n: int, edges, p: int) -> bool:
     """The period certificate on A = L*U, every power built from scratch.
 
     L is the lcm of the degrees. The verdict is A^p = L^p I and then
-    A^(p/q) != L^(p/q) I for each prime q dividing p in increasing order,
-    stopping at the first power that settles it. Each power is made by
-    dense square-and-multiply from the identity. Returns the verdict and
-    the bit count of every product in the order they are made, a bit
-    count being the sum of the entries' bit lengths.
+    A^(p/q) != L^(p/q) I for each prime q dividing p. Each power is made
+    by dense square-and-multiply from the identity.
     """
     deg = [0] * n
     for u, v in edges:
@@ -206,12 +203,6 @@ def square_and_multiply_certificate(n: int, edges, p: int):
     scale = math.lcm(*deg)
     a = [[int(x * scale) for x in row] for row in oracle_grover_matrix(n, edges)]
     size = len(a)
-    bits = []
-
-    def mul(x, y):
-        out = int_mat_mul(x, y)
-        bits.append(sum(v.bit_length() for row in out for v in row))
-        return out
 
     def is_period(k):
         want = [[scale**k if i == j else 0 for j in range(size)] for i in range(size)]
@@ -219,14 +210,13 @@ def square_and_multiply_certificate(n: int, edges, p: int):
         base = a
         while k:
             if k & 1:
-                result = mul(result, base)
+                result = int_mat_mul(result, base)
             k >>= 1
             if k:
-                base = mul(base, base)
+                base = int_mat_mul(base, base)
         return result == want
 
-    verdict = is_period(p) and not any(is_period(p // q) for q in prime_divisors(p))
-    return verdict, bits
+    return is_period(p) and not any(is_period(p // q) for q in prime_divisors(p))
 
 
 def symmetrized_adjacency(n: int, edges):

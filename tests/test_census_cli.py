@@ -68,19 +68,6 @@ def test_census_record_consistency():
             assert record.integrality_failures == ()
 
 
-def test_census_budget_marks_record():
-    result = run_census(4, bit_budget=10)
-    hits = result.budget_hits()
-    assert hits
-    for record in hits:
-        assert record.period_report is None
-        assert "budget" in record.budget_note
-        # the certificate runs only after the integrality filter passed
-        assert record.integrality_failures == ()
-    # the run still covers every class
-    assert len(result.records) == 2
-
-
 # ---------------------------------------------------------------------------
 # CLI subprocess behaviour.
 

@@ -1,14 +1,13 @@
+import json
 import math
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groverwalk import periodicity
+from groverwalk import cli, periodicity, walk
 from groverwalk.exceptions import (
-    BudgetExceededError,
     IndexOutOfRangeError,
     InvalidParameterError,
     ResidualExceededError,
@@ -25,8 +24,6 @@ from groverwalk.linalg import charpoly_exact, is_integer
 from groverwalk.periodicity import (
     _cyclotomic_orders,
     _divide_exact,
-    _int_mat_powers,
-    _packed_mul,
     branch_frame,
     branch_integrality_instances,
     certify_period,
@@ -44,14 +41,9 @@ from groverwalk.periodicity import (
     real_cyclotomic,
     tail_recurrence_check,
 )
-from groverwalk.walk import build_grover_operator, build_transition_matrix
+from groverwalk.walk import build_grover_operator, build_transition_matrix, grover_arc_rows
 
-from oracles import (
-    brute_period,
-    int_mat_mul,
-    prime_divisors,
-    square_and_multiply_certificate,
-)
+from oracles import brute_period, prime_divisors, square_and_multiply_certificate
 from strategies import connected_graphs
 
 
@@ -116,13 +108,6 @@ def test_period_matches_brute_oracle(n):
     want = brute_period(tuple(tuple(row) for row in u.entries), 20)
     assert want == n
     assert find_period(g).period == want
-
-
-def test_bit_budget():
-    with pytest.raises(BudgetExceededError) as info:
-        find_period(two_tail_graph(3, 1), bit_budget=10)
-    assert info.value.bits == 138
-    assert str(info.value) == "certificate: matrix entries reached 138 bits (budget 10)"
 
 
 def _totient(d):
@@ -231,7 +216,8 @@ def test_certificate_rejects_wrong_periods(g, p):
 
 
 def test_certificate_on_all_small_periodic_graphs(connected_by_n):
-    # accepts p, rejects p + 1 and every p/q
+    # accepts p and rejects p + 1, 2p and every p/q, each verdict equal to
+    # that of dense square-and-multiply
     periodic = 0
     for n in range(2, 7):
         for g in connected_by_n[n]:
@@ -240,11 +226,22 @@ def test_certificate_on_all_small_periodic_graphs(connected_by_n):
                 continue
             periodic += 1
             p = report.period
-            assert certify_period(g, p), g
-            assert not certify_period(g, p + 1), g
-            for q in prime_divisors(p):
-                assert not certify_period(g, p // q), (g, q)
+            for k in [p, p + 1, 2 * p] + [p // q for q in prime_divisors(p)]:
+                verdict = certify_period(g, k)
+                assert verdict == (k == p), (g, k)
+                assert verdict == square_and_multiply_certificate(g.n, g.edges, k), (g, k)
     assert periodic > 0
+
+
+def test_certificate_accepts_nothing_on_aperiodic_graphs(connected_by_n):
+    refuted = 0
+    for n in range(2, 6):
+        for g in connected_by_n[n]:
+            if find_period(g).verdict == "periodic":
+                continue
+            refuted += 1
+            assert not any(certify_period(g, k) for k in range(1, 25)), g
+    assert refuted > 0
 
 
 @pytest.mark.parametrize(
@@ -261,36 +258,63 @@ def test_certificate_on_all_small_periodic_graphs(connected_by_n):
     ],
     ids=["C5", "C6", "P4", "K23", "TT31", "TT31-wrong", "TT32", "TT51"],
 )
-def test_certificate_budget_matches_square_and_multiply(g, p):
-    # for a budget just below each product's bit count, the certificate
-    # must stop at the same product, with the same bits, as plain
-    # square-and-multiply that builds every power from scratch
-    verdict, bits = square_and_multiply_certificate(g.n, g.edges, p)
-    assert certify_period(g, p, max(bits)) == verdict
-    for budget in sorted({b - 1 for b in bits}):
-        want = next(b for b in bits if b > budget)
-        with pytest.raises(BudgetExceededError) as info:
-            certify_period(g, p, budget)
-        assert info.value.bits == want
-        assert str(info.value) == (
-            "certificate: matrix entries reached %d bits (budget %d)" % (want, budget)
-        )
+def test_certificate_matches_square_and_multiply(g, p):
+    assert certify_period(g, p) == square_and_multiply_certificate(g.n, g.edges, p)
 
 
-def test_certificate_shares_squarings():
-    # 168 = 2^3 * 3 * 7: A^168, A^84, A^56 and A^24 share the squarings
-    # A^2 .. A^128, each made once; the result products are 2 + 2 + 2 + 1
-    calls = []
+@pytest.mark.parametrize("p", [10**30, 2**89 - 1])
+def test_certificate_huge_period_is_not_factored(p):
+    # the d search is bounded by the charpoly's degree, not by p: 2^89 - 1
+    # is prime, so trial division of p would not finish
+    assert not certify_period(two_tail_graph(3, 2), p)
 
-    def counting(x, y, bit_budget):
-        calls.append(x is y)
-        return packed_mul(x, y, bit_budget)
 
-    packed_mul = periodicity._packed_mul
-    with mock.patch.object(periodicity, "_packed_mul", counting):
-        assert certify_period(two_tail_graph(3, 2), 168)
-    assert calls.count(True) == 7
-    assert calls.count(False) == 7
+@pytest.mark.parametrize(
+    "g,p",
+    [(cycle_graph(5), 5), (two_tail_graph(3, 1), 60), (complete_bipartite(2, 3), 4)],
+    ids=["C5", "TT31", "K23"],
+)
+def test_certificate_rejects_non_orthogonal_rows(monkeypatch, g, p):
+    # the arc charpoly stays the true one, so only the check A A^T = L^2 I
+    # can reject. Row 0 gets one entry raised, a zero or a nonzero one, or
+    # a nonzero swapped into a zero slot, which keeps the row's length and
+    # breaks only its orthogonality to the other rows
+    scale, rows = grover_arc_rows(g)
+    assert certify_period(g, p)
+    zero = rows[0].index(0)
+    nonzero = next(j for j, x in enumerate(rows[0]) if x)
+    value = rows[0][nonzero]
+    for edit in ({zero: 1}, {nonzero: value + 1}, {zero: value, nonzero: 0}):
+        bad = [list(row) for row in rows]
+        for j, x in edit.items():
+            bad[0][j] = x
+        monkeypatch.setattr(periodicity, "grover_arc_rows", lambda h: (scale, bad))
+        assert not certify_period(g, p), edit
+
+
+@pytest.mark.parametrize(
+    "k,r,want", [(3, 30, 2520), (61, 1, 15372)], ids=["TT3-30", "TT61-1"]
+)
+def test_find_period_at_arc_cap(k, r, want):
+    # lcm(4r, k, k + 2r), long periods at the arc cap
+    assert find_period(two_tail_graph(k, r)).period == want
+
+
+def test_analyze_builds_arc_charpoly_once(monkeypatch, capsys):
+    charpoly = walk.charpoly_exact
+    sizes = []
+
+    def counting(m):
+        sizes.append(m.rows)
+        return charpoly(m)
+
+    monkeypatch.setattr(walk, "charpoly_exact", counting)
+    walk.arc_charpoly.cache_clear()
+    periodicity._find_period.cache_clear()
+    g = two_tail_graph(5, 2)
+    assert cli.main(["analyze", "--family", "twotail:5,2", "--json", "--no-timing"]) == 0
+    assert json.loads(capsys.readouterr().out)["period"]["period"] == 360
+    assert sizes.count(2 * g.m) == 1
 
 
 @pytest.mark.parametrize("p", [3.0, "3", None, Fraction(3), 2.5])
@@ -306,91 +330,6 @@ def test_certificate_accepts_integer_like_period():
 
     assert certify_period(cycle_graph(3), Three())
     assert not certify_period(cycle_graph(3), True)  # the index of True is 1
-
-
-@st.composite
-def int_matrices(draw, rows, cols):
-    """Mixed-sign integer matrices, some rows zero, some entries huge."""
-    top = draw(st.sampled_from([0, 1, 5, 2**31, 2**64 + 1, 2**200]))
-    entries = st.lists(st.integers(-top, top), min_size=cols, max_size=cols)
-    m = [draw(entries) for _ in range(rows)]
-    for i in draw(st.sets(st.integers(0, rows - 1), max_size=rows)):
-        m[i] = [0] * cols
-    return m
-
-
-@st.composite
-def extremal_pairs(draw, rows, inner, cols):
-    """x, y whose product has entries of absolute value ||x||_inf * max|y|.
-
-    Row i of x is c_i times a sign vector e, column j of y is d_j times
-    the same e, so entry (i, j) is inner * c_i * d_j; with the largest c
-    and d this is the slot bound itself, in either sign.
-    """
-    e = draw(st.lists(st.sampled_from([-1, 1]), min_size=inner, max_size=inner))
-    big = st.sampled_from([1, 3, 2**63 - 1, 2**64, -(2**64), -(2**100) + 1])
-    c = draw(st.lists(big, min_size=rows, max_size=rows))
-    d = draw(st.lists(big, min_size=cols, max_size=cols))
-    x = [[ci * ek for ek in e] for ci in c]
-    y = [[dj * ek for dj in d] for ek in e]
-    return x, y
-
-
-UNBOUNDED = 1 << 62
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=300)
-@given(
-    data=st.data(),
-    shape=st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 8)),
-    extremal=st.booleans(),
-    block_bits=st.sampled_from([periodicity._PACKED_BITS, 64, 1]),
-)
-def test_packed_product_property(data, shape, extremal, block_bits):
-    rows, inner, cols = shape
-    if extremal:
-        x, y = data.draw(extremal_pairs(rows, inner, cols))
-    else:
-        x = data.draw(int_matrices(rows, inner))
-        y = data.draw(int_matrices(inner, cols))
-    # block_bits 1 packs one column at a time, 64 a few at a time
-    with mock.patch.object(periodicity, "_PACKED_BITS", block_bits):
-        got = _packed_mul(x, y, UNBOUNDED)
-    assert got == int_mat_mul(x, y)
-
-
-def test_packed_product_edge_cases():
-    assert _packed_mul([[0]], [[0]], 0) == [[0]]
-    assert _packed_mul([[-7]], [[3]], UNBOUNDED) == [[-21]]
-    assert _packed_mul([[0] * 4] * 3, [[5, -5]] * 4, UNBOUNDED) == [[0, 0]] * 3
-    assert _packed_mul([[1, -1]], [[0, 0], [0, 0]], UNBOUNDED) == [[0, 0]]
-    # the budget is the exact sum of the entries' bit lengths: 6 + 6 here
-    assert _packed_mul([[1, 1]], [[-32, 7], [-1, 25]], 12) == [[-33, 32]]
-    with pytest.raises(BudgetExceededError) as info:
-        _packed_mul([[1, 1]], [[-32, 7], [-1, 25]], 11)
-    assert info.value.bits == 12
-
-
-def _naive_power(a, k):
-    out = a
-    for _ in range(k - 1):
-        out = int_mat_mul(out, a)
-    return out
-
-
-@settings(derandomize=True, database=None, deadline=None, max_examples=120)
-@given(
-    data=st.data(),
-    size=st.integers(1, 6),
-    exponents=st.lists(st.integers(1, 40), min_size=1, max_size=5),
-)
-def test_packed_powers_property(data, size, exponents):
-    # any order of exponents, rising ones included, shares squarings
-    top = data.draw(st.sampled_from([0, 1, 2, 3]))
-    entry = st.integers(-top, top)
-    a = [data.draw(st.lists(entry, min_size=size, max_size=size)) for _ in range(size)]
-    got = list(_int_mat_powers(a, exponents, UNBOUNDED))
-    assert got == [_naive_power(a, k) for k in exponents]
 
 
 def test_degree_condition():
@@ -420,9 +359,9 @@ def test_find_period_is_cached(monkeypatch):
     certify = periodicity.certify_period
     calls = []
 
-    def counting(g, p, bit_budget):
+    def counting(g, p):
         calls.append(p)
-        return certify(g, p, bit_budget)
+        return certify(g, p)
 
     monkeypatch.setattr(periodicity, "certify_period", counting)
     g = cycle_graph(7).relabel([3, 6, 0, 5, 2, 4, 1])
@@ -431,11 +370,6 @@ def test_find_period_is_cached(monkeypatch):
     assert find_period(g) is first
     assert odd_period_query(g)
     assert calls == [7]
-    # a budget overrun is raised again on every call, never cached
-    for attempt in (1, 2):
-        with pytest.raises(BudgetExceededError):
-            find_period(g, bit_budget=10)
-        assert calls == [7] * (1 + attempt)
 
 
 def test_graph_hash():

@@ -179,6 +179,15 @@ def test_single_vertex_rejected():
         spectral_map_check(g)
 
 
+def test_arc_charpoly_is_cached_and_exact():
+    g = two_tail_graph(3, 1)
+    cp = walk.arc_charpoly(g)
+    assert walk.arc_charpoly(g) is cp
+    assert cp == charpoly_exact(build_grover_operator(g).matrix)
+    x = Fraction(3, 2)
+    assert cp.eval_exact(x) == char_value(oracle_grover_matrix(g.n, g.edges), x)
+
+
 def test_spectral_map_p2():
     report = spectral_map_check(path_graph(2))
     assert report.matched
