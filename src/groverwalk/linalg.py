@@ -104,21 +104,31 @@ def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     return RationalMatrix(out)
 
 
-def mat_pow(a: RationalMatrix, k: int) -> RationalMatrix:
-    """a**k by repeated squaring; k = 0 gives the identity."""
-    if a.rows != a.cols:
-        raise NonSquareError("power of a %dx%d matrix" % (a.rows, a.cols))
-    if k < 0:
-        raise InvalidParameterError("negative power %d" % k)
-    result = RationalMatrix.identity(a.rows)
-    base = a
-    while k:
-        if k & 1:
-            result = mat_mul(result, base)
-        k >>= 1
-        if k:
-            base = mat_mul(base, base)
-    return result
+def _divide_exact(a: list[int], b: tuple[int, ...]) -> list[int] | None:
+    """Exact quotient a / b in integers, or None when b does not divide a.
+
+    Polynomials are integer coefficient lists, low to high. b must be
+    primitive, its coefficients coprime, as every monic polynomial is. By
+    Gauss's lemma the quotient of an integer polynomial by a primitive
+    divisor has integer coefficients, so the division stops at the first
+    step that the leading coefficient of b does not divide exactly. The
+    zero polynomial divides out.
+    """
+    if len(a) < len(b):
+        return None if any(a) else [0]
+    db = len(b) - 1
+    lead = b[db]
+    rest = list(a)
+    quot = [0] * (len(a) - db)
+    for i in range(len(quot) - 1, -1, -1):
+        c, r = divmod(rest[i + db], lead)
+        if r:
+            return None
+        if c:
+            quot[i] = c
+            for j, bj in enumerate(b):
+                rest[i + j] -= c * bj
+    return None if any(rest[:db]) else quot
 
 
 @dataclass(frozen=True)
@@ -144,27 +154,15 @@ class CharPoly:
         """Exact multiplicity of the rational root r (0 if not a root).
 
         With r = a/b in lowest terms, the polynomial is scaled to integer
-        coefficients once and divided by the primitive factor b*x - a in
-        integers. By Gauss's lemma a quotient by b*x - a of an integer
-        polynomial has integer coefficients, so a step that b does not
-        divide exactly means b*x - a is not a factor.
+        coefficients once and divided by the primitive factor b*x - a with
+        _divide_exact as often as it goes.
         """
         r = Fraction(r)
-        a, b = r.numerator, r.denominator
+        factor = (-r.numerator, r.denominator)
         scale = math.lcm(*(c.denominator for c in self.coeffs))
         coeffs = [c.numerator * (scale // c.denominator) for c in self.coeffs]
         mult = 0
-        while len(coeffs) > 1:
-            # p = (b x - a) q, so q_(j-1) = (p_j + a q_j) / b and p_0 = -a q_0
-            quot = [0] * (len(coeffs) - 1)
-            acc = 0
-            for j in range(len(coeffs) - 1, 0, -1):
-                acc, rem = divmod(coeffs[j] + a * acc, b)
-                if rem:
-                    return mult
-                quot[j - 1] = acc
-            if coeffs[0] + a * acc:
-                return mult
+        while len(coeffs) > 1 and (quot := _divide_exact(coeffs, factor)) is not None:
             mult += 1
             coeffs = quot
         return mult

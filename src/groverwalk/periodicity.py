@@ -5,11 +5,14 @@ identity; the period is the least such exponent. Detection is one exact
 route from the transition characteristic polynomial cp. The integrality
 filter refutes most graphs outright. For a graph that passes it,
 P(y) = 2^n cp(y/2) is a monic integer polynomial whose roots are real and
-lie in [-2, 2], so by Kronecker's theorem it factors completely into the
-minimal polynomials Psi_d of 2cos(2 pi/d). The d that occur are the orders
-of the arc eigenvalues, their lcm is the period, and the period is
-certified exactly, minimality included, before it is reported: on the arc
-characteristic polynomial, independently of the transition side.
+lie in [-2, 2]. Its Konno-Sato lift, x^n P(x + 1/x) (x^2 - 1)^(m - n)
+when m > n, is the arc characteristic polynomial, a monic integer
+polynomial whose roots lie on the unit circle, so by Kronecker's theorem
+it factors completely into cyclotomic polynomials Phi_d. The d that occur
+are the orders of the arc eigenvalues, their lcm is the period, and the
+period is certified exactly, minimality included, before it is reported:
+on the arc characteristic polynomial computed from the arc operator,
+independently of the transition side.
 
 The second half of the module verifies combinatorial identities between
 characteristic-polynomial coefficients and weighted matching sums on
@@ -24,6 +27,7 @@ import functools
 import hashlib
 import math
 import operator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,8 +47,8 @@ from .graphs import (
     enumerate_matchings,
     write_graph_file,
 )
-from .linalg import CharPoly, is_integer
-from .walk import arc_charpoly, grover_arc_rows, transition_charpoly
+from .linalg import CharPoly, _divide_exact, is_integer
+from .walk import arc_charpoly, grover_arc_rows, konno_sato_lift, transition_charpoly
 
 
 def graph_hash(g: Graph) -> str:
@@ -132,32 +136,6 @@ def _totient(d: int) -> int:
     return phi
 
 
-def _divide_exact(a: list[int], b: tuple[int, ...]) -> list[int] | None:
-    """Exact quotient a / b in integers, or None when b does not divide a.
-
-    b must be primitive, its coefficients coprime, as every monic
-    polynomial is. By Gauss's lemma the quotient of an integer polynomial
-    by a primitive divisor has integer coefficients, so the division stops
-    at the first step that the leading coefficient of b does not divide
-    exactly. The zero polynomial divides out.
-    """
-    if len(a) < len(b):
-        return None if any(a) else [0]
-    db = len(b) - 1
-    lead = b[db]
-    rest = list(a)
-    quot = [0] * (len(a) - db)
-    for i in range(len(quot) - 1, -1, -1):
-        c, r = divmod(rest[i + db], lead)
-        if r:
-            return None
-        if c:
-            quot[i] = c
-            for j, bj in enumerate(b):
-                rest[i + j] -= c * bj
-    return None if any(rest[:db]) else quot
-
-
 @functools.cache
 def _cyclotomic(d: int) -> tuple[int, ...]:
     """Phi_d: x^d - 1 divided by Phi_e for every proper divisor e of d."""
@@ -168,68 +146,25 @@ def _cyclotomic(d: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def real_cyclotomic(d: int) -> tuple[int, ...]:
-    """Psi_d, the minimal polynomial of 2cos(2 pi/d), low to high.
+def _cyclotomic_orders(
+    poly: list[int], candidates: Iterable[int]
+) -> tuple[list[int], list[int]]:
+    """Divide Phi_d out of poly as often as it goes, for each d in candidates.
 
-    Psi_1 = y - 2 and Psi_2 = y + 2. For d >= 3, Phi_d is palindromic of
-    degree 2k = phi(d), and x^(-k) Phi_d(x) = Psi_d(x + 1/x) (Watkins and
-    Zeitlin 1993): each x^j + x^(-j) is C_j(x + 1/x) with C_0 = 2,
-    C_1 = y and C_(j+1) = y C_j - C_(j-1).
+    A d with phi(d) above what is left of poly's degree is skipped before
+    Phi_d is built. Returns the d found, once per factor, and the quotient
+    left over.
     """
-    if d < 1:
-        raise InvalidParameterError("order must be >= 1, got %d" % d)
-    if d <= 2:
-        return (-2 if d == 1 else 2, 1)
-    phi = _cyclotomic(d)
-    k = (len(phi) - 1) // 2
-    psi = [phi[k]] + [0] * k
-    prev, cur = [2], [0, 1]
-    for j in range(1, k + 1):
-        for i, c in enumerate(cur):
-            psi[i] += phi[k + j] * c
-        nxt = [0] + cur
-        for i, c in enumerate(prev):
-            nxt[i] -= c
-        prev, cur = cur, nxt
-    return tuple(psi)
-
-
-def _divide_out(poly, orders, factor, degree):
-    """Divide factor(d) out of poly as often as it goes, for each d in orders.
-
-    A d whose factor has degree(d) above what is left of poly is skipped
-    before factor(d) is built. Returns the d found, once per factor, and
-    the quotient left over.
-    """
-    found = []
-    for d in orders:
+    orders = []
+    for d in candidates:
         if len(poly) == 1:
             break
-        if degree(d) > len(poly) - 1:
+        if _totient(d) > len(poly) - 1:
             continue
-        while (quot := _divide_exact(poly, factor(d))) is not None:
+        while (quot := _divide_exact(poly, _cyclotomic(d))) is not None:
             poly = quot
-            found.append(d)
-    return found, poly
-
-
-def _cyclotomic_orders(poly: list[int]) -> list[int]:
-    """Each d whose Psi_d divides poly, once per factor; poly must split.
-
-    A factor of degree at most n = deg poly has phi(d) <= 2n, and
-    phi(d) >= sqrt(d/2) for every d, so d <= 8n^2 covers them all.
-    """
-    orders, rest = _divide_out(
-        poly,
-        range(1, 8 * len(poly) ** 2),
-        real_cyclotomic,
-        lambda d: (_totient(d) + 1) // 2,  # deg Psi_d
-    )
-    if len(rest) > 1:
-        # Kronecker's theorem rules this out for a polynomial that passed
-        # the integrality filter, so it is a defect, never a verdict
-        raise RuntimeError("factor %r is not a product of Psi_d" % (rest,))
-    return orders
+            orders.append(d)
+    return orders, poly
 
 
 def _is_orthogonal(scale: int, rows: list[list[int]]) -> bool:
@@ -274,7 +209,7 @@ def certify_period(g: Graph, p: int) -> bool:
     if not all(is_integer(c) for c in coeffs):
         return False
     divisors = (d for d in range(1, min(p, 2 * len(rows) ** 2) + 1) if p % d == 0)
-    orders, rest = _divide_out([int(c) for c in coeffs], divisors, _cyclotomic, _totient)
+    orders, rest = _cyclotomic_orders([int(c) for c in coeffs], divisors)
     return len(rest) == 1 and math.lcm(*orders) == p
 
 
@@ -299,11 +234,13 @@ def find_period(g: Graph) -> PeriodReport:
     """Decide periodicity of the arc evolution operator exactly.
 
     A graph that fails the integrality filter is refuted. Otherwise the
-    period is the lcm of the d whose Psi_d divides P(y) = 2^n cp(y/2),
-    with 2 added when m > n: the arc operator then has -1 eigenvalues
-    outside the image of the vertex spectrum (on a bipartite graph Psi_2
-    divides P anyway). The period is certified by certify_period before
-    it is reported.
+    period is the lcm of the d whose Phi_d divides the Konno-Sato lift of
+    P(y) = 2^n cp(y/2) (walk.konno_sato_lift with excess m - n). Each
+    vertex eigenvalue cos(theta) lifts to exp(+-i theta), and the factor
+    (x^2 - 1)^(m - n) adds the arc eigenvalues +1 and -1 outside that
+    image; for a tree the lift has one spare Phi_1 Phi_2, which the
+    bipartite spectrum holds already, so the lcm is the same. The period
+    is certified by certify_period before it is reported.
 
     Cached like transition_charpoly: a PeriodReport is immutable.
     """
@@ -321,7 +258,15 @@ def _find_period(g: Graph) -> PeriodReport:
         return PeriodReport("refuted_by_integrality", None, failing, None, digest)
     n = cp.degree
     scaled = [int(cp[k] * 2 ** (n - k)) for k in range(n + 1)]
-    period = math.lcm(*_cyclotomic_orders(scaled), 2 if g.m > g.n else 1)
+    lift = konno_sato_lift(scaled, g.m - n)
+    # a factor of degree at most N = deg lift has phi(d) <= N, and
+    # phi(d) >= sqrt(d/2) for every d, so d <= 2N^2 covers them all
+    orders, rest = _cyclotomic_orders(lift, range(1, 2 * (len(lift) - 1) ** 2 + 1))
+    if len(rest) > 1:
+        # Kronecker's theorem rules this out for a polynomial that passed
+        # the integrality filter, so it is a defect, never a verdict
+        raise RuntimeError("factor %r is not a product of Phi_d" % (rest,))
+    period = math.lcm(*orders)
     if not certify_period(g, period):
         raise RuntimeError("period %d failed its exact certificate" % period)
     return PeriodReport("periodic", period, (), "cyclotomic", digest)

@@ -110,12 +110,30 @@ def arc_charpoly(g: Graph) -> CharPoly:
     return charpoly_exact(build_grover_operator(g).matrix)
 
 
-def _times_x2_minus_1(poly: list[Fraction], times: int) -> list[Fraction]:
+def _times_x2_minus_1(poly: list, times: int) -> list:
     """poly * (x^2 - 1)^times, coefficients low to high."""
     for _ in range(times):
         padded = [0, 0] + poly + [0, 0]
         poly = [padded[k] - padded[k + 2] for k in range(len(poly) + 2)]
     return poly
+
+
+def konno_sato_lift(a: list, excess: int) -> list:
+    """x^n P(x + 1/x) (x^2 - 1)^max(excess, 0) for P(y) = sum a_k y^k.
+
+    a holds the coefficients of P, low to high, as ints or Fractions, and
+    n = deg P. With a_k = c_k 2^(n-k) for the transition charpoly
+    cp_T = sum c_k x^k, P(y) = 2^n cp_T(y/2), and with excess = m - n the
+    lift is the arc charpoly that the Konno-Sato identity predicts (times
+    (x^2 - 1)^(n - m) for a tree). x^n (x + 1/x)^k = x^(n-k) (x^2 + 1)^k
+    expands binomially, so ints stay ints.
+    """
+    n = len(a) - 1
+    lift = [0] * (2 * n + 1)
+    for k, c in enumerate(a):
+        for i in range(k + 1):
+            lift[n - k + 2 * i] += c * math.comb(k, i)
+    return _times_x2_minus_1(lift, max(excess, 0))
 
 
 @dataclass(frozen=True)
@@ -155,14 +173,10 @@ def spectral_map_check(g: Graph, tol: float = 1e-8) -> SpectralMapReport:
     p_u = arc_charpoly(g)
     n, arc_count = cp_t.degree, p_u.degree
 
-    # (2x)^n cp_t((x^2 + 1) / (2x)) = sum_j c_j 2^(n-j) x^(n-j) (x^2 + 1)^j
-    rhs = [Fraction(0)] * (2 * n + 1)
-    for j, c in enumerate(cp_t.coeffs):
-        for i in range(j + 1):
-            rhs[n - j + 2 * i] += c * 2 ** (n - j) * math.comb(j, i)
-    excess = g.m - n
-    lhs = _times_x2_minus_1(list(p_u.coeffs), max(-excess, 0))
-    rhs = _times_x2_minus_1(rhs, max(excess, 0))
+    # (2x)^n cp_t((x^2 + 1) / (2x)) is the lift of P(y) = 2^n cp_t(y/2)
+    scaled = [c * 2 ** (n - k) for k, c in enumerate(cp_t.coeffs)]
+    rhs = konno_sato_lift(scaled, g.m - n)
+    lhs = _times_x2_minus_1(list(p_u.coeffs), max(n - g.m, 0))
     diff = [a - b for a, b in zip(lhs, rhs, strict=True)]
 
     t_plus = cp_t.root_multiplicity(Fraction(1))

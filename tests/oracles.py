@@ -4,11 +4,13 @@ Everything here recomputes results by a different method than the package:
 Bareiss elimination instead of Faddeev-LeVerrier, brute-force subset scans
 instead of recursive enumeration, permutation minima instead of pruned
 search, a floating-point Jacobi eigensolver instead of exact polynomial
-identities. Agreement between the two is the point.
+identities, the vertex-side Psi_d factorization instead of the arc-side
+Phi_d one. Agreement between the two is the point.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -217,6 +219,100 @@ def square_and_multiply_certificate(n: int, edges, p: int) -> bool:
         return result == want
 
     return is_period(p) and not any(is_period(p // q) for q in prime_divisors(p))
+
+
+def _monic_quotient(a, b):
+    """a / b for integer lists low to high and a monic b, or None if inexact."""
+    a = list(a)
+    db = len(b) - 1
+    if len(a) <= db:
+        return None
+    quot = [0] * (len(a) - db)
+    for i in range(len(quot) - 1, -1, -1):
+        quot[i] = c = a[i + db]
+        for j, bj in enumerate(b):
+            a[i + j] -= c * bj
+    return None if any(a) else quot
+
+
+def poly_mul(a, b):
+    """Product of two integer coefficient lists, low to high."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _mobius(k: int) -> int:
+    primes = prime_divisors(k)
+    for q in primes:
+        if k % (q * q) == 0:
+            return 0
+    return (-1) ** len(primes)
+
+
+def cyclotomic(d: int) -> list[int]:
+    """Phi_d = prod over e | d of (x^e - 1)^mu(d/e), low to high."""
+    num, den = [1], [1]
+    for e in range(1, d + 1):
+        if d % e == 0 and _mobius(d // e):
+            factor = [-1] + [0] * (e - 1) + [1]
+            if _mobius(d // e) == 1:
+                num = poly_mul(num, factor)
+            else:
+                den = poly_mul(den, factor)
+    return _monic_quotient(num, den)
+
+
+@functools.cache
+def real_cyclotomic(d: int) -> tuple[int, ...]:
+    """Psi_d, the minimal polynomial of 2cos(2 pi/d), low to high.
+
+    Psi_1 = y - 2 and Psi_2 = y + 2. For d >= 3, Phi_d is palindromic of
+    degree 2k = phi(d), and x^(-k) Phi_d(x) = Psi_d(x + 1/x) (Watkins and
+    Zeitlin 1993): each x^j + x^(-j) is C_j(x + 1/x) with C_0 = 2,
+    C_1 = y and C_(j+1) = y C_j - C_(j-1).
+    """
+    if d <= 2:
+        return (-2 if d == 1 else 2, 1)
+    phi = cyclotomic(d)
+    k = (len(phi) - 1) // 2
+    psi = [phi[k]] + [0] * k
+    prev, cur = [2], [0, 1]
+    for j in range(1, k + 1):
+        for i, c in enumerate(cur):
+            psi[i] += phi[k + j] * c
+        nxt = [0] + cur
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
+    return tuple(psi)
+
+
+def psi_period(coeffs, m: int):
+    """The period by the vertex-side route, or None when it is refuted.
+
+    coeffs is the transition charpoly cp of a graph with n vertices and m
+    edges, low to high. None when P(y) = 2^n cp(y/2) is not an integer
+    polynomial. Otherwise P splits into Psi_d by Kronecker's theorem, and
+    the period is the lcm of the d found, with 2 added when m > n for the
+    -1 arc eigenvalues outside the image of the vertex spectrum.
+    """
+    n = len(coeffs) - 1
+    scaled = [Fraction(c) * 2 ** (n - k) for k, c in enumerate(coeffs)]
+    if any(x.denominator != 1 for x in scaled):
+        return None
+    poly = [int(x) for x in scaled]
+    orders = []
+    d = 0
+    while len(poly) > 1:
+        d += 1
+        assert d <= 8 * n * n, "leftover factor %r" % (poly,)
+        while (quot := _monic_quotient(poly, real_cyclotomic(d))) is not None:
+            poly = quot
+            orders.append(d)
+    return math.lcm(*orders, 2 if m > n else 1)
 
 
 def symmetrized_adjacency(n: int, edges):

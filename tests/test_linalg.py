@@ -16,9 +16,9 @@ from groverwalk.linalg import (
     CharPoly,
     RationalMatrix,
     charpoly_exact,
+    _divide_exact,
     is_integer,
     mat_mul,
-    mat_pow,
 )
 from groverwalk.walk import build_transition_matrix
 
@@ -66,21 +66,24 @@ def test_matrix_errors():
         charpoly_exact(a)
 
 
-def test_mat_pow_identity():
-    eye = RationalMatrix.identity(4)
-    assert mat_pow(eye, 7) == eye
-    m = RationalMatrix([[0, 1], [1, 0]])
-    assert mat_pow(m, 0) == RationalMatrix.identity(2)
-    assert mat_pow(m, 2) == RationalMatrix.identity(2)
-
-
-def test_mat_pow_additivity():
-    rng = random.Random(7)
-    for _ in range(5):
-        m = random_rational_matrix(rng, 3)
-        for i in range(0, 5):
-            for j in range(0, 5):
-                assert mat_pow(m, i + j) == mat_mul(mat_pow(m, i), mat_pow(m, j))
+def test_divide_exact():
+    t3 = (0, -3, 0, 4)  # T_3, primitive but not monic
+    q = [5, -1, 2]
+    a = [0] * 6
+    for i, u in enumerate(t3):
+        for j, v in enumerate(q):
+            a[i + j] += u * v
+    assert _divide_exact(a, t3) == q
+    a[0] += 1
+    assert _divide_exact(a, t3) is None
+    # 2x + 1 does not divide 3x + 1: the constant term cancels, but the
+    # leading step 3/2 is not an integer
+    assert _divide_exact([1, 3], (1, 2)) is None
+    assert _divide_exact([-1, 0, 1], (1, 1)) == [-1, 1]
+    # the zero polynomial divides out; a shorter nonzero one does not
+    assert _divide_exact([0, 0, 0], (1, 2)) == [0, 0]
+    assert _divide_exact([0], (1, 2)) == [0]
+    assert _divide_exact([3], (1, 2)) is None
 
 
 def test_charpoly_known_values():

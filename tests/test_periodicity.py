@@ -16,14 +16,15 @@ from groverwalk.exceptions import (
 from groverwalk.families import (
     complete_bipartite,
     cycle_graph,
+    enumerate_connected,
     path_graph,
     two_tail_graph,
 )
 from groverwalk.graphs import build_graph, classify
 from groverwalk.linalg import charpoly_exact, is_integer
 from groverwalk.periodicity import (
+    _cyclotomic,
     _cyclotomic_orders,
-    _divide_exact,
     branch_frame,
     branch_integrality_instances,
     certify_period,
@@ -38,12 +39,22 @@ from groverwalk.periodicity import (
     matching_split_check,
     matching_sum,
     odd_period_query,
-    real_cyclotomic,
     tail_recurrence_check,
 )
-from groverwalk.walk import build_grover_operator, build_transition_matrix, grover_arc_rows
+from groverwalk.walk import (
+    build_grover_operator,
+    build_transition_matrix,
+    grover_arc_rows,
+    transition_charpoly,
+)
 
-from oracles import brute_period, prime_divisors, square_and_multiply_certificate
+from oracles import (
+    brute_period,
+    poly_mul,
+    prime_divisors,
+    psi_period,
+    square_and_multiply_certificate,
+)
 from strategies import connected_graphs
 
 
@@ -114,52 +125,93 @@ def _totient(d):
     return sum(1 for k in range(1, d + 1) if math.gcd(k, d) == 1)
 
 
-def test_real_cyclotomic():
-    assert real_cyclotomic(1) == (-2, 1)
-    assert real_cyclotomic(2) == (2, 1)
-    assert real_cyclotomic(3) == (1, 1)
-    assert real_cyclotomic(4) == (0, 1)
-    assert real_cyclotomic(5) == (-1, 1, 1)
-    assert real_cyclotomic(6) == (-1, 1)
-    for d in range(3, 31):
-        psi = real_cyclotomic(d)
-        assert len(psi) - 1 == _totient(d) // 2
-        assert psi[-1] == 1
-        # 2cos(2 pi/d) is a root
-        y = 2 * math.cos(2 * math.pi / d)
-        assert abs(sum(c * y**i for i, c in enumerate(psi))) < 1e-9
-    with pytest.raises(InvalidParameterError):
-        real_cyclotomic(0)
+def test_cyclotomic():
+    for big_n in range(1, 61):
+        product = [1]
+        for d in range(1, big_n + 1):
+            if big_n % d == 0:
+                product = poly_mul(product, _cyclotomic(d))
+        assert product == [-1] + [0] * (big_n - 1) + [1], big_n
+    for d in range(1, 61):
+        assert len(_cyclotomic(d)) - 1 == _totient(d)
+        assert _cyclotomic(d)[-1] == 1
 
 
-def test_cyclotomic_orders():
-    # phi(90) = 24, the largest order a degree-12 factor can have
-    assert _cyclotomic_orders(list(real_cyclotomic(90))) == [90]
-    # y^2 (y - 2) = Psi_4^2 Psi_1, each factor reported once
-    assert _cyclotomic_orders([0, 0, -2, 1]) == [1, 4, 4]
-    # y - 3 has its root outside [-2, 2]: a defect, never a verdict
-    with pytest.raises(RuntimeError):
-        _cyclotomic_orders([-3, 1])
+def test_cyclotomic_orders(monkeypatch):
+    # phi(90) = 24: one factor, found once
+    assert _cyclotomic_orders(list(_cyclotomic(90)), range(1, 100)) == ([90], [1])
+    # (x - 1)(x + 1)^2(x^2 + 1) = Phi_1 Phi_2^2 Phi_4, each factor reported once
+    poly = poly_mul(poly_mul([-1, 1], [1, 2, 1]), [1, 0, 1])
+    assert _cyclotomic_orders(poly, range(1, 50)) == ([1, 2, 2, 4], [1])
+    # x - 3 has its root off the unit circle and comes back as the rest
+    assert _cyclotomic_orders([-3, 1], range(1, 10)) == ([], [-3, 1])
+    # in find_period such a leftover is a defect, never a verdict
+    lift = periodicity.konno_sato_lift
+
+    def times_x_minus_3(a, excess):
+        return poly_mul(lift(a, excess), [-3, 1])
+
+    monkeypatch.setattr(periodicity, "konno_sato_lift", times_x_minus_3)
+    periodicity._find_period.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match="not a product of Phi_d"):
+            find_period(cycle_graph(5))
+    finally:
+        periodicity._find_period.cache_clear()
 
 
-def test_divide_exact():
-    t3 = (0, -3, 0, 4)  # T_3, primitive but not monic
-    q = [5, -1, 2]
-    a = [0] * 6
-    for i, u in enumerate(t3):
-        for j, v in enumerate(q):
-            a[i + j] += u * v
-    assert _divide_exact(a, t3) == q
-    a[0] += 1
-    assert _divide_exact(a, t3) is None
-    # 2x + 1 does not divide 3x + 1: the constant term cancels, but the
-    # leading step 3/2 is not an integer
-    assert _divide_exact([1, 3], (1, 2)) is None
-    assert _divide_exact([-1, 0, 1], (1, 1)) == [-1, 1]
-    # the zero polynomial divides out; a shorter nonzero one does not
-    assert _divide_exact([0, 0, 0], (1, 2)) == [0, 0]
-    assert _divide_exact([0], (1, 2)) == [0]
-    assert _divide_exact([3], (1, 2)) is None
+@pytest.mark.parametrize(
+    "g",
+    [complete_bipartite(2, 3), complete_bipartite(4, 4), cycle_graph(5), path_graph(4)],
+    ids=["K23", "K44", "C5", "P4"],
+)
+def test_find_period_factors_the_arc_charpoly(monkeypatch, g):
+    # the lift find_period factors is the arc charpoly, times x^2 - 1 for a tree
+    lifts = []
+    lift = periodicity.konno_sato_lift
+
+    def recording(a, excess):
+        lifts.append(lift(a, excess))
+        return lifts[-1]
+
+    monkeypatch.setattr(periodicity, "konno_sato_lift", recording)
+    periodicity._find_period.cache_clear()
+    try:
+        find_period(g)
+    finally:
+        periodicity._find_period.cache_clear()
+    arc = [int(c) for c in walk.arc_charpoly(g).coeffs]
+    assert lifts == [poly_mul(arc, [-1, 0, 1]) if g.m < g.n else arc]
+
+
+def test_find_period_searches_orders_above_the_degree(monkeypatch):
+    # Phi_90 has degree 24 < 90: the search over d must reach past the degree
+    phi_90 = list(_cyclotomic(90))
+    monkeypatch.setattr(periodicity, "konno_sato_lift", lambda a, excess: phi_90)
+    monkeypatch.setattr(periodicity, "certify_period", lambda g, p: True)
+    periodicity._find_period.cache_clear()
+    try:
+        assert find_period(cycle_graph(5)).period == 90
+    finally:
+        periodicity._find_period.cache_clear()
+
+
+def test_find_period_matches_psi_route():
+    # the removed vertex-side route: Psi_d factors of 2^n cp(y/2), with 2
+    # added when m > n, on all 995 connected graphs with 2 <= n <= 7
+    graphs = [g for n in range(2, 8) for g in enumerate_connected(n)]
+    assert len(graphs) == 995
+    for g in graphs:
+        want = psi_period(transition_charpoly(g).coeffs, g.m)
+        assert find_period(g).period == want, g
+
+
+def test_two_tail_periods():
+    # the period of the two-tailed graph is lcm(4r, k, k + 2r)
+    cases = [(k, r) for k in range(3, 26, 2) for r in range(1, (25 - k) // 2 + 1)]
+    assert len(cases) == 66
+    for k, r in cases:
+        assert find_period(two_tail_graph(k, r)).period == math.lcm(4 * r, k, k + 2 * r)
 
 
 def _passes_filter(g):
