@@ -1,14 +1,19 @@
 """Exact rational matrices and characteristic polynomials.
 
-Entries are fractions.Fraction and nothing is ever rounded. The
-characteristic polynomial uses the Faddeev-LeVerrier recurrence on the
-integer matrix obtained by clearing the common denominator, which is the same
-computation with the denominator factored out. The matrix is held as sparse
-rows and the working matrix as packed rows, one Python int per row.
+Entries are fractions.Fraction and nothing is ever rounded. Every
+characteristic polynomial comes from one Faddeev-LeVerrier kernel,
+charpoly_rows, which runs on an integer matrix B held as sparse rows of
+(column, value) pairs, with the working matrix packed one Python int per
+row. The walk operators are integer matrices over L, the lcm of the
+degrees, so walk hands their rows to the kernel directly; charpoly_exact
+clears the denominators of a RationalMatrix first. CharPoly keeps the
+coefficients as Fractions and gives an integer view of them for the exact
+divisions.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -150,17 +155,24 @@ class CharPoly:
             acc = acc * x + c
         return acc
 
+    @functools.cached_property
+    def integer_coeffs(self) -> tuple[int, ...]:
+        """The coefficients times the lcm of their denominators, as ints.
+
+        A characteristic polynomial is monic, so its last entry is that lcm.
+        """
+        scale = math.lcm(*(c.denominator for c in self.coeffs))
+        return tuple(c.numerator * (scale // c.denominator) for c in self.coeffs)
+
     def root_multiplicity(self, r: Fraction) -> int:
         """Exact multiplicity of the rational root r (0 if not a root).
 
-        With r = a/b in lowest terms, the polynomial is scaled to integer
-        coefficients once and divided by the primitive factor b*x - a with
-        _divide_exact as often as it goes.
+        With r = a/b in lowest terms, the integer view is divided by the
+        primitive factor b*x - a with _divide_exact as often as it goes.
         """
         r = Fraction(r)
         factor = (-r.numerator, r.denominator)
-        scale = math.lcm(*(c.denominator for c in self.coeffs))
-        coeffs = [c.numerator * (scale // c.denominator) for c in self.coeffs]
+        coeffs = self.integer_coeffs
         mult = 0
         while len(coeffs) > 1 and (quot := _divide_exact(coeffs, factor)) is not None:
             mult += 1
@@ -168,53 +180,93 @@ class CharPoly:
         return mult
 
 
-def charpoly_exact(m: RationalMatrix) -> CharPoly:
-    """Characteristic polynomial by a sparse, packed-integer Faddeev-LeVerrier.
+def sparse_rows(rows) -> list[list[tuple[int, int]]]:
+    """The nonzero entries of each dense integer row as (column, value) pairs."""
+    return [[(j, v) for j, v in enumerate(row) if v] for row in rows]
 
-    The recurrence runs on the integer matrix B = L*M, L the lcm of the
-    denominators; if q(y) = det(y I - B) then the coefficient of x**j in
-    det(x I - M) is q_j * L**(j - n). With M_1 = I it reads
+
+def row_sum_bound(rows: list[list[tuple[int, int]]]) -> int:
+    """The largest absolute row sum of sparse rows, a bound for charpoly_rows."""
+    return max(sum(abs(v) for _, v in row) for row in rows)
+
+
+def is_scaled_orthogonal(scale: int, rows: list[list[tuple[int, int]]]) -> bool:
+    """B B^T = scale^2 I for B given by sparse rows of (column, value) pairs.
+
+    Two rows can have a nonzero dot product only when they share a column,
+    so the nonzeros are grouped by column and only those pairs are summed;
+    each row's own length is among them.
+    """
+    by_column: dict[int, list[tuple[int, int]]] = {}
+    for i, row in enumerate(rows):
+        for j, v in row:
+            by_column.setdefault(j, []).append((i, v))
+    square = scale * scale
+    for i, row in enumerate(rows):
+        dots: dict[int, int] = {}
+        for j, v in row:
+            for k, w in by_column[j]:
+                dots[k] = dots.get(k, 0) + v * w
+        if dots.pop(i, 0) != square or any(dots.values()):
+            return False
+    return True
+
+
+def charpoly_rows(rows: list[list[tuple[int, int]]], bound: int) -> list[int]:
+    """det(y I - B) as integer coefficients, low to high: packed Faddeev-LeVerrier.
+
+    B is n x n, given by sparse rows of (column, value) pairs. bound >= 0
+    must satisfy two conditions:
+
+    (a) every entry of B^j is at most bound^j in absolute value, and
+    (b) every principal i x i minor of B is at most bound^i.
+
+    With M_1 = I the recurrence reads
 
         A_k = B M_k,   q_(n-k) = -tr(A_k) / k,   M_(k+1) = A_k + q_(n-k) I,
 
-    and every division is exact, which the code asserts. B is kept as
-    sparse rows of (column, value) pairs. Each row of M_k is one Python
-    int holding n slots of s bits, entry j in slot j as a signed value, so
-    row i of A_k is one big-int multiply-add per nonzero of row i of B.
-    The trace reads the diagonal slots after adding 2^(s-1) to every slot,
-    which turns each signed value into its unsigned slot digit.
+    and every division is exact, which the code asserts. Each row of M_k
+    is one Python int holding n slots of s bits, entry j in slot j as a
+    signed value, so row i of A_k is one big-int multiply-add per nonzero
+    of row i of B. The trace reads the diagonal slots after adding
+    2^(s-1) to every slot, which turns each signed value into its unsigned
+    slot digit.
 
-    Slot width. Let r >= 1 be the largest absolute row sum of B (r = 0
-    only for B = 0, where every entry is 0 or 1). Every entry of B^j is at
-    most r^j, since r bounds the infinity norm. q_(n-i) is (-1)^i times the
-    sum of the C(n, i) principal i x i minors of B, and by Hadamard each
-    minor is at most the product of its rows' Euclidean norms, so at most
-    r^i: |q_(n-i)| <= C(n, i) r^i. As A_k = sum_(i<k) q_(n-i) B^(k-i) and
-    M_k = sum_(i<k) q_(n-i) B^(k-1-i), every entry of both is at most
-    r^k sum_i C(n, i) <= 2^n r^n for k <= n. With s = n*bitlen(r) + n + 2
-    that is below 2^(s-2), so each signed entry fits its slot with room.
+    Slot width. q_(n-i) is (-1)^i times the sum of the C(n, i) principal
+    i x i minors of B, so |q_(n-i)| <= C(n, i) bound^i by (b). As
+    A_k = sum_(i<k) q_(n-i) B^(k-i) and M_k = sum_(i<k) q_(n-i) B^(k-1-i),
+    (a) puts every entry of both at most bound^k sum_i C(n, i) <=
+    2^n bound^n for k <= n and bound >= 1. With s = bitlen(bound^n) + n + 2
+    that is below 2^(s-2), so each signed entry fits its slot with a bit
+    to spare. For bound = 0, B = 0 and every entry is 0 or 1.
+
+    Two bounds satisfy (a) and (b):
+
+    - r, the largest absolute row sum of B. It bounds the infinity norm,
+      so every entry of B^j is at most r^j; by Hadamard a minor is at most
+      the product of its rows' Euclidean norms, each at most its absolute
+      row sum, so at most r^i. L*T, L the lcm of the degrees, has
+      nonnegative rows summing to L, so r = L there.
+    - L, when B B^T = L^2 I has been checked. Then B = L Q with Q
+      orthogonal, every power Q^j is orthogonal, so its entries are at
+      most 1 and those of B^j at most L^j; every row of B has Euclidean
+      norm L, and the rows of a principal submatrix are parts of rows of
+      B, so by Hadamard a minor is at most L^i. This is the arc
+      operator A = L*U, whose largest absolute row sum can be near 3L.
     """
-    if m.rows != m.cols:
-        raise NonSquareError("characteristic polynomial of a %dx%d matrix" % (m.rows, m.cols))
-    n = m.rows
-    L = math.lcm(*(x.denominator for row in m.entries for x in row if x))
-    b = [
-        [(j, x.numerator * (L // x.denominator)) for j, x in enumerate(row) if x]
-        for row in m.entries
-    ]
-    r = max(sum(abs(v) for _, v in row) for row in b)
-    s = n * r.bit_length() + n + 2
+    n = len(rows)
+    s = (bound**n).bit_length() + n + 2
     half = 1 << (s - 1)
     mask = (1 << s) - 1
     bias = half * (((1 << (s * n)) - 1) // mask)  # 2^(s-1) in every slot
     shifts = [s * i for i in range(n)]  # slot i of a row starts at bit s*i
 
-    c = [0] * (n + 1)
-    c[n] = 1
+    q = [0] * (n + 1)
+    q[n] = 1
     work = [1 << sh for sh in shifts]  # M_1 = I
     for k in range(1, n + 1):
         prod = []  # A_k = B M_k
-        for row in b:
+        for row in rows:
             acc = 0
             for j, v in row:
                 acc += v * work[j]
@@ -223,8 +275,32 @@ def charpoly_exact(m: RationalMatrix) -> CharPoly:
         for p, sh in zip(prod, shifts):
             tr += ((p + bias) >> sh) & mask
         assert tr % k == 0
-        c[n - k] = -(tr // k)
-        work = [p + (c[n - k] << sh) for p, sh in zip(prod, shifts)]
+        q[n - k] = -(tr // k)
+        work = [p + (q[n - k] << sh) for p, sh in zip(prod, shifts)]
+    return q
 
-    coeffs = [Fraction(c[j], L ** (n - j)) for j in range(n + 1)]
-    return CharPoly(tuple(coeffs))
+
+def charpoly_from_scaled(q: list[int], scale: int) -> CharPoly:
+    """det(x I - M) from the coefficients q of det(y I - scale*M).
+
+    The coefficient of x**j is q_j * scale**(j - n).
+    """
+    n = len(q) - 1
+    return CharPoly(tuple(Fraction(c, scale ** (n - j)) for j, c in enumerate(q)))
+
+
+def charpoly_exact(m: RationalMatrix) -> CharPoly:
+    """Characteristic polynomial of a rational matrix, exactly.
+
+    Clears the denominators once, B = L*M with L their lcm, and runs
+    charpoly_rows on the sparse rows of B with its largest absolute row
+    sum as the bound.
+    """
+    if m.rows != m.cols:
+        raise NonSquareError("characteristic polynomial of a %dx%d matrix" % (m.rows, m.cols))
+    L = math.lcm(*(x.denominator for row in m.entries for x in row if x))
+    b = [
+        [(j, x.numerator * (L // x.denominator)) for j, x in enumerate(row) if x]
+        for row in m.entries
+    ]
+    return charpoly_from_scaled(charpoly_rows(b, row_sum_bound(b)), L)

@@ -43,17 +43,42 @@ from .graphs import (
     Graph,
     UnicycleDecomposition,
     classify,
-    edge_weight,
     enumerate_matchings,
     write_graph_file,
 )
-from .linalg import CharPoly, _divide_exact, is_integer
+from .linalg import (
+    CharPoly,
+    _divide_exact,
+    is_integer,
+    is_scaled_orthogonal,
+    sparse_rows,
+)
 from .walk import arc_charpoly, grover_arc_rows, konno_sato_lift, transition_charpoly
 
 
 def graph_hash(g: Graph) -> str:
     """Stable short digest of the canonical graph file text."""
     return hashlib.sha256(write_graph_file(g).encode()).hexdigest()[:16]
+
+
+def _scaled_weight_sum(
+    g: Graph, matchings: Iterable[tuple[Edge, ...]], t: int
+) -> Fraction:
+    """Sum of prod 1/(deg u deg v) over the given t-matchings.
+
+    With L the lcm of the degrees, each edge weight is
+    (L/deg u)(L/deg v) / L^2, so the products are summed as integers and
+    divided by L^(2t) once.
+    """
+    deg = g.degree
+    scale = math.lcm(*(d for d in deg if d))
+    total = 0
+    for matching in matchings:
+        prod = 1
+        for u, v in matching:
+            prod *= (scale // deg[u]) * (scale // deg[v])
+        total += prod
+    return Fraction(total, scale ** (2 * t))
 
 
 def matching_sum(
@@ -66,13 +91,8 @@ def matching_sum(
 
     The empty matching contributes 1, so t=0 always returns 1.
     """
-    total = Fraction(0)
-    for matching in enumerate_matchings(g, t, allowed_edges, forbidden_vertices):
-        prod = Fraction(1)
-        for e in matching:
-            prod *= edge_weight(g, e)
-        total += prod
-    return total
+    matchings = enumerate_matchings(g, t, allowed_edges, forbidden_vertices)
+    return _scaled_weight_sum(g, matchings, t)
 
 
 def integrality_filter(cp: CharPoly) -> tuple[int, ...]:
@@ -167,17 +187,6 @@ def _cyclotomic_orders(
     return orders, poly
 
 
-def _is_orthogonal(scale: int, rows: list[list[int]]) -> bool:
-    """A A^T = L^2 I: the rows of A = L*U are orthogonal, each of length L."""
-    sparse = [[(j, v) for j, v in enumerate(row) if v] for row in rows]
-    square = scale * scale
-    return all(
-        sum(v * other[j] for j, v in nonzeros) == (square if i == k else 0)
-        for i, nonzeros in enumerate(sparse)
-        for k, other in enumerate(rows)
-    )
-
-
 def certify_period(g: Graph, p: int) -> bool:
     """True iff p is the least k >= 1 with U^k = I, decided exactly.
 
@@ -203,13 +212,15 @@ def certify_period(g: Graph, p: int) -> bool:
     if p < 1:
         raise InvalidParameterError("period must be >= 1, got %d" % p)
     scale, rows = grover_arc_rows(g)
-    if not _is_orthogonal(scale, rows):
+    if not is_scaled_orthogonal(scale, sparse_rows(rows)):
         return False
-    coeffs = arc_charpoly(g).coeffs
-    if not all(is_integer(c) for c in coeffs):
+    # the charpoly is monic, so its integer view leads with the lcm of the
+    # denominators, which is 1 exactly when every coefficient is an integer
+    coeffs = arc_charpoly(g).integer_coeffs
+    if coeffs[-1] != 1:
         return False
     divisors = (d for d in range(1, min(p, 2 * len(rows) ** 2) + 1) if p % d == 0)
-    orders, rest = _cyclotomic_orders([int(c) for c in coeffs], divisors)
+    orders, rest = _cyclotomic_orders(list(coeffs), divisors)
     return len(rest) == 1 and math.lcm(*orders) == p
 
 
@@ -256,8 +267,11 @@ def _find_period(g: Graph) -> PeriodReport:
     failing = integrality_filter(cp)
     if failing:
         return PeriodReport("refuted_by_integrality", None, failing, None, digest)
+    # the integer view is D cp with D its leading entry; the filter passed,
+    # so D divides 2^(n-k) times every entry k and P(y) is an integer poly
     n = cp.degree
-    scaled = [int(cp[k] * 2 ** (n - k)) for k in range(n + 1)]
+    ints = cp.integer_coeffs
+    scaled = [(c << (n - k)) // ints[n] for k, c in enumerate(ints)]
     lift = konno_sato_lift(scaled, g.m - n)
     # a factor of degree at most N = deg lift has phi(d) <= N, and
     # phi(d) >= sqrt(d/2) for every d, so d <= 2N^2 covers them all
@@ -464,13 +478,9 @@ def matching_split_check(g: Graph, t: int) -> bool:
     cp = transition_charpoly(g)
     outer_total = matching_sum(g, t, frame.outer_edges)
     core = set(frame.core_edges)
-    touching = Fraction(0)
-    for matching in enumerate_matchings(g, t):
-        if any(e in core for e in matching):
-            prod = Fraction(1)
-            for e in matching:
-                prod *= edge_weight(g, e)
-            touching += prod
+    touching = _scaled_weight_sum(
+        g, (mt for mt in enumerate_matchings(g, t) if any(e in core for e in mt)), t
+    )
     lhs_rho = Fraction((-1) ** t) * cp[g.n - 2 * t]
     return outer_total == lhs_rho - touching
 
@@ -563,11 +573,8 @@ def chebyshev_eigen_check(k: int, r: int, tol: float = 1e-10) -> ChebyshevReport
         (a - b) // 2 for a, b in zip(u[m], u[m - 2] + (0, 0))
     )
     # T_m is primitive (its coefficients sum to T_m(1) = 1), so it divides
-    # cp exactly when it divides cp scaled to integer coefficients
-    coeffs = transition_charpoly(g).coeffs
-    scale = math.lcm(*(c.denominator for c in coeffs))
-    cp = [c.numerator * (scale // c.denominator) for c in coeffs]
-    if _divide_exact(cp, t_m) is None:
+    # cp exactly when it divides the integer view of cp
+    if _divide_exact(transition_charpoly(g).integer_coeffs, t_m) is None:
         raise ResidualExceededError(
             "T_%d does not divide the transition charpoly of twotail:%d,%d"
             % (m, k, m)

@@ -17,7 +17,15 @@ from fractions import Fraction
 
 from .exceptions import InvalidParameterError
 from .graphs import Arc, Graph
-from .linalg import CharPoly, RationalMatrix, charpoly_exact
+from .linalg import (
+    CharPoly,
+    RationalMatrix,
+    charpoly_from_scaled,
+    charpoly_rows,
+    is_scaled_orthogonal,
+    row_sum_bound,
+    sparse_rows,
+)
 
 
 @dataclass(frozen=True)
@@ -65,6 +73,13 @@ def grover_arc_rows(g: Graph) -> tuple[int, list[list[int]]]:
     return scale, rows
 
 
+def _over_scale(scale: int, rows: list[list[int]]) -> RationalMatrix:
+    """The integer rows divided by scale, as a RationalMatrix."""
+    # one Fraction per distinct entry; Fractions are immutable
+    values = {x: Fraction(x, scale) for x in {x for row in rows for x in row}}
+    return RationalMatrix([[values[x] for x in row] for row in rows])
+
+
 def build_grover_operator(g: Graph) -> GroverOperator:
     """Exact arc-space operator U = A/L, the rows of grover_arc_rows over L.
 
@@ -72,42 +87,56 @@ def build_grover_operator(g: Graph) -> GroverOperator:
     reversal of f, and 2/deg(t(f)) - 1 on the reversal. The result is
     orthogonal with row sums 1.
     """
-    scale, rows = grover_arc_rows(g)
-    # one Fraction per distinct entry; Fractions are immutable
-    values = {x: Fraction(x, scale) for x in {x for row in rows for x in row}}
-    matrix = RationalMatrix([[values[x] for x in row] for row in rows])
-    return GroverOperator(matrix=matrix, arcs=g.arcs())
+    return GroverOperator(matrix=_over_scale(*grover_arc_rows(g)), arcs=g.arcs())
+
+
+def transition_rows(g: Graph) -> tuple[int, list[list[int]]]:
+    """L, the lcm of the degrees, and the rows of the integer matrix L*T.
+
+    Entry (u, v) is L/deg(u) for each neighbour v of u and 0 otherwise, an
+    integer because deg(u) divides L. Every row sums to L.
+    """
+    _require_walkable(g)
+    scale = math.lcm(*g.degree)
+    rows = []
+    for u in range(g.n):
+        w = scale // g.degree[u]
+        rows.append([w if v in g.adj[u] else 0 for v in range(g.n)])
+    return scale, rows
 
 
 def build_transition_matrix(g: Graph) -> TransitionMatrix:
-    """Entry (u, v) is 1/deg(u) for each neighbour v."""
-    _require_walkable(g)
-    zero = Fraction(0)
-    rows = []
-    for u in range(g.n):
-        w = Fraction(1, g.degree[u])
-        rows.append([w if v in g.adj[u] else zero for v in range(g.n)])
-    return TransitionMatrix(matrix=RationalMatrix(rows))
+    """T, the rows of transition_rows over L: entry (u, v) is 1/deg(u)."""
+    return TransitionMatrix(matrix=_over_scale(*transition_rows(g)))
 
 
 @functools.lru_cache(maxsize=256)
 def transition_charpoly(g: Graph) -> CharPoly:
     """Exact characteristic polynomial of the transition matrix.
 
-    Cached, because every layer reads it; a CharPoly is immutable.
+    Runs the integer kernel on the rows of L*T, which sum to L, so L is
+    the kernel's bound. Cached, because every layer reads it; a CharPoly
+    is immutable.
     """
-    return charpoly_exact(build_transition_matrix(g).matrix)
+    scale, rows = transition_rows(g)
+    return charpoly_from_scaled(charpoly_rows(sparse_rows(rows), scale), scale)
 
 
 @functools.lru_cache(maxsize=16)
 def arc_charpoly(g: Graph) -> CharPoly:
     """Exact characteristic polynomial of the arc operator U.
 
-    Cached so that the period certificate and spectral_map_check share
-    one 2m x 2m charpoly per graph; the cache stays small because no
-    caller returns to a graph after its analysis.
+    Runs the integer kernel on the rows of A = L*U from grover_arc_rows.
+    Once A A^T = L^2 I is checked, L is the kernel's bound; the row-sum
+    bound stands in if the check ever fails. Cached so that the period
+    certificate and spectral_map_check share one 2m x 2m charpoly per
+    graph; the cache stays small because no caller returns to a graph
+    after its analysis.
     """
-    return charpoly_exact(build_grover_operator(g).matrix)
+    scale, rows = grover_arc_rows(g)
+    sparse = sparse_rows(rows)
+    bound = scale if is_scaled_orthogonal(scale, sparse) else row_sum_bound(sparse)
+    return charpoly_from_scaled(charpoly_rows(sparse, bound), scale)
 
 
 def _times_x2_minus_1(poly: list, times: int) -> list:
@@ -166,34 +195,40 @@ def spectral_map_check(g: Graph, tol: float = 1e-8) -> SpectralMapReport:
     with (x^2 - 1)^(n - m) moved to the left side for a tree. Each vertex
     eigenvalue lambda maps to the roots of x^2 - 2 lambda x + 1, that is
     exp(+-i arccos lambda), and the identity accounts for the rest of the
-    arc spectrum at +-1. The counts come from exact root multiplicities;
-    tol is accepted for compatibility and unused.
+    arc spectrum at +-1. Both sides are compared in integers, on the
+    integer views of the two charpolys, and the counts come from exact
+    root multiplicities on the same views; tol is accepted for
+    compatibility and unused.
     """
     cp_t = transition_charpoly(g)
     p_u = arc_charpoly(g)
     n, arc_count = cp_t.degree, p_u.degree
 
-    # (2x)^n cp_t((x^2 + 1) / (2x)) is the lift of P(y) = 2^n cp_t(y/2)
-    scaled = [c * 2 ** (n - k) for k, c in enumerate(cp_t.coeffs)]
-    rhs = konno_sato_lift(scaled, g.m - n)
-    lhs = _times_x2_minus_1(list(p_u.coeffs), max(n - g.m, 0))
-    diff = [a - b for a, b in zip(lhs, rhs, strict=True)]
+    # the integer views are D_T cp_t and D_U p_u, D the lcm of the
+    # denominators, which leads each view since both polynomials are monic.
+    # (2x)^n cp_t((x^2 + 1) / (2x)) is the lift of P(y) = 2^n cp_t(y/2), so
+    # the identity holds exactly when lhs * D_T equals rhs * D_U
+    t_ints, u_ints = cp_t.integer_coeffs, p_u.integer_coeffs
+    d_t, d_u = t_ints[-1], u_ints[-1]
+    rhs = konno_sato_lift([c << (n - k) for k, c in enumerate(t_ints)], g.m - n)
+    lhs = _times_x2_minus_1(list(u_ints), max(n - g.m, 0))
+    worst = max(abs(a * d_t - b * d_u) for a, b in zip(lhs, rhs, strict=True))
 
-    t_plus = cp_t.root_multiplicity(Fraction(1))
-    t_minus = cp_t.root_multiplicity(Fraction(-1))
+    t_plus = cp_t.root_multiplicity(1)
+    t_minus = cp_t.root_multiplicity(-1)
     predicted = 2 * n - t_plus - t_minus
-    plus_extra = p_u.root_multiplicity(Fraction(1)) - t_plus
-    minus_extra = p_u.root_multiplicity(Fraction(-1)) - t_minus
+    plus_extra = p_u.root_multiplicity(1) - t_plus
+    minus_extra = p_u.root_multiplicity(-1) - t_minus
     unexplained = arc_count - predicted
     matched = (
-        not any(diff)
+        not worst
         and plus_extra >= 0
         and minus_extra >= 0
         and unexplained == plus_extra + minus_extra
     )
     return SpectralMapReport(
         matched=matched,
-        max_residual=float(max(abs(d) for d in diff)),
+        max_residual=float(Fraction(worst, d_t * d_u)),
         predicted=predicted,
         unexplained=unexplained,
         plus_one_extra=plus_extra,

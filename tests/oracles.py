@@ -5,7 +5,8 @@ Bareiss elimination instead of Faddeev-LeVerrier, brute-force subset scans
 instead of recursive enumeration, permutation minima instead of pruned
 search, a floating-point Jacobi eigensolver instead of exact polynomial
 identities, the vertex-side Psi_d factorization instead of the arc-side
-Phi_d one. Agreement between the two is the point.
+Phi_d one, Fraction sums and Horner deflation instead of integer views.
+Agreement between the two is the point.
 """
 
 from __future__ import annotations
@@ -64,6 +65,32 @@ def brute_matchings(edges, t: int):
         if ok:
             out.append(combo)
     return out
+
+
+def fraction_matching_sum(
+    n: int, edges, t: int, allowed_edges=None, forbidden_vertices=()
+) -> Fraction:
+    """Sum over t-matchings of prod 1/(deg u deg v), in Fractions.
+
+    The matchings come from the subset scan over the edges that are
+    allowed (all when allowed_edges is None) and avoid forbidden_vertices.
+    """
+    deg = [0] * n
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    banned = set(forbidden_vertices or ())
+    pool = [e for e in edges if not (e[0] in banned or e[1] in banned)]
+    if allowed_edges is not None:
+        allowed = {tuple(sorted(e)) for e in allowed_edges}
+        pool = [e for e in pool if e in allowed]
+    total = Fraction(0)
+    for matching in brute_matchings(pool, t):
+        prod = Fraction(1)
+        for u, v in matching:
+            prod *= Fraction(1, deg[u]) * Fraction(1, deg[v])
+        total += prod
+    return total
 
 
 def iso_key(n: int, edges) -> tuple:
@@ -242,6 +269,64 @@ def poly_mul(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return out
+
+
+def _times_x2_minus_1(poly, times: int):
+    for _ in range(times):
+        poly = poly_mul(poly, [-1, 0, 1])
+    return poly
+
+
+def _fraction_multiplicity(coeffs, r: Fraction) -> int:
+    """How often x - r divides, by synthetic division in Fractions."""
+    poly = [Fraction(c) for c in coeffs]
+    mult = 0
+    while len(poly) > 1:
+        # Horner from the top: the running values are the quotient's
+        # coefficients and the last one is poly(r)
+        quot = [poly[-1]]
+        for c in reversed(poly[1:-1]):
+            quot.append(quot[-1] * r + c)
+        if quot[-1] * r + poly[0] != 0:
+            break
+        poly = quot[::-1]
+        mult += 1
+    return mult
+
+
+def fraction_spectral_map(cp_t, p_u, m: int) -> tuple:
+    """The Konno-Sato comparison of two charpolys, in Fractions.
+
+    cp_t and p_u are the transition and arc charpolys, low to high, of a
+    graph with m edges. The right side (2x)^n cp_t((x^2 + 1) / (2x)) is
+    summed term by term as c_k (2x)^(n-k) (x^2 + 1)^k. Returns the fields
+    of walk.SpectralMapReport in order: matched, max_residual, predicted,
+    unexplained, plus_one_extra, minus_one_extra.
+    """
+    n = len(cp_t) - 1
+    rhs = [Fraction(0)] * (2 * n + 1)
+    square_plus_1 = [1]
+    for k, c in enumerate(cp_t):
+        for i, x in enumerate(square_plus_1):
+            rhs[n - k + i] += Fraction(c) * 2 ** (n - k) * x
+        square_plus_1 = poly_mul(square_plus_1, [1, 0, 1])
+    rhs = _times_x2_minus_1(rhs, max(m - n, 0))
+    lhs = _times_x2_minus_1([Fraction(c) for c in p_u], max(n - m, 0))
+    diff = [a - b for a, b in zip(lhs, rhs, strict=True)]
+    t_plus = _fraction_multiplicity(cp_t, Fraction(1))
+    t_minus = _fraction_multiplicity(cp_t, Fraction(-1))
+    predicted = 2 * n - t_plus - t_minus
+    plus_extra = _fraction_multiplicity(p_u, Fraction(1)) - t_plus
+    minus_extra = _fraction_multiplicity(p_u, Fraction(-1)) - t_minus
+    unexplained = len(p_u) - 1 - predicted
+    matched = (
+        not any(diff)
+        and plus_extra >= 0
+        and minus_extra >= 0
+        and unexplained == plus_extra + minus_extra
+    )
+    residual = float(max(abs(d) for d in diff))
+    return matched, residual, predicted, unexplained, plus_extra, minus_extra
 
 
 def _mobius(k: int) -> int:

@@ -16,9 +16,12 @@ from groverwalk.linalg import (
     CharPoly,
     RationalMatrix,
     charpoly_exact,
+    charpoly_rows,
     _divide_exact,
     is_integer,
+    is_scaled_orthogonal,
     mat_mul,
+    row_sum_bound,
 )
 from groverwalk.walk import build_transition_matrix
 
@@ -177,6 +180,117 @@ def test_charpoly_edge_cases():
         ]
         assert_charpoly_matches_bareiss(mixed)
         assert_charpoly_matches_bareiss([[-x for x in row] for row in mixed])
+
+
+def dense(rows, n):
+    out = [[0] * n for _ in range(n)]
+    for i, row in enumerate(rows):
+        for j, v in row:
+            out[i][j] = v
+    return out
+
+
+def assert_kernel_matches_bareiss(rows, bound):
+    # det(yI - B) has degree n, so n + 1 distinct points pin it
+    n = len(rows)
+    q = charpoly_rows(rows, bound)
+    assert len(q) == n + 1 and q[n] == 1
+    for t in range(n + 1):
+        x = Fraction(2 * t - n, 3)
+        value = sum(c * x**j for j, c in enumerate(q))
+        assert value == char_value(dense(rows, n), x)
+
+
+@st.composite
+def sparse_integer_rows(draw, max_n: int = 8):
+    n = draw(st.integers(1, max_n))
+    magnitude = draw(st.sampled_from([3, 1000, 2**70]))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-magnitude, magnitude))
+    rows = []
+    for _ in range(n):
+        values = [draw(entry) for _ in range(n)]
+        rows.append([(j, v) for j, v in enumerate(values) if v])
+    return rows
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(rows=sparse_integer_rows())
+def test_kernel_property_against_bareiss(rows):
+    assert_kernel_matches_bareiss(rows, row_sum_bound(rows))
+
+
+@st.composite
+def scaled_reflections(draw, max_n: int = 6):
+    # B = (v.v) I - 2 v v^T is v.v times a reflection, so B B^T = (v.v)^2 I,
+    # while its largest absolute row sum can be near 3 v.v
+    n = draw(st.integers(1, max_n))
+    v = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    if not any(v):
+        v[0] = 1
+    scale = sum(x * x for x in v)
+    b = [[scale * (i == j) - 2 * v[i] * v[j] for j in range(n)] for i in range(n)]
+    return scale, [[(j, x) for j, x in enumerate(row) if x] for row in b]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(reflection=scaled_reflections())
+def test_kernel_orthogonal_bound_against_bareiss(reflection):
+    scale, rows = reflection
+    assert is_scaled_orthogonal(scale, rows)
+    assert_kernel_matches_bareiss(rows, scale)
+
+
+def test_kernel_slot_width_at_the_bound():
+    # s = bitlen(bound^n) + n + 2 holds signed slot values in
+    # [-2^(s-1), 2^(s-1)), two bits above the largest entry, 2^n bound^n,
+    # that the slot-width proof allows. A lone entry of B at either end of
+    # that range is read back exactly; one bit less would garble it
+    for n in range(1, 6):
+        for bound in (0, 1, 2, 3, 7, 8, 32, 10**6):
+            s = (bound**n).bit_length() + n + 2
+            assert 2**n * bound**n < 2 ** (s - 2)
+            for value in (-(2 ** (s - 1)), 2 ** (s - 1) - 1):
+                rows = [[(0, value)]] + [[] for _ in range(n - 1)]
+                assert charpoly_rows(rows, bound) == [0] * (n - 1) + [-value, 1]
+
+
+@st.composite
+def nearly_orthogonal_rows(draw):
+    scale, rows = draw(scaled_reflections())
+    edit = draw(st.sampled_from(["none", "bump", "swap"]))
+    if edit != "none":
+        # a bump changes one row's length; a swap of two entries of a row
+        # keeps it and can break only the orthogonality between rows
+        n = len(rows)
+        b = dense(rows, n)
+        i, j, k = (draw(st.integers(0, n - 1)) for _ in range(3))
+        if edit == "bump":
+            b[i][j] += draw(st.sampled_from([-1, 1]))
+        else:
+            b[i][j], b[i][k] = b[i][k], b[i][j]
+        rows = [[(j, x) for j, x in enumerate(row) if x] for row in b]
+    return scale, rows
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(case=nearly_orthogonal_rows())
+def test_scaled_orthogonality_matches_dense_product(case):
+    scale, rows = case
+    b = dense(rows, len(rows))
+    want = all(
+        sum(x * y for x, y in zip(b[i], b[k])) == (scale * scale if i == k else 0)
+        for i in range(len(b))
+        for k in range(len(b))
+    )
+    assert is_scaled_orthogonal(scale, rows) == want
+
+
+def test_integer_view():
+    cp = CharPoly((Fraction(-1, 4), Fraction(-3, 4), Fraction(0), Fraction(1)))
+    assert cp.integer_coeffs == (-1, -3, 0, 4)
+    assert cp.integer_coeffs is cp.integer_coeffs
+    assert CharPoly((Fraction(-1), Fraction(3))).integer_coeffs == (-1, 3)
+    assert CharPoly((Fraction(1, 6), Fraction(-1, 4))).integer_coeffs == (2, -3)
 
 
 def test_charpoly_eval_and_multiplicity():

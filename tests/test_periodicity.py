@@ -17,6 +17,7 @@ from groverwalk.families import (
     complete_bipartite,
     cycle_graph,
     enumerate_connected,
+    enumerate_odd_unicyclic,
     path_graph,
     two_tail_graph,
 )
@@ -50,6 +51,7 @@ from groverwalk.walk import (
 
 from oracles import (
     brute_period,
+    fraction_matching_sum,
     poly_mul,
     prime_divisors,
     psi_period,
@@ -353,14 +355,14 @@ def test_find_period_at_arc_cap(k, r, want):
 
 
 def test_analyze_builds_arc_charpoly_once(monkeypatch, capsys):
-    charpoly = walk.charpoly_exact
+    kernel = walk.charpoly_rows
     sizes = []
 
-    def counting(m):
-        sizes.append(m.rows)
-        return charpoly(m)
+    def counting(rows, bound):
+        sizes.append(len(rows))
+        return kernel(rows, bound)
 
-    monkeypatch.setattr(walk, "charpoly_exact", counting)
+    monkeypatch.setattr(walk, "charpoly_rows", counting)
     walk.arc_charpoly.cache_clear()
     periodicity._find_period.cache_clear()
     g = two_tail_graph(5, 2)
@@ -438,6 +440,50 @@ def test_matching_sum_values():
     assert matching_sum(c5, 1) == Fraction(5, 4)
     assert matching_sum(c5, 2) == Fraction(5, 16)
     assert matching_sum(c5, 3) == 0
+
+
+def assert_matching_sums_match_oracle(g, allowed=None, forbidden=()):
+    for t in range(g.n // 2 + 2):
+        want = fraction_matching_sum(g.n, g.edges, t, allowed, forbidden)
+        got = matching_sum(g, t, allowed, forbidden)
+        assert got == want, (g, t, allowed, forbidden)
+
+
+def test_matching_sums_match_fraction_oracle(connected_by_n):
+    # every odd-unicyclic graph with n <= 8, with the edge and vertex sets
+    # the identity checks pass, and every connected graph with n <= 6
+    unicyclic = enumerate_odd_unicyclic(8)
+    assert len(unicyclic) == 92
+    for g in unicyclic:
+        d = classify(g).decomposition
+        cycle = set(d.cycle)
+        off_cycle = [e for e in g.edges if not cycle & set(e)]
+        assert_matching_sums_match_oracle(g)
+        assert_matching_sums_match_oracle(g, off_cycle, d.cycle)
+        assert_matching_sums_match_oracle(g, g.edges[::2])
+        assert_matching_sums_match_oracle(g, None, (g.n - 1,))
+        if degree_condition_filter(d, g).kind == "one_degree_four":
+            assert_matching_sums_match_oracle(g, branch_frame(g).outer_edges)
+    for n in range(1, 7):
+        for g in connected_by_n[n]:
+            assert_matching_sums_match_oracle(g)
+            assert_matching_sums_match_oracle(g, None, (0,))
+
+
+def test_matching_sum_makes_one_fraction(monkeypatch):
+    made = []
+
+    class Counting(Fraction):
+        def __new__(cls, *args):
+            made.append(args)
+            return Fraction(*args)
+
+    monkeypatch.setattr(periodicity, "Fraction", Counting)
+    g = two_tail_graph(3, 2)
+    for t in range(4):
+        before = len(made)
+        assert matching_sum(g, t) == fraction_matching_sum(g.n, g.edges, t)
+        assert len(made) == before + 1
 
 
 def test_cycle_matching_identity(paw):

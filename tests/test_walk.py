@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -20,11 +21,13 @@ from groverwalk.walk import (
     build_transition_matrix,
     grover_arc_rows,
     spectral_map_check,
+    transition_rows,
 )
 
 from oracles import (
     char_value,
     eigenvalue_multiplicity,
+    fraction_spectral_map,
     oracle_grover_matrix,
     transition_eigenvalues,
 )
@@ -239,3 +242,85 @@ def test_konno_sato_identity_property(g):
     lhs = char_value(u, x) * (x * x - 1) ** (g.n - g.m)
     rhs = (2 * x) ** g.n * char_value(t, (x * x + 1) / (2 * x))
     assert lhs == rhs
+
+
+def test_transition_rows_are_scaled_matrix(connected_by_n):
+    for n in range(2, 7):
+        for g in connected_by_n[n]:
+            scale, rows = transition_rows(g)
+            assert scale == math.lcm(*g.degree)
+            assert all(sum(row) == scale for row in rows)
+            t = build_transition_matrix(g).matrix
+            assert rows == [[x * scale for x in row] for row in t.entries], g
+            for u in range(g.n):
+                for v in range(g.n):
+                    want = Fraction(1, g.degree[u]) if v in g.adj[u] else 0
+                    assert t[u, v] == want
+
+
+def test_charpolys_from_rows_equal_charpoly_exact(connected_by_n):
+    # the cached charpolys run the kernel on integer rows; charpoly_exact
+    # clears the denominators of the Fraction matrices and bounds the
+    # slots by the row sums, also for the arc operator
+    graphs = 0
+    for n in range(2, 7):
+        for g in connected_by_n[n]:
+            graphs += 1
+            t = build_transition_matrix(g).matrix
+            u = build_grover_operator(g).matrix
+            assert walk.transition_charpoly(g) == charpoly_exact(t), g
+            assert walk.arc_charpoly(g) == charpoly_exact(u), g
+    assert graphs == 142
+
+
+def test_charpolys_build_no_rational_matrix(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("RationalMatrix built")
+
+    monkeypatch.setattr(walk, "RationalMatrix", refuse)
+    walk.transition_charpoly.cache_clear()
+    walk.arc_charpoly.cache_clear()
+    graphs = (
+        path_graph(2),
+        cycle_graph(5),
+        complete_bipartite(2, 3),
+        two_tail_graph(3, 2),
+    )
+    for g in graphs:
+        walk.transition_charpoly(g)
+        walk.arc_charpoly(g)
+    with pytest.raises(AssertionError):
+        build_transition_matrix(path_graph(3))
+
+
+def test_spectral_map_matches_fraction_oracle(connected_by_n):
+    for n in range(2, 7):
+        for g in connected_by_n[n]:
+            want = fraction_spectral_map(
+                walk.transition_charpoly(g).coeffs, walk.arc_charpoly(g).coeffs, g.m
+            )
+            assert dataclasses.astuple(spectral_map_check(g)) == want, g
+
+
+def test_spectral_map_residual_on_wrong_charpolys(monkeypatch, connected_by_n):
+    # every report field, the nonzero residual included, equals the
+    # Fraction computation when the vertex charpoly belongs to another graph
+    # on the same vertices
+    cases = 0
+    for n in range(2, 6):
+        graphs = connected_by_n[n]
+        for g in graphs:
+            for h in graphs[:4]:
+                wrong = walk.transition_charpoly(h)
+                monkeypatch.setattr(walk, "transition_charpoly", lambda _: wrong)
+                report = spectral_map_check(g)
+                monkeypatch.undo()
+                want = fraction_spectral_map(
+                    wrong.coeffs, walk.arc_charpoly(g).coeffs, g.m
+                )
+                assert dataclasses.astuple(report) == want, (g, h)
+                # K_13 and C_4 share a transition spectrum
+                own = walk.transition_charpoly(g)
+                assert (report.max_residual > 0) == (own != wrong)
+                cases += 1
+    assert cases > 100
