@@ -1,12 +1,14 @@
-"""Census of small odd-unicyclic graphs.
+"""Per-graph analysis, and the census of small odd-unicyclic graphs.
 
-Walks the isomorph-free enumeration in canonical order and records, per
-graph, the classification, the exact transition characteristic polynomial,
-the integrality and cycle-degree filters, and the period verdict. The
-summary side collects the odd-periodic survivors, which at desk scale
-should be exactly the odd cycles. Every record gets an exact verdict: the
-period certificate works on the arc characteristic polynomial and has no
-size budget to run out of.
+`analyze_graph` is the one pipeline behind `analyze` and `census`. It
+records, per graph, the classification, the exact transition
+characteristic polynomial, the cycle-degree filter where it applies, and
+the period verdict with its integrality filter. The census maps it over
+the isomorph-free enumeration in canonical order; the summary side
+collects the odd-periodic survivors, which at desk scale should be
+exactly the odd cycles. Every record gets an exact verdict: the period
+certificate works on the arc characteristic polynomial and has no size
+budget to run out of.
 """
 
 from __future__ import annotations
@@ -27,18 +29,21 @@ from .walk import transition_charpoly
 
 @dataclass(frozen=True)
 class CensusRecord:
-    """One odd-unicyclic isomorphism class and everything we know about it."""
+    """One graph and everything we know about it.
+
+    degree_condition is None unless the graph is odd-unicyclic.
+    """
 
     graph: Graph
     classification: Classification
     charpoly: CharPoly
-    integrality_failures: tuple[int, ...]
-    degree_condition: DegreeConditionVerdict
+    degree_condition: DegreeConditionVerdict | None
     period_report: PeriodReport
 
     @property
     def is_cycle(self) -> bool:
-        return self.graph.n == self.classification.decomposition.girth
+        d = self.classification.decomposition
+        return d is not None and self.graph.n == d.girth
 
     @property
     def odd_periodic(self) -> bool:
@@ -62,21 +67,23 @@ class CensusResult:
         return ()
 
 
+def analyze_graph(g: Graph) -> CensusRecord:
+    """Classify g, filter its cycle degrees and decide its period exactly."""
+    cls = classify(g)
+    condition = None
+    if cls.kind == "odd_unicycle":
+        condition = degree_condition_filter(cls.decomposition, g)
+    report = find_period(g)
+    return CensusRecord(
+        graph=g,
+        classification=cls,
+        charpoly=transition_charpoly(g),
+        degree_condition=condition,
+        period_report=report,
+    )
+
+
 def run_census(max_n: int, cap: int = ENUMERATION_CAP) -> CensusResult:
     """Analyze every odd-unicyclic class with at most max_n vertices."""
-    records = []
-    for g in enumerate_odd_unicyclic(max_n, cap=cap):
-        cls = classify(g)
-        condition = degree_condition_filter(cls.decomposition, g)
-        report = find_period(g)
-        records.append(
-            CensusRecord(
-                graph=g,
-                classification=cls,
-                charpoly=transition_charpoly(g),
-                integrality_failures=report.failing_indices,
-                degree_condition=condition,
-                period_report=report,
-            )
-        )
-    return CensusResult(max_n=max_n, records=tuple(records))
+    records = tuple(map(analyze_graph, enumerate_odd_unicyclic(max_n, cap=cap)))
+    return CensusResult(max_n=max_n, records=records)

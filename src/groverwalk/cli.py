@@ -18,12 +18,14 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
 from fractions import Fraction
 
-from .census import CensusRecord, run_census
+from .census import CensusRecord, analyze_graph, run_census
 from .exceptions import CapExceededError, GroverWalkError
 from .families import (
     ENUMERATION_CAP,
+    FamilySpec,
     complete_bipartite,
     cycle_graph,
     enumerate_connected,
@@ -39,16 +41,16 @@ from .periodicity import (
     branch_integrality_instances,
     chebyshev_eigen_check,
     cycle_matching_identity_check,
-    degree_condition_filter,
     find_period,
     matching_split_check,
     tail_recurrence_check,
 )
-from .walk import spectral_map_check, transition_charpoly
+from .walk import spectral_map_check
 
-# Largest arc count 2m that analyze and gen accept. The arc operator is
-# 2m x 2m, and at this size one analyze takes seconds; a family is checked
-# from its closed form before it is built, a graph file right after parsing.
+# Largest arc count 2m that analyze, gen and the chebyshev grid accept. The
+# arc operator is 2m x 2m, and at this size one analyze takes seconds; a
+# family or grid is checked from its closed form before it is built, a
+# graph file right after parsing.
 ARC_CAP = 128
 
 
@@ -107,27 +109,6 @@ def _charpoly_block(cp) -> dict:
     return {"matrix": "transition", "ascending": [cp[i] for i in range(cp.degree + 1)]}
 
 
-def _period_block(rep) -> dict:
-    return {
-        "verdict": rep.verdict,
-        "period": rep.period,
-        "failing_indices": list(rep.failing_indices),
-        "candidate_source": rep.candidate_source,
-        "graph_hash": rep.graph_hash,
-    }
-
-
-def _spectral_block(rep) -> dict:
-    return {
-        "matched": rep.matched,
-        "max_residual": rep.max_residual,
-        "predicted": rep.predicted,
-        "unexplained": rep.unexplained,
-        "plus_one_extra": rep.plus_one_extra,
-        "minus_one_extra": rep.minus_one_extra,
-    }
-
-
 def _degree_condition_block(cond) -> dict:
     block: dict = {"kind": cond.kind}
     if cond.vertex is not None:
@@ -136,17 +117,17 @@ def _degree_condition_block(cond) -> dict:
 
 
 def _record_block(record: CensusRecord) -> dict:
-    return {
+    failing = record.period_report.failing_indices
+    block = {
         "graph": _graph_block(record.graph),
         "classification": _classification_block(record.classification),
         "charpoly": _charpoly_block(record.charpoly),
-        "integrality": {
-            "failing_indices": list(record.integrality_failures),
-            "passed": not record.integrality_failures,
-        },
-        "degree_condition": _degree_condition_block(record.degree_condition),
-        "period": _period_block(record.period_report),
+        "integrality": {"failing_indices": failing, "passed": not failing},
+        "period": asdict(record.period_report),
     }
+    if record.degree_condition is not None:
+        block["degree_condition"] = _degree_condition_block(record.degree_condition)
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +137,7 @@ def _record_block(record: CensusRecord) -> dict:
 def _check_arcs(arcs: int, what: str) -> None:
     if arcs > ARC_CAP:
         raise CapExceededError(
-            "%s has %d arcs; analyze and gen accept at most %d" % (what, arcs, ARC_CAP)
+            "%s has %d arcs; at most %d are accepted" % (what, arcs, ARC_CAP)
         )
 
 
@@ -182,22 +163,8 @@ def _load_graph(args) -> Graph:
 def cmd_analyze(args) -> int:
     g = _load_graph(args)
     started = time.perf_counter()
-    cls = classify(g)
-    period = find_period(g)
-    report = {
-        "graph": _graph_block(g),
-        "classification": _classification_block(cls),
-        "charpoly": _charpoly_block(transition_charpoly(g)),
-        "integrality": {
-            "failing_indices": list(period.failing_indices),
-            "passed": not period.failing_indices,
-        },
-        "period": _period_block(period),
-    }
-    if cls.kind == "odd_unicycle":
-        cond = degree_condition_filter(cls.decomposition, g)
-        report["degree_condition"] = _degree_condition_block(cond)
-    report["spectral_map"] = _spectral_block(spectral_map_check(g))
+    report = _record_block(analyze_graph(g))
+    report["spectral_map"] = asdict(spectral_map_check(g))
     if not args.no_timing:
         report["timing"] = {"seconds": time.perf_counter() - started}
     _emit(report, args)
@@ -235,8 +202,6 @@ def cmd_census(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if not args.family:
-        raise GroverWalkError("gen requires --family")
     g = _family_graph(args.family)
     _write_text(write_graph_file(g), args.out)
     return 0
@@ -266,105 +231,95 @@ def _suite_table1(args) -> list:
     return cases
 
 
-def _suite_spectral_map(args) -> list:
+def _tally(instances, summary: str, detail=str) -> list:
+    """The failing (label, ok, detail) instances, then one summary case.
+
+    summary is formatted with the number of instances, and detail() is
+    called once they are all checked. Passing instances are only counted.
+    """
     cases = []
-    worst = 0.0
     count = 0
-    for n in range(2, 7):
-        for g in enumerate_connected(n):
-            rep = spectral_map_check(g)
-            count += 1
-            worst = max(worst, rep.max_residual)
-            if not rep.matched:
-                cases.append(
-                    (
-                        "spectral map n=%d edges=%s" % (n, g.edges),
-                        False,
-                        "max residual %.3e, unexplained %d"
-                        % (rep.max_residual, rep.unexplained),
-                    )
-                )
-    cases.append(
-        (
-            "spectral map matched on %d connected graphs (n <= 6)" % count,
-            True,
-            "worst residual %.3e" % worst,
-        )
-    )
+    for case in instances:
+        count += 1
+        if not case[1]:
+            cases.append(case)
+    cases.append((summary % count, not cases, detail()))
     return cases
 
 
-def _twotail_grid() -> list:
-    return [(k, r) for k in (3, 5) for r in range(1, 6)]
+def _suite_spectral_map(args) -> list:
+    worst = 0.0
+
+    def instances():
+        nonlocal worst
+        for n in range(2, 7):
+            for g in enumerate_connected(n):
+                rep = spectral_map_check(g)
+                worst = max(worst, rep.max_residual)
+                yield (
+                    "spectral map n=%d edges=%s" % (n, g.edges),
+                    rep.matched,
+                    "max residual %.3e, unexplained %d"
+                    % (rep.max_residual, rep.unexplained),
+                )
+
+    return _tally(
+        instances(),
+        "spectral map matched on %d connected graphs (n <= 6)",
+        lambda: "worst residual %.3e" % worst,
+    )
 
 
-def _suite_identities(args) -> list:
-    cases = []
-
-    count = 0
-    bad = 0
+def _cycle_matching_instances():
     for g in enumerate_odd_unicyclic(8):
         d = classify(g).decomposition
         for t in range((g.n - d.girth) // 2 + 1):
-            count += 1
-            if not cycle_matching_identity_check(g, d, t):
-                bad += 1
-                cases.append(
-                    ("cycle-matching edges=%s t=%d" % (g.edges, t), False, "mismatch")
-                )
-    cases.append(
-        ("cycle-matching identity, %d instances (n <= 8)" % count, bad == 0, "")
+            yield (
+                "cycle-matching edges=%s t=%d" % (g.edges, t),
+                cycle_matching_identity_check(g, d, t),
+                "mismatch",
+            )
+
+
+def _suite_identities(args) -> list:
+    grid = [(k, r, two_tail_graph(k, r)) for k in (3, 5) for r in range(1, 6)]
+    tail = (
+        (
+            "tail recurrence k=%d r=%d i=%d depth=%d" % (k, r, i, rr),
+            tail_recurrence_check(g, i, rr),
+            "mismatch",
+        )
+        for k, r, g in grid
+        for i in range(g.n // 2 + 1)
+        for rr in range(1, r)
     )
-
-    count = 0
-    bad = 0
-    for k, r in _twotail_grid():
-        g = two_tail_graph(k, r)
-        for i in range(g.n // 2 + 1):
-            for rr in range(1, r):
-                count += 1
-                if not tail_recurrence_check(g, i, rr):
-                    bad += 1
-                    cases.append(
-                        (
-                            "tail recurrence k=%d r=%d i=%d depth=%d" % (k, r, i, rr),
-                            False,
-                            "mismatch",
-                        )
-                    )
-    cases.append(("tail recurrence, %d instances" % count, bad == 0, ""))
-
-    count = 0
-    bad = 0
-    for k, r in _twotail_grid():
-        g = two_tail_graph(k, r)
-        for t in range(g.n // 2 + 1):
-            count += 1
-            if not matching_split_check(g, t):
-                bad += 1
-                cases.append(
-                    ("matching split k=%d r=%d t=%d" % (k, r, t), False, "mismatch")
-                )
-    cases.append(("matching split, %d instances" % count, bad == 0, ""))
-
-    count = 0
-    bad = 0
-    for k, r in _twotail_grid():
-        g = two_tail_graph(k, r)
-        for inst in branch_integrality_instances(g):
-            count += 1
-            if not inst.holds:
-                bad += 1
-                cases.append(
-                    (
-                        "integrality k=%d r=%d i=%d" % (k, r, inst.i),
-                        False,
-                        "scaled values %s, %s"
-                        % (inst.scaled_outer, inst.scaled_paired),
-                    )
-                )
-    cases.append(("branch integrality, %d instances" % count, bad == 0, ""))
-    return cases
+    split = (
+        (
+            "matching split k=%d r=%d t=%d" % (k, r, t),
+            matching_split_check(g, t),
+            "mismatch",
+        )
+        for k, r, g in grid
+        for t in range(g.n // 2 + 1)
+    )
+    integrality = (
+        (
+            "integrality k=%d r=%d i=%d" % (k, r, inst.i),
+            inst.holds,
+            "scaled values %s, %s" % (inst.scaled_outer, inst.scaled_paired),
+        )
+        for k, r, g in grid
+        for inst in branch_integrality_instances(g)
+    )
+    return (
+        _tally(
+            _cycle_matching_instances(),
+            "cycle-matching identity, %d instances (n <= 8)",
+        )
+        + _tally(tail, "tail recurrence, %d instances")
+        + _tally(split, "matching split, %d instances")
+        + _tally(integrality, "branch integrality, %d instances")
+    )
 
 
 def _suite_chebyshev(args) -> list:
@@ -429,10 +384,14 @@ _SUITES = {
 
 def cmd_verify(args) -> int:
     try:
-        args.k_list = _parse_span(args.k)
-        args.r_list = _parse_span(args.r)
+        args.k_list, k_top = _parse_span(args.k)
+        args.r_list, r_top = _parse_span(args.r)
     except ValueError as err:
         raise GroverWalkError("bad --k/--r span: %s" % err) from err
+    # the largest chebyshev case is twotail:k_top,r_top-1; an r below 2 is
+    # left for chebyshev_eigen_check to reject
+    arcs = family_arcs(FamilySpec("twotail", (k_top, max(r_top - 1, 1))))
+    _check_arcs(arcs, "chebyshev case k=%d r=%d" % (k_top, r_top))
     cases = _SUITES[args.suite](args)
     lines = []
     failures = 0
@@ -448,60 +407,59 @@ def cmd_verify(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def _parse_span(text: str) -> list[int]:
-    """Accept "3,5,7" or "2..6" style integer lists."""
+def _parse_span(text: str) -> tuple[range | list[int], int]:
+    """Parse "3,5,7" or "2..6" into its values and the largest of them.
+
+    A ".." span stays a range, so a huge one is never listed; an empty or
+    reversed span is rejected.
+    """
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(part) for part in text.split(",") if part]
+        span = range(int(lo), int(hi) + 1)
+    else:
+        span = [int(part) for part in text.split(",") if part]
+    if not span:
+        raise ValueError("%r holds no values" % text)
+    return span, span[-1] if isinstance(span, range) else max(span)
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing.
+# Argument parsing. Each command takes only the flags it reads.
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--family", help="family spec, e.g. cycle:5 or twotail:3,2")
-    common.add_argument("--out", help="write output to this file instead of stdout")
-    common.add_argument(
-        "--json", action="store_true", help="compact single-line JSON"
-    )
-    common.add_argument("--max-n", type=int, default=ENUMERATION_CAP)
-    common.add_argument(
-        "--no-timing", action="store_true", help="omit timing for stable output"
-    )
-
     parser = argparse.ArgumentParser(
         prog="groverwalk",
         description="Exact Grover-walk periodicity toolkit for small graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    analyze = sub.add_parser("analyze", help="full report for one graph")
+    analyze.add_argument("graph", nargs="?", help="graph file path")
+    census = sub.add_parser("census", help="survey odd-unicyclic graphs up to --max-n")
+    verify = sub.add_parser("verify", help="run a named verification suite")
+    verify.add_argument("--suite", required=True, choices=sorted(_SUITES))
+    verify.add_argument("--k", default="3,5,7", help="cycle lengths, e.g. 3,5,7")
+    verify.add_argument("--r", default="2..6", help="tail parameter span, e.g. 2..6")
+    gen = sub.add_parser("gen", help="write a family graph file")
 
-    p_analyze = sub.add_parser(
-        "analyze", parents=[common], help="full report for one graph"
-    )
-    p_analyze.add_argument("graph", nargs="?", help="graph file path")
-    p_analyze.set_defaults(func=cmd_analyze)
-
-    p_census = sub.add_parser(
-        "census", parents=[common], help="survey odd-unicyclic graphs up to --max-n"
-    )
-    p_census.set_defaults(func=cmd_census)
-
-    p_verify = sub.add_parser(
-        "verify", parents=[common], help="run a named verification suite"
-    )
-    p_verify.add_argument("--suite", required=True, choices=sorted(_SUITES))
-    p_verify.add_argument("--k", default="3,5,7", help="cycle lengths, e.g. 3,5,7")
-    p_verify.add_argument("--r", default="2..6", help="tail parameter span, e.g. 2..6")
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_gen = sub.add_parser(
-        "gen", parents=[common], help="write a family graph file"
-    )
-    p_gen.set_defaults(func=cmd_gen)
-
+    family_help = "family spec, e.g. cycle:5 or twotail:3,2"
+    analyze.add_argument("--family", help=family_help)
+    gen.add_argument("--family", required=True, help=family_help)
+    for p in (census, verify):
+        p.add_argument("--max-n", type=int, default=ENUMERATION_CAP)
+    for p in (analyze, census):
+        p.add_argument("--json", action="store_true", help="compact single-line JSON")
+        p.add_argument(
+            "--no-timing", action="store_true", help="omit timing for stable output"
+        )
+    for p, func in [
+        (analyze, cmd_analyze),
+        (census, cmd_census),
+        (verify, cmd_verify),
+        (gen, cmd_gen),
+    ]:
+        p.add_argument("--out", help="write output to this file instead of stdout")
+        p.set_defaults(func=func)
     return parser
 
 

@@ -252,16 +252,7 @@ def find_period(g: Graph) -> PeriodReport:
     image; for a tree the lift has one spare Phi_1 Phi_2, which the
     bipartite spectrum holds already, so the lcm is the same. The period
     is certified by certify_period before it is reported.
-
-    Cached like transition_charpoly: a PeriodReport is immutable.
     """
-    return _find_period(g)
-
-
-# find_period stays a plain function so that a wrapper installed around it
-# (bench/traced_cli.py) still sees and times every call
-@functools.lru_cache(maxsize=256)
-def _find_period(g: Graph) -> PeriodReport:
     digest = graph_hash(g)
     cp = transition_charpoly(g)
     failing = integrality_filter(cp)
@@ -402,27 +393,20 @@ def lockstep_chain_length(frame: BranchFrame, g: Graph) -> int:
     return t
 
 
-def _branch_edges(frame: BranchFrame, which: str) -> list[Edge]:
-    chain = frame.branch_a if which == "a" else frame.branch_b
-    verts = (frame.hub,) + chain
-    return [
-        tuple(sorted((verts[i], verts[i + 1]))) for i in range(len(chain))
-    ]
-
-
-def _outer_sum_excluding(
-    g: Graph, frame: BranchFrame, i: int, which: str, upto: int
-) -> Fraction:
-    """i-matching sum over outer edges minus branch edges 2..upto."""
-    drop = set(_branch_edges(frame, which)[1:upto])
-    allowed = [e for e in frame.outer_edges if e not in drop]
-    return matching_sum(g, i, allowed)
-
-
 def _paired_sum(g: Graph, frame: BranchFrame, i: int, upto: int) -> Fraction:
-    return _outer_sum_excluding(g, frame, i, "a", upto) + _outer_sum_excluding(
-        g, frame, i, "b", upto
-    )
+    """S(i, upto) of tail_recurrence_check, summed branch by branch.
+
+    Each branch adds the i-matching sum over the outer edges less its own
+    edges 2..upto.
+    """
+    total = Fraction(0)
+    for chain in (frame.branch_a, frame.branch_b):
+        verts = (frame.hub,) + chain
+        drop = {
+            tuple(sorted(verts[j : j + 2])) for j in range(1, min(upto, len(chain)))
+        }
+        total += matching_sum(g, i, [e for e in frame.outer_edges if e not in drop])
+    return total
 
 
 def tail_recurrence_check(g: Graph, i: int, r: int) -> bool:

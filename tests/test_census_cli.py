@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from groverwalk import cli
-from groverwalk.census import run_census
+from groverwalk import cli, periodicity
+from groverwalk.census import analyze_graph, run_census
+from groverwalk.graphs import classify, write_graph_file
 from groverwalk.periodicity import graph_hash
 
 
@@ -44,7 +45,7 @@ def test_census_smallest():
     assert not paw.is_cycle
     assert not paw.odd_periodic
     assert paw.period_report.verdict == "refuted_by_integrality"
-    assert paw.integrality_failures == (2, 3, 4)
+    assert paw.period_report.failing_indices == (2, 3, 4)
 
 
 def test_census_to_five():
@@ -63,9 +64,39 @@ def test_census_record_consistency():
         rep = record.period_report
         assert rep.graph_hash == graph_hash(record.graph)
         if rep.verdict == "refuted_by_integrality":
-            assert rep.failing_indices == record.integrality_failures
+            assert rep.failing_indices
         else:
-            assert record.integrality_failures == ()
+            assert rep.failing_indices == ()
+
+
+def test_analyze_graph_degree_condition_only_for_odd_unicycles(connected_by_n):
+    graphs = [g for n in range(2, 7) for g in connected_by_n[n]]
+    assert len(graphs) == 142
+    kinds = set()
+    for g in graphs:
+        record = analyze_graph(g)
+        odd_unicyclic = classify(g).kind == "odd_unicycle"
+        kinds.add(record.classification.kind)
+        assert (record.degree_condition is None) == (not odd_unicyclic)
+        if not odd_unicyclic:
+            assert not record.is_cycle
+    assert kinds == {"tree", "bipartite", "odd_unicycle", "other"}
+
+
+def test_analyze_report_is_census_record_block(tmp_path, capsys):
+    assert cli.main(["census", "--max-n", "6", "--json", "--no-timing"]) == 0
+    blocks = json.loads(capsys.readouterr().out)["records"]
+    records = run_census(6).records
+    assert len(blocks) == len(records) == 14
+    for i, (block, record) in enumerate(zip(blocks, records)):
+        g = record.graph
+        assert block["graph"]["edges"] == [list(e) for e in g.edges]
+        path = tmp_path / ("g%d.graph" % i)
+        path.write_text(write_graph_file(g))
+        assert cli.main(["analyze", str(path), "--json", "--no-timing"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report.pop("spectral_map")["matched"] is True
+        assert report == block
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +198,15 @@ def test_cli_out_file(tmp_path):
         ("census", "--max-n", "13"),
         ("gen",),
         ("census", "--max-n", "5", "--k-max", "10"),
+        ("verify", "--suite", "table1", "--family", "cycle:5", "--json"),
+        ("verify", "--suite", "table1", "--no-timing"),
+        ("census", "--family", "cycle:5"),
+        ("analyze", "--family", "cycle:5", "--max-n", "5"),
+        ("gen", "--family", "cycle:3", "--json"),
+        ("gen", "--family", "cycle:3", "--no-timing"),
+        ("verify", "--suite", "chebyshev", "--k", ""),
+        ("verify", "--suite", "chebyshev", "--r", "6..2"),
+        ("verify", "--suite", "chebyshev", "--r", "2.."),
     ],
     ids=[
         "bad-kind",
@@ -176,6 +216,15 @@ def test_cli_out_file(tmp_path):
         "over-cap",
         "gen-no-family",
         "removed-k-max",
+        "verify-unread-family-json",
+        "verify-unread-no-timing",
+        "census-unread-family",
+        "analyze-unread-max-n",
+        "gen-unread-json",
+        "gen-unread-no-timing",
+        "empty-span",
+        "reversed-span",
+        "open-span",
     ],
 )
 def test_cli_exit_two(argv):
@@ -194,6 +243,31 @@ def test_cli_family_over_arc_cap(command, family, monkeypatch, capsys):
     monkeypatch.setattr(cli, "make_family", refuse)
     assert cli.main([command, "--family", family]) == 2
     assert "at most %d" % cli.ARC_CAP in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "span",
+    [("--r", "2..100"), ("--k", "3,201"), ("--k", "131,3,5")],
+    ids=["long-tails", "long-cycle", "unsorted-list"],
+)
+def test_cli_chebyshev_span_over_arc_cap(span, monkeypatch, capsys):
+    # the largest case is checked from its closed form, so no graph is built
+    def refuse(k, r):
+        raise AssertionError("built twotail:%d,%d" % (k, r))
+
+    monkeypatch.setattr(periodicity, "two_tail_graph", refuse)
+    monkeypatch.setattr(cli, "two_tail_graph", refuse)
+    assert cli.main(["verify", "--suite", "chebyshev", *span]) == 2
+    assert "at most %d" % cli.ARC_CAP in capsys.readouterr().err
+
+
+def test_cli_chebyshev_span_at_arc_cap(capsys):
+    # twotail:9,27 has 126 arcs, the most a two-tail can have within
+    # ARC_CAP = 128, and twotail:9,28 has 130
+    assert cli.main(["verify", "--suite", "chebyshev", "--k", "9", "--r", "28"]) == 0
+    assert capsys.readouterr().out.endswith("suite chebyshev: pass\n")
+    assert cli.main(["verify", "--suite", "chebyshev", "--k", "9", "--r", "29"]) == 2
+    assert "k=9 r=29 has 130 arcs" in capsys.readouterr().err
 
 
 def test_cli_arc_cap_boundary(capsys):
@@ -236,6 +310,23 @@ def test_cli_verify_failure_exit_code(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL forced case: wrong period" in out
     assert "suite table1: fail (1 cases)" in out
+
+
+def test_cli_verify_tally_keeps_only_failures(monkeypatch, capsys):
+    # a failing instance of a tallied identity is listed and fails its summary
+    check = cli.matching_split_check
+    monkeypatch.setattr(
+        cli, "matching_split_check", lambda g, t: t != 1 and check(g, t)
+    )
+    assert cli.main(["verify", "--suite", "identities"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    fails = [line for line in lines if line.startswith("FAIL matching split k=")]
+    assert len(fails) == 10
+    assert all(line.endswith(" t=1: mismatch") for line in fails)
+    assert "FAIL matching split, 55 instances: " in lines
+    assert "ok   tail recurrence, 130 instances" in lines
+    assert lines[-1] == "suite identities: fail (11 cases)"
+    assert sum(line.startswith("FAIL") for line in lines) == 11
 
 
 def test_cli_verify_chebyshev_span():

@@ -154,12 +154,8 @@ def test_cyclotomic_orders(monkeypatch):
         return poly_mul(lift(a, excess), [-3, 1])
 
     monkeypatch.setattr(periodicity, "konno_sato_lift", times_x_minus_3)
-    periodicity._find_period.cache_clear()
-    try:
-        with pytest.raises(RuntimeError, match="not a product of Phi_d"):
-            find_period(cycle_graph(5))
-    finally:
-        periodicity._find_period.cache_clear()
+    with pytest.raises(RuntimeError, match="not a product of Phi_d"):
+        find_period(cycle_graph(5))
 
 
 @pytest.mark.parametrize(
@@ -177,11 +173,7 @@ def test_find_period_factors_the_arc_charpoly(monkeypatch, g):
         return lifts[-1]
 
     monkeypatch.setattr(periodicity, "konno_sato_lift", recording)
-    periodicity._find_period.cache_clear()
-    try:
-        find_period(g)
-    finally:
-        periodicity._find_period.cache_clear()
+    find_period(g)
     arc = [int(c) for c in walk.arc_charpoly(g).coeffs]
     assert lifts == [poly_mul(arc, [-1, 0, 1]) if g.m < g.n else arc]
 
@@ -191,11 +183,7 @@ def test_find_period_searches_orders_above_the_degree(monkeypatch):
     phi_90 = list(_cyclotomic(90))
     monkeypatch.setattr(periodicity, "konno_sato_lift", lambda a, excess: phi_90)
     monkeypatch.setattr(periodicity, "certify_period", lambda g, p: True)
-    periodicity._find_period.cache_clear()
-    try:
-        assert find_period(cycle_graph(5)).period == 90
-    finally:
-        periodicity._find_period.cache_clear()
+    assert find_period(cycle_graph(5)).period == 90
 
 
 def test_find_period_matches_psi_route():
@@ -364,7 +352,6 @@ def test_analyze_builds_arc_charpoly_once(monkeypatch, capsys):
 
     monkeypatch.setattr(walk, "charpoly_rows", counting)
     walk.arc_charpoly.cache_clear()
-    periodicity._find_period.cache_clear()
     g = two_tail_graph(5, 2)
     assert cli.main(["analyze", "--family", "twotail:5,2", "--json", "--no-timing"]) == 0
     assert json.loads(capsys.readouterr().out)["period"]["period"] == 360
@@ -409,23 +396,6 @@ def test_odd_period_query():
     assert not odd_period_query(two_tail_graph(3, 2))
 
 
-def test_find_period_is_cached(monkeypatch):
-    certify = periodicity.certify_period
-    calls = []
-
-    def counting(g, p):
-        calls.append(p)
-        return certify(g, p)
-
-    monkeypatch.setattr(periodicity, "certify_period", counting)
-    g = cycle_graph(7).relabel([3, 6, 0, 5, 2, 4, 1])
-    first = find_period(g)
-    assert first.period == 7 and calls == [7]
-    assert find_period(g) is first
-    assert odd_period_query(g)
-    assert calls == [7]
-
-
 def test_graph_hash():
     a = graph_hash(cycle_graph(3))
     assert a == graph_hash(cycle_graph(3))
@@ -468,6 +438,30 @@ def test_matching_sums_match_fraction_oracle(connected_by_n):
         for g in connected_by_n[n]:
             assert_matching_sums_match_oracle(g)
             assert_matching_sums_match_oracle(g, None, (0,))
+
+
+def test_paired_sum_matches_fraction_oracle():
+    # S(i, upto) on every degree-4 split with n <= 8 and the two-tail grid,
+    # past the end of the shorter branch included
+    graphs = [two_tail_graph(k, r) for k in (3, 5) for r in range(1, 6)]
+    for g in enumerate_odd_unicyclic(8):
+        d = classify(g).decomposition
+        if degree_condition_filter(d, g).kind == "one_degree_four":
+            graphs.append(g)
+    assert len(graphs) > 20
+    for g in graphs:
+        frame = branch_frame(g)
+        chains = (frame.branch_a, frame.branch_b)
+        for upto in range(1, max(map(len, chains)) + 2):
+            for i in range(g.n // 2 + 1):
+                want = Fraction(0)
+                for chain in chains:
+                    verts = (frame.hub,) + chain
+                    edges = [tuple(sorted(verts[j : j + 2])) for j in range(len(chain))]
+                    drop = set(edges[1:upto])
+                    allowed = [e for e in frame.outer_edges if e not in drop]
+                    want += fraction_matching_sum(g.n, g.edges, i, allowed)
+                assert periodicity._paired_sum(g, frame, i, upto) == want
 
 
 def test_matching_sum_makes_one_fraction(monkeypatch):
