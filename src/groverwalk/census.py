@@ -4,7 +4,8 @@
 records, per graph, the classification, the exact transition
 characteristic polynomial, the cycle-degree filter where it applies, and
 the period verdict with its integrality filter. The census maps it over
-the isomorph-free enumeration in canonical order; the summary side
+the isomorph-free enumeration, ordered by vertex count, girth and the
+cyclic sequence of hanging rooted trees; the summary side
 collects the odd-periodic survivors, which at desk scale should be
 exactly the odd cycles. Every record gets an exact verdict: the period
 certificate works on the arc characteristic polynomial and has no size

@@ -341,6 +341,12 @@ def _suite_chebyshev(args) -> list:
 
 
 def _suite_main_theorem(args) -> list:
+    if args.max_n < 3:
+        # below the smallest odd cycle the census is empty and every case
+        # would hold vacuously
+        raise GroverWalkError(
+            "main-theorem needs --max-n >= 3, got %d" % args.max_n
+        )
     cases = []
     result = run_census(args.max_n, cap=max(ENUMERATION_CAP, args.max_n))
     odd = result.odd_periodic()
@@ -400,7 +406,7 @@ def cmd_verify(args) -> int:
             lines.append("ok   %s%s" % (label, (": " + detail) if detail else ""))
         else:
             failures += 1
-            lines.append("FAIL %s: %s" % (label, detail))
+            lines.append("FAIL %s%s" % (label, (": " + detail) if detail else ""))
     verdict = "pass" if failures == 0 else "fail (%d cases)" % failures
     lines.append("suite %s: %s" % (args.suite, verdict))
     _write_text("\n".join(lines) + "\n", args.out)

@@ -245,40 +245,98 @@ def enumerate_connected(n: int, cap: int = ENUMERATION_CAP) -> tuple[Graph, ...]
 _ODD_UNICYCLIC_CACHE: dict[int, tuple[Graph, ...]] = {}
 
 
+def _rooted_trees(max_size: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Every rooted tree with at most max_size vertices, once each, numbered.
+
+    A rooted tree is the multiset of the subtrees on its root's children
+    (the AHU code of Aho, Hopcroft and Ullman), so tree t is stored as the
+    numbers of those subtrees in non-increasing order, children[t]. Trees
+    are numbered by size, then by that tuple; tree 0 is the lone vertex.
+    first[s] is the number of the first tree with s vertices, and
+    first[max_size + 1] is the count of all of them.
+    """
+    children: list[tuple[int, ...]] = [()]
+    first = [0, 0, 1]
+
+    def forests(total: int, top: int):
+        # non-increasing tuples of tree numbers <= top whose sizes sum to total
+        if total == 0:
+            yield ()
+            return
+        for s in range(min(total, len(first) - 2), 0, -1):
+            for t in range(min(top, first[s + 1] - 1), first[s] - 1, -1):
+                for rest in forests(total - s, t):
+                    yield (t,) + rest
+
+    for size in range(2, max_size + 1):
+        children.extend(sorted(forests(size - 1, len(children) - 1)))
+        first.append(len(children))
+    return children, first
+
+
+def _cyclic_codes(k: int, n: int, first: list[int], size: list[int]):
+    """Sequences of k tree numbers with sizes summing to n, in ascending
+    order, each the least of its k rotations and k reflections.
+    """
+    seq = [0] * k
+
+    def fill(i: int, budget: int):
+        left = k - i  # positions still open, this one included
+        if left == 1:
+            lo, hi = first[budget], first[budget + 1]
+        else:
+            lo, hi = 0, first[budget - left + 2]
+        for t in range(max(lo, seq[0] if i else 0), hi):
+            seq[i] = t
+            if left == 1:
+                code = tuple(seq)
+                mirror = code[::-1]
+                if all(
+                    code <= turn[j:] + turn[:j]
+                    for turn in (code, mirror)
+                    for j in range(k)
+                ):
+                    yield code
+            else:
+                yield from fill(i + 1, budget - size[t])
+
+    yield from fill(0, n)
+
+
 def enumerate_odd_unicyclic(n_max: int, cap: int = ENUMERATION_CAP) -> tuple[Graph, ...]:
     """All connected graphs with |E| = |V| <= n_max whose cycle is odd.
 
-    Grown constructively: every odd cycle up to n_max, then pendant
-    vertices attached in all positions, deduplicated canonically. Ordered
-    by vertex count, then girth, then canonical form.
+    Built structurally, one graph per class: an odd-unicyclic graph is an
+    odd cycle with a rooted tree hanging from each cycle vertex, and two
+    such graphs are isomorphic exactly when their cyclic sequences of
+    rooted trees agree up to rotation and reflection. So each class is
+    the cyclic sequence of tree numbers (see _rooted_trees) that is the
+    least of its 2k images. Cycle vertices are 0..k-1 in order, so the
+    bare cycle is cycle_graph(k); each tree's vertices follow in preorder,
+    trees in cycle order. Ordered by vertex count, girth, then the
+    sequence of tree numbers.
     """
     _check_cap(n_max, cap, "odd unicyclic enumeration")
     if n_max in _ODD_UNICYCLIC_CACHE:
         return _ODD_UNICYCLIC_CACHE[n_max]
-    from .graphs import unicycle_decomposition
+    children, first = _rooted_trees(max(n_max - 2, 1))
+    size = [s for s in range(1, len(first) - 1) for _ in range(first[s], first[s + 1])]
 
-    by_size: dict[int, dict[tuple[int, ...], Graph]] = {
-        s: {} for s in range(3, n_max + 1)
-    }
-    for k in range(3, n_max + 1, 2):
-        g = cycle_graph(k)
-        by_size[k][canonical_form(g)] = g
-    for s in range(3, n_max):
-        for g in list(by_size[s].values()):
-            base = list(g.edges)
-            for v in range(s):
-                bigger = build_graph(s + 1, base + [(v, s)])
-                key = canonical_form(bigger)
-                if key not in by_size[s + 1]:
-                    by_size[s + 1][key] = bigger
+    def hang(t: int, root: int, edges: list, free: int) -> int:
+        for c in children[t]:
+            edges.append((root, free))
+            free = hang(c, free, edges, free + 1)
+        return free
+
     ordered: list[Graph] = []
-    for s in range(3, n_max + 1):
-        items = [
-            (unicycle_decomposition(g).girth, key, g)
-            for key, g in by_size[s].items()
-        ]
-        items.sort(key=lambda it: (it[0], it[1]))
-        ordered.extend(g for _, _, g in items)
+    for n in range(3, n_max + 1):
+        for k in range(3, n + 1, 2):
+            for code in _cyclic_codes(k, n, first, size):
+                edges = [(i, i + 1) for i in range(k - 1)] + [(0, k - 1)]
+                free = k
+                for i, t in enumerate(code):
+                    free = hang(t, i, edges, free)
+                ordered.append(build_graph(n, edges))
     reps = tuple(ordered)
     _ODD_UNICYCLIC_CACHE[n_max] = reps
     return reps

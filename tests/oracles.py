@@ -5,8 +5,9 @@ Bareiss elimination instead of Faddeev-LeVerrier, brute-force subset scans
 instead of recursive enumeration, permutation minima instead of pruned
 search, a floating-point Jacobi eigensolver instead of exact polynomial
 identities, the vertex-side Psi_d factorization instead of the arc-side
-Phi_d one, Fraction sums and Horner deflation instead of integer views.
-Agreement between the two is the point.
+Phi_d one, Fraction sums and Horner deflation instead of integer views,
+pendant extensions deduplicated by canonical form instead of odd cycles
+with rooted trees. Agreement between the two is the point.
 """
 
 from __future__ import annotations
@@ -109,6 +110,29 @@ def iso_key(n: int, edges) -> tuple:
         if best is None or bits < best:
             best = bits
     return best
+
+
+@functools.cache
+def pendant_extension_classes(n_max: int) -> dict:
+    """Odd-unicyclic classes with at most n_max vertices, by canonical form.
+
+    Grown the way the package once enumerated them: every odd cycle, then
+    a pendant vertex joined to every vertex of every class so far, keeping
+    the first graph of each canonical form. Returns {form: graph}.
+    """
+    from groverwalk.families import canonical_form, cycle_graph
+    from groverwalk.graphs import build_graph
+
+    by_size = {s: {} for s in range(3, n_max + 1)}
+    for k in range(3, n_max + 1, 2):
+        g = cycle_graph(k)
+        by_size[k][canonical_form(g)] = g
+    for s in range(3, n_max):
+        for g in list(by_size[s].values()):
+            for v in range(s):
+                bigger = build_graph(s + 1, list(g.edges) + [(v, s)])
+                by_size[s + 1].setdefault(canonical_form(bigger), bigger)
+    return {key: g for level in by_size.values() for key, g in level.items()}
 
 
 def is_connected(n: int, edges) -> bool:

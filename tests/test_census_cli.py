@@ -323,10 +323,29 @@ def test_cli_verify_tally_keeps_only_failures(monkeypatch, capsys):
     fails = [line for line in lines if line.startswith("FAIL matching split k=")]
     assert len(fails) == 10
     assert all(line.endswith(" t=1: mismatch") for line in fails)
-    assert "FAIL matching split, 55 instances: " in lines
+    assert "FAIL matching split, 55 instances" in lines
     assert "ok   tail recurrence, 130 instances" in lines
     assert lines[-1] == "suite identities: fail (11 cases)"
     assert sum(line.startswith("FAIL") for line in lines) == 11
+
+
+@pytest.mark.parametrize("max_n", ["2", "0", "-4"])
+def test_cli_main_theorem_below_smallest_cycle(max_n, monkeypatch, capsys):
+    # no odd cycle fits, so the suite would pass on an empty census
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran the census")
+
+    monkeypatch.setattr(cli, "run_census", refuse)
+    assert cli.main(["verify", "--suite", "main-theorem", "--max-n", max_n]) == 2
+    err = capsys.readouterr().err
+    assert "--max-n >= 3" in err and max_n in err
+
+
+def test_cli_main_theorem_at_smallest_cycle(capsys):
+    assert cli.main(["verify", "--suite", "main-theorem", "--max-n", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "ok   odd-periodic record n=3" in lines[0]
+    assert lines[-1] == "suite main-theorem: pass"
 
 
 def test_cli_verify_chebyshev_span():

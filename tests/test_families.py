@@ -1,6 +1,10 @@
+import functools
 import warnings
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groverwalk.exceptions import CapExceededError, InvalidParameterError
 from groverwalk.families import (
@@ -16,9 +20,13 @@ from groverwalk.families import (
     path_graph,
     two_tail_graph,
 )
-from groverwalk.graphs import classify
+from groverwalk.census import analyze_graph, run_census
+from groverwalk.graphs import build_graph, classify
 
-from oracles import brute_connected_classes, iso_key
+from oracles import brute_connected_classes, iso_key, pendant_extension_classes
+
+# odd-unicyclic classes on exactly n vertices, n = 3..12
+ODD_UNICYCLIC_PER_N = [1, 1, 4, 8, 23, 55, 155, 403, 1116, 3029]
 
 
 def test_cycle_graph():
@@ -170,3 +178,94 @@ def test_enumeration_caps():
         # the warning comes from the cap check, before any enumeration
         enumerate_odd_unicyclic(3, cap=10)
         assert any(issubclass(w.category, RuntimeWarning) for w in caught)
+
+
+def test_enumerate_odd_unicyclic_matches_pendant_extensions():
+    reps = enumerate_odd_unicyclic(9)
+    got = [canonical_form(g) for g in reps]
+    assert len(set(got)) == len(got)
+    assert set(got) == set(pendant_extension_classes(9))
+    for n in range(3, 9):
+        prefix = enumerate_odd_unicyclic(n)
+        assert prefix == tuple(g for g in reps if g.n <= n)
+
+
+def _at_hard_cap():
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return enumerate_odd_unicyclic(12, cap=12)
+
+
+def test_enumerate_odd_unicyclic_counts_to_hard_cap():
+    reps = _at_hard_cap()
+    per_n = Counter(g.n for g in reps)
+    assert [per_n[n] for n in range(3, 13)] == ODD_UNICYCLIC_PER_N
+    assert len(reps) == 4795
+
+
+def test_enumerate_odd_unicyclic_order_and_shape():
+    reps = _at_hard_cap()
+    keys = []
+    for g in reps:
+        cls = classify(g)
+        assert g.n == g.m and cls.kind == "odd_unicycle"
+        keys.append((g.n, cls.decomposition.girth))
+        # the cycle is 0..k-1 in order and the tree vertices follow
+        assert cls.decomposition.cycle == tuple(range(cls.decomposition.girth))
+    assert keys == sorted(keys)
+    for k in range(3, 13, 2):
+        bare = [g for g in reps if g.n == k and max(g.degree) == 2]
+        assert bare == [cycle_graph(k)]
+
+
+def test_enumerate_odd_unicyclic_labels():
+    # trees in cycle order, each in preorder after the cycle 0..k-1; the
+    # codes are (0,0,2), (0,0,3), (0,1,1), (0,0,0,0,0), where tree 1 is
+    # an edge, tree 2 a cherry and tree 3 a path on three vertices
+    got = [list(g.edges) for g in enumerate_odd_unicyclic(5) if g.n == 5]
+    assert got == [
+        [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4)],
+        [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)],
+        [(0, 1), (0, 2), (1, 2), (1, 3), (2, 4)],
+        [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)],
+    ]
+
+
+@functools.cache
+def _forms_on(n: int) -> frozenset:
+    return frozenset(canonical_form(g) for g in _at_hard_cap() if g.n == n)
+
+
+@st.composite
+def _odd_unicyclic_graphs(draw):
+    """A random odd cycle with random pendant vertices, relabelled at random."""
+    k = draw(st.sampled_from([3, 5, 7, 9]))
+    n = draw(st.integers(k, 10))
+    edges = [(i, i + 1) for i in range(k - 1)] + [(0, k - 1)]
+    edges += [(draw(st.integers(0, v - 1)), v) for v in range(k, n)]
+    perm = draw(st.permutations(range(n)))
+    return build_graph(n, edges).relabel(perm)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=80)
+@given(_odd_unicyclic_graphs())
+def test_random_odd_unicyclic_graph_is_enumerated(g):
+    assert canonical_form(g) in _forms_on(g.n)
+
+
+def _census_multiset(records):
+    return Counter(
+        (
+            canonical_form(r.graph),
+            r.period_report.verdict,
+            r.period_report.period,
+            r.period_report.failing_indices,
+            r.charpoly.coeffs,
+        )
+        for r in records
+    )
+
+
+def test_census_matches_pendant_extension_census():
+    oracle = [analyze_graph(g) for g in pendant_extension_classes(9).values()]
+    assert _census_multiset(run_census(9).records) == _census_multiset(oracle)
