@@ -22,7 +22,7 @@ from dataclasses import asdict
 from fractions import Fraction
 
 from .census import CensusRecord, analyze_graph, run_census
-from .exceptions import CapExceededError, GroverWalkError
+from .exceptions import CapExceededError, GroverWalkError, ResidualExceededError
 from .families import (
     ENUMERATION_CAP,
     FamilySpec,
@@ -327,14 +327,16 @@ def _suite_chebyshev(args) -> list:
     worst = 0.0
     for k in args.k_list:
         for r in args.r_list:
-            rep = chebyshev_eigen_check(k, r)
+            label = "chebyshev k=%d r=%d" % (k, r)
+            try:
+                rep = chebyshev_eigen_check(k, r)
+            except ResidualExceededError as err:
+                # a failed identity is this case's verdict, not a usage error
+                cases.append((label, False, str(err)))
+                continue
             worst = max(worst, rep.max_residual)
             cases.append(
-                (
-                    "chebyshev k=%d r=%d" % (k, r),
-                    rep.max_residual <= 1e-10,
-                    "max residual %.3e" % rep.max_residual,
-                )
+                (label, rep.max_residual <= 1e-10, "max residual %.3e" % rep.max_residual)
             )
     cases.append(("chebyshev grid max residual %.3e" % worst, True, ""))
     return cases

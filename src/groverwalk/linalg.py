@@ -1,14 +1,16 @@
 """Exact rational matrices and characteristic polynomials.
 
-Entries are fractions.Fraction and nothing is ever rounded. Every
-characteristic polynomial comes from one Faddeev-LeVerrier kernel,
+Entries are fractions.Fraction and nothing is ever rounded. The matrix
+route to a characteristic polynomial is one Faddeev-LeVerrier kernel,
 charpoly_rows, which runs on an integer matrix B held as sparse rows of
 (column, value) pairs, with the working matrix packed one Python int per
-row. The walk operators are integer matrices over L, the lcm of the
-degrees, so walk hands their rows to the kernel directly; charpoly_exact
-clears the denominators of a RationalMatrix first. CharPoly keeps the
-coefficients as Fractions and gives an integer view of them for the exact
-divisions.
+row; it can stop after its first steps, which give the top coefficients.
+charpoly_exact clears the denominators of a RationalMatrix and runs the
+whole kernel. walk hands the kernel the integer rows of the arc
+operator, for half of its steps, and those of the transition matrix of a
+graph with m > n; a tree or a unicyclic graph takes a structural route
+there. CharPoly keeps the coefficients as Fractions and gives an integer
+view of them for the exact divisions.
 """
 
 from __future__ import annotations
@@ -212,11 +214,15 @@ def is_scaled_orthogonal(scale: int, rows: list[list[tuple[int, int]]]) -> bool:
     return True
 
 
-def charpoly_rows(rows: list[list[tuple[int, int]]], bound: int) -> list[int]:
+def charpoly_rows(
+    rows: list[list[tuple[int, int]]], bound: int, steps: int | None = None
+) -> list[int]:
     """det(y I - B) as integer coefficients, low to high: packed Faddeev-LeVerrier.
 
-    B is n x n, given by sparse rows of (column, value) pairs. bound >= 0
-    must satisfy two conditions:
+    B is n x n, given by sparse rows of (column, value) pairs. The run
+    stops after steps iterations, n when steps is None; step k gives
+    q_(n-k), so the result holds q_(n-steps), ..., q_n and 0 below them.
+    bound >= 0 must satisfy two conditions:
 
     (a) every entry of B^j is at most bound^j in absolute value, and
     (b) every principal i x i minor of B is at most bound^i.
@@ -236,9 +242,10 @@ def charpoly_rows(rows: list[list[tuple[int, int]]], bound: int) -> list[int]:
     i x i minors of B, so |q_(n-i)| <= C(n, i) bound^i by (b). As
     A_k = sum_(i<k) q_(n-i) B^(k-i) and M_k = sum_(i<k) q_(n-i) B^(k-1-i),
     (a) puts every entry of both at most bound^k sum_i C(n, i) <=
-    2^n bound^n for k <= n and bound >= 1. With s = bitlen(bound^n) + n + 2
-    that is below 2^(s-2), so each signed entry fits its slot with a bit
-    to spare. For bound = 0, B = 0 and every entry is 0 or 1.
+    2^n bound^steps for k <= steps and bound >= 1. With
+    s = bitlen(bound^steps) + n + 2 that is below 2^(s-2), so each signed
+    entry fits its slot with a bit to spare. For bound = 0, B = 0 and
+    every entry is 0 or 1.
 
     Two bounds satisfy (a) and (b):
 
@@ -255,7 +262,11 @@ def charpoly_rows(rows: list[list[tuple[int, int]]], bound: int) -> list[int]:
       operator A = L*U, whose largest absolute row sum can be near 3L.
     """
     n = len(rows)
-    s = (bound**n).bit_length() + n + 2
+    if steps is None:
+        steps = n
+    elif not 0 <= steps <= n:
+        raise InvalidParameterError("steps must lie in 0..%d, got %d" % (n, steps))
+    s = (bound**steps).bit_length() + n + 2
     half = 1 << (s - 1)
     mask = (1 << s) - 1
     bias = half * (((1 << (s * n)) - 1) // mask)  # 2^(s-1) in every slot
@@ -264,7 +275,7 @@ def charpoly_rows(rows: list[list[tuple[int, int]]], bound: int) -> list[int]:
     q = [0] * (n + 1)
     q[n] = 1
     work = [1 << sh for sh in shifts]  # M_1 = I
-    for k in range(1, n + 1):
+    for k in range(1, steps + 1):
         prod = []  # A_k = B M_k
         for row in rows:
             acc = 0

@@ -6,6 +6,13 @@ redistributed by the Grover coin: weight 2/d onto every outgoing arc, minus
 walk is the simple random walk matrix, and the spectrum of the arc operator
 is the image of the vertex spectrum under x -> exp(+-i arccos x), with any
 leftover eigenvalues sitting at +1 or -1.
+
+Each characteristic polynomial takes the shortest exact route the walk's
+structure allows. On a tree or a unicyclic graph the transition charpoly
+is det(xD - A) / prod(deg), built by peeling leaves and closing the one
+cycle; on a denser graph it comes from the linalg kernel. The arc
+operator is orthogonal, so its charpoly is palindromic up to the sign
+det U, and the kernel runs only the first half of its steps.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exceptions import InvalidParameterError
+from .exceptions import InvalidParameterError, ResidualExceededError
 from .graphs import Arc, Graph
 from .linalg import (
     CharPoly,
@@ -110,14 +117,102 @@ def build_transition_matrix(g: Graph) -> TransitionMatrix:
     return TransitionMatrix(matrix=_over_scale(*transition_rows(g)))
 
 
+def _continuant(a: list[int], b: list[int]) -> int:
+    """det M on a path of peeled vertices, each vertex i given by (a_i, b_i).
+
+    F_j = a_j F_(j-1) - b_j b_(j-1) F_(j-2) with F_(-1) = 1: either vertex
+    j stands alone, or it pairs with vertex j - 1 across their edge, and
+    removing j - 1 leaves its trees, whose determinant is b_(j-1).
+    """
+    f_prev, f = 1, a[0]
+    for j in range(1, len(a)):
+        f_prev, f = f, a[j] * f - b[j] * b[j - 1] * f_prev
+    return f
+
+
+def _structural_det(g: Graph) -> list[int]:
+    """det(xD - A) of a connected graph with m <= n, low to high.
+
+    Leaves are peeled one by one. Each vertex v keeps (P_v, Q_v): det M
+    on the subtree v has absorbed so far, and the same without v, from
+    (x deg v, 1). Merging a peeled leaf u into its neighbour v joins two
+    blocks across the edge uv, whose entries are -1, so
+    (P_v, Q_v) <- (P_v P_u - Q_v Q_u, Q_v P_u). A tree ends at one vertex,
+    whose P is det M. A unicyclic graph ends at its cycle c_0..c_(k-1),
+    with a_i = P and b_i = Q on c_i, and Schwenk's edge formula on the
+    edge c_(k-1) c_0 closes it:
+
+        det M = F(0..k-1) - b_0 b_(k-1) F(1..k-2) - 2 prod b_i,
+
+    the terms without that edge, with it as a transposition, and with it
+    in one of the two directed k-cycles, each of sign (-1)^(k-1) and
+    weight (-1)^k times the trees hanging off the cycle.
+
+    Every polynomial is held as its value at x = 2^s, one Python int, so
+    that a product of polynomials is one integer product; evaluation is a
+    ring map, so the value of det M comes out exact. Its coefficients are
+    read back as signed s-bit digits, which is unique while each is below
+    2^(s-1) in absolute value. Their absolute sum is at most the permanent
+    of D + A, which is at most prod(2 deg), the product of its row sums;
+    s = bitlen(prod deg) + n + 2 keeps that below 2^(s-2).
+    """
+    s = math.prod(g.degree).bit_length() + g.n + 2
+    p = [d << s for d in g.degree]
+    q = [1] * g.n
+    left = list(g.degree)  # degree among the vertices not yet peeled
+    leaves = [v for v in range(g.n) if left[v] == 1]
+    while leaves:
+        u = leaves.pop()
+        if left[u] != 1:
+            continue  # the last vertex of a tree, left with degree 0
+        left[u] = 0
+        v = next(w for w in g.adj[u] if left[w])
+        p[v], q[v] = p[v] * p[u] - q[v] * q[u], q[v] * p[u]
+        left[v] -= 1
+        if left[v] == 1:
+            leaves.append(v)
+    rest = [w for w in range(g.n) if left[w]]
+    if not rest:
+        det = p[v]  # a tree: the last vertex merged into is the root
+    else:
+        cycle = [rest[0]]
+        prev = -1
+        while True:
+            nxt = next(w for w in g.adj[cycle[-1]] if left[w] and w != prev)
+            if nxt == cycle[0]:
+                break
+            prev = cycle[-1]
+            cycle.append(nxt)
+        a = [p[c] for c in cycle]
+        b = [q[c] for c in cycle]
+        det = (
+            _continuant(a, b)
+            - b[0] * b[-1] * _continuant(a[1:-1], b[1:-1])
+            - 2 * math.prod(b)
+        )
+    half, mask = 1 << (s - 1), (1 << s) - 1
+    coeffs = []
+    for _ in range(g.n + 1):
+        c = ((det + half) & mask) - half  # the low slot as a signed digit
+        coeffs.append(c)
+        det = (det - c) >> s
+    return coeffs
+
+
 @functools.lru_cache(maxsize=256)
 def transition_charpoly(g: Graph) -> CharPoly:
     """Exact characteristic polynomial of the transition matrix.
 
-    Runs the integer kernel on the rows of L*T, which sum to L, so L is
-    the kernel's bound. Cached, because every layer reads it; a CharPoly
-    is immutable.
+    When m <= n (a tree or a unicyclic graph), it is det(xD - A) from
+    _structural_det divided by the product of the degrees, as
+    det(xI - T) = det(D^-1 (xD - A)). Otherwise the kernel runs on the
+    rows of L*T, which sum to L, so L is its bound. Cached, because every
+    layer reads it; a CharPoly is immutable.
     """
+    if g.m <= g.n:
+        _require_walkable(g)
+        scale = math.prod(g.degree)
+        return CharPoly(tuple(Fraction(c, scale) for c in _structural_det(g)))
     scale, rows = transition_rows(g)
     return charpoly_from_scaled(charpoly_rows(sparse_rows(rows), scale), scale)
 
@@ -127,16 +222,35 @@ def arc_charpoly(g: Graph) -> CharPoly:
     """Exact characteristic polynomial of the arc operator U.
 
     Runs the integer kernel on the rows of A = L*U from grover_arc_rows.
-    Once A A^T = L^2 I is checked, L is the kernel's bound; the row-sum
-    bound stands in if the check ever fails. Cached so that the period
-    certificate and spectral_map_check share one 2m x 2m charpoly per
-    graph; the cache stays small because no caller returns to a graph
-    after its analysis.
+    Once A A^T = L^2 I is checked, L is the kernel's bound and half of
+    its N = 2m steps suffice: for a real orthogonal U of even size,
+    x^N c(1/x) = det(I - xU) = det U c(x), so c_j = det U c_(N-j), and
+    in the kernel's scaled coefficients q_j = L^(N-j) c_j that reads
+    q_j = det U L^(N-2j) q_(N-j). det U = (-1)^(m+n): U is the arc
+    reversal, m transpositions, times one coin block (2/d)J - I per
+    vertex, of determinant (-1)^(d-1), and the d sum to 2m. When
+    det U = -1 the middle coefficient q_(N/2) must be 0, which is
+    checked; a nonzero one raises ResidualExceededError. If the
+    orthogonality check ever fails, the row-sum bound stands in and the
+    kernel runs all N steps. Cached so that the period certificate and
+    spectral_map_check share one 2m x 2m charpoly per graph; the cache
+    stays small because no caller returns to a graph after its analysis.
     """
     scale, rows = grover_arc_rows(g)
     sparse = sparse_rows(rows)
-    bound = scale if is_scaled_orthogonal(scale, sparse) else row_sum_bound(sparse)
-    return charpoly_from_scaled(charpoly_rows(sparse, bound), scale)
+    if not is_scaled_orthogonal(scale, sparse):
+        return charpoly_from_scaled(charpoly_rows(sparse, row_sum_bound(sparse)), scale)
+    size = len(sparse)
+    half = size // 2
+    q = charpoly_rows(sparse, scale, half)
+    sign = -1 if (g.m + g.n) % 2 else 1
+    if sign < 0 and q[half]:
+        raise ResidualExceededError(
+            "det U = -1 but the middle arc charpoly coefficient is %d, not 0" % q[half]
+        )
+    for j in range(half):
+        q[j] = sign * scale ** (size - 2 * j) * q[size - j]
+    return charpoly_from_scaled(q, scale)
 
 
 def _times_x2_minus_1(poly: list, times: int) -> list:

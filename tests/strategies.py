@@ -14,3 +14,32 @@ def connected_graphs(draw, max_n: int = 6):
     if spare:
         edges |= draw(st.sets(st.sampled_from(spare)))
     return build_graph(n, sorted(edges))
+
+
+def _relabelled(draw, n: int, edges):
+    perm = draw(st.permutations(range(n)))
+    return build_graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _hang_trees(draw, start: int, n: int) -> list:
+    # vertex v joins an earlier vertex, often the one just before it, so
+    # that long paths turn up as well as bushy trees
+    return [
+        (draw(st.one_of(st.just(v - 1), st.integers(0, v - 1))), v)
+        for v in range(start, n)
+    ]
+
+
+@st.composite
+def trees(draw, max_n: int = 40):
+    n = draw(st.integers(2, max_n))
+    return _relabelled(draw, n, _hang_trees(draw, 1, n))
+
+
+@st.composite
+def unicyclic_graphs(draw, max_n: int = 40):
+    # a cycle of any length, odd or even, with trees hung on it
+    n = draw(st.integers(3, max_n))
+    k = draw(st.integers(3, n))
+    cycle = [(i, (i + 1) % k) for i in range(k)]
+    return _relabelled(draw, n, cycle + _hang_trees(draw, k, n))

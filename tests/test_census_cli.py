@@ -9,6 +9,7 @@ import pytest
 
 from groverwalk import cli, periodicity
 from groverwalk.census import analyze_graph, run_census
+from groverwalk.exceptions import ResidualExceededError
 from groverwalk.graphs import classify, write_graph_file
 from groverwalk.periodicity import graph_hash
 
@@ -268,6 +269,29 @@ def test_cli_chebyshev_span_at_arc_cap(capsys):
     assert capsys.readouterr().out.endswith("suite chebyshev: pass\n")
     assert cli.main(["verify", "--suite", "chebyshev", "--k", "9", "--r", "29"]) == 2
     assert "k=9 r=29 has 130 arcs" in capsys.readouterr().err
+
+
+def test_cli_chebyshev_failing_case_is_reported(monkeypatch, capsys):
+    # a ResidualExceededError fails its own case; the rest still run and
+    # verify exits 1, not 2
+    check = periodicity.chebyshev_eigen_check
+
+    def failing(k, r):
+        if (k, r) == (5, 3):
+            raise ResidualExceededError("T_2 does not divide the transition charpoly")
+        return check(k, r)
+
+    monkeypatch.setattr(cli, "chebyshev_eigen_check", failing)
+    assert cli.main(["verify", "--suite", "chebyshev", "--k", "3,5", "--r", "2..3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "ok   chebyshev k=3 r=2: max residual 0.000e+00",
+        "ok   chebyshev k=3 r=3: max residual 0.000e+00",
+        "ok   chebyshev k=5 r=2: max residual 0.000e+00",
+        "FAIL chebyshev k=5 r=3: T_2 does not divide the transition charpoly",
+        "ok   chebyshev grid max residual 0.000e+00",
+        "suite chebyshev: fail (1 cases)",
+    ]
 
 
 def test_cli_arc_cap_boundary(capsys):

@@ -240,6 +240,29 @@ def test_kernel_orthogonal_bound_against_bareiss(reflection):
     assert_kernel_matches_bareiss(rows, scale)
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(rows=sparse_integer_rows(), reflection=scaled_reflections())
+def test_kernel_partial_run_gives_top_coefficients(rows, reflection):
+    # a run of k steps, with slots sized for bound^k, gives q_(n-k)..q_n
+    # of the full run and leaves 0 below them, under either bound
+    scale, orthogonal = reflection
+    for b, bound in ((rows, row_sum_bound(rows)), (orthogonal, scale)):
+        n = len(b)
+        full = charpoly_rows(b, bound)
+        for steps in range(n + 1):
+            q = charpoly_rows(b, bound, steps)
+            assert q[n - steps :] == full[n - steps :]
+            assert not any(q[: n - steps])
+
+
+def test_kernel_rejects_steps_out_of_range():
+    rows = [[(0, 1)], [(1, 2)]]
+    assert charpoly_rows(rows, 2, 2) == charpoly_rows(rows, 2) == [2, -3, 1]
+    for steps in (-1, 3):
+        with pytest.raises(InvalidParameterError):
+            charpoly_rows(rows, 2, steps)
+
+
 def test_kernel_slot_width_at_the_bound():
     # s = bitlen(bound^n) + n + 2 holds signed slot values in
     # [-2^(s-1), 2^(s-1)), two bits above the largest entry, 2^n bound^n,

@@ -346,9 +346,9 @@ def test_analyze_builds_arc_charpoly_once(monkeypatch, capsys):
     kernel = walk.charpoly_rows
     sizes = []
 
-    def counting(rows, bound):
+    def counting(rows, bound, steps=None):
         sizes.append(len(rows))
-        return kernel(rows, bound)
+        return kernel(rows, bound, steps)
 
     monkeypatch.setattr(walk, "charpoly_rows", counting)
     walk.arc_charpoly.cache_clear()
