@@ -106,7 +106,7 @@ def _classification_block(cls: Classification) -> dict:
 
 def _charpoly_block(cp) -> dict:
     # coefficients of the transition charpoly, the filter's input
-    return {"matrix": "transition", "ascending": [cp[i] for i in range(cp.degree + 1)]}
+    return {"matrix": "transition", "ascending": list(cp.coeffs)}
 
 
 def _degree_condition_block(cond) -> dict:

@@ -1,6 +1,6 @@
 """Exact rational matrices and characteristic polynomials.
 
-Entries are fractions.Fraction and nothing is ever rounded. The matrix
+Matrix entries are fractions.Fraction and nothing is ever rounded. The matrix
 route to a characteristic polynomial is one Faddeev-LeVerrier kernel,
 charpoly_rows, which runs on an integer matrix B held as sparse rows of
 (column, value) pairs, with the working matrix packed one Python int per
@@ -9,13 +9,14 @@ charpoly_exact clears the denominators of a RationalMatrix and runs the
 whole kernel. walk hands the kernel the integer rows of the arc
 operator, for half of its steps, and those of the transition matrix of a
 graph with m > n; a tree or a unicyclic graph takes a structural route
-there. CharPoly keeps the coefficients as Fractions and gives an integer
-view of them for the exact divisions.
+there. CharPoly holds one form: integer coefficients over one positive
+denominator, with no common factor, which the exact divisions read
+directly; its Fraction coefficients are made only for printing and for
+comparison with a Fraction sum.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -140,36 +141,54 @@ def _divide_exact(a: list[int], b: tuple[int, ...]) -> list[int] | None:
 
 @dataclass(frozen=True)
 class CharPoly:
-    """det(x I - M) as coefficients low to high; coeffs[j] multiplies x**j."""
+    """det(x I - M) as integer_coeffs / denominator, low to high.
 
-    coeffs: tuple[Fraction, ...]
+    integer_coeffs[j] / denominator multiplies x**j. The denominator is
+    positive and shares no factor with all of integer_coeffs, which is
+    reduced on construction, so the form is unique: equality and the hash
+    mean equality of polynomials. For a monic polynomial the denominator
+    is the lcm of the reduced coefficients' denominators, and the last
+    integer coefficient. coeffs and cp[j] build Fraction coefficients on
+    each call, for printing and for comparison with Fraction sums; the
+    exact routes read integer_coeffs and denominator.
+    """
+
+    integer_coeffs: tuple[int, ...]
+    denominator: int
+
+    def __post_init__(self):
+        if self.denominator < 1:
+            raise InvalidParameterError(
+                "denominator must be >= 1, got %d" % self.denominator
+            )
+        g = math.gcd(*self.integer_coeffs, self.denominator)
+        if g > 1:
+            reduced = tuple(c // g for c in self.integer_coeffs)
+            object.__setattr__(self, "integer_coeffs", reduced)
+            object.__setattr__(self, "denominator", self.denominator // g)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.integer_coeffs) - 1
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(c, self.denominator) for c in self.integer_coeffs)
 
     def __getitem__(self, j: int) -> Fraction:
-        return self.coeffs[j]
+        return Fraction(self.integer_coeffs[j], self.denominator)
 
     def eval_exact(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    @functools.cached_property
-    def integer_coeffs(self) -> tuple[int, ...]:
-        """The coefficients times the lcm of their denominators, as ints.
-
-        A characteristic polynomial is monic, so its last entry is that lcm.
-        """
-        scale = math.lcm(*(c.denominator for c in self.coeffs))
-        return tuple(c.numerator * (scale // c.denominator) for c in self.coeffs)
+        # at x = a/b, b^n D p(x) is an integer sum
+        x = Fraction(x)
+        a, b, n = x.numerator, x.denominator, self.degree
+        total = sum(c * a**j * b ** (n - j) for j, c in enumerate(self.integer_coeffs))
+        return Fraction(total, b**n * self.denominator)
 
     def root_multiplicity(self, r: Fraction) -> int:
         """Exact multiplicity of the rational root r (0 if not a root).
 
-        With r = a/b in lowest terms, the integer view is divided by the
+        With r = a/b in lowest terms, integer_coeffs is divided by the
         primitive factor b*x - a with _divide_exact as often as it goes.
         """
         r = Fraction(r)
@@ -294,10 +313,10 @@ def charpoly_rows(
 def charpoly_from_scaled(q: list[int], scale: int) -> CharPoly:
     """det(x I - M) from the coefficients q of det(y I - scale*M).
 
-    The coefficient of x**j is q_j * scale**(j - n).
+    The coefficient of x**j is q_j * scale**(j - n), that is
+    q_j * scale**j over scale**n.
     """
-    n = len(q) - 1
-    return CharPoly(tuple(Fraction(c, scale ** (n - j)) for j, c in enumerate(q)))
+    return CharPoly(tuple(c * scale**j for j, c in enumerate(q)), scale ** (len(q) - 1))
 
 
 def charpoly_exact(m: RationalMatrix) -> CharPoly:

@@ -46,14 +46,8 @@ from .graphs import (
     enumerate_matchings,
     write_graph_file,
 )
-from .linalg import (
-    CharPoly,
-    _divide_exact,
-    is_integer,
-    is_scaled_orthogonal,
-    sparse_rows,
-)
-from .walk import arc_charpoly, grover_arc_rows, konno_sato_lift, transition_charpoly
+from .linalg import CharPoly, _divide_exact, is_integer
+from .walk import arc_charpoly, konno_sato_lift, transition_charpoly
 
 
 def graph_hash(g: Graph) -> str:
@@ -98,14 +92,11 @@ def matching_sum(
 def integrality_filter(cp: CharPoly) -> tuple[int, ...]:
     """Indices j where 2^j times the coefficient of x^(n-j) is not integral.
 
+    With cp = ints / D, that is where D does not divide 2^j ints[n-j].
     An empty result means the necessary condition for periodicity holds.
     """
-    n = cp.degree
-    failing = []
-    for j in range(n + 1):
-        if not is_integer(cp[n - j] * 2**j):
-            failing.append(j)
-    return tuple(failing)
+    ints, d, n = cp.integer_coeffs, cp.denominator, cp.degree
+    return tuple(j for j in range(n + 1) if (ints[n - j] << j) % d)
 
 
 @dataclass(frozen=True)
@@ -192,9 +183,11 @@ def certify_period(g: Graph, p: int) -> bool:
 
     Three exact checks, none of which raises U to a power:
 
-    1. A = L*U from grover_arc_rows has A A^T = L^2 I. So U is
-       orthogonal, hence diagonalizable, and U^k = I exactly when every
-       eigenvalue is a k-th root of unity.
+    1. A = L*U from grover_arc_rows has A A^T = L^2 I, which
+       walk.arc_charpoly checks before it returns, raising
+       ResidualExceededError otherwise. So U is orthogonal, hence
+       diagonalizable, and U^k = I exactly when every eigenvalue is a
+       k-th root of unity.
     2. charpoly_U has integer coefficients and is used up by dividing
        out cyclotomic polynomials Phi_d with d | p. The d found are the
        orders of the eigenvalues, so U^k = I exactly when every d
@@ -211,16 +204,11 @@ def certify_period(g: Graph, p: int) -> bool:
         raise InvalidParameterError("period %r is not an integer" % (p,)) from None
     if p < 1:
         raise InvalidParameterError("period must be >= 1, got %d" % p)
-    scale, rows = grover_arc_rows(g)
-    if not is_scaled_orthogonal(scale, sparse_rows(rows)):
+    cp = arc_charpoly(g)
+    if cp.denominator != 1:
         return False
-    # the charpoly is monic, so its integer view leads with the lcm of the
-    # denominators, which is 1 exactly when every coefficient is an integer
-    coeffs = arc_charpoly(g).integer_coeffs
-    if coeffs[-1] != 1:
-        return False
-    divisors = (d for d in range(1, min(p, 2 * len(rows) ** 2) + 1) if p % d == 0)
-    orders, rest = _cyclotomic_orders(list(coeffs), divisors)
+    divisors = (d for d in range(1, min(p, 2 * cp.degree**2) + 1) if p % d == 0)
+    orders, rest = _cyclotomic_orders(list(cp.integer_coeffs), divisors)
     return len(rest) == 1 and math.lcm(*orders) == p
 
 
@@ -258,11 +246,10 @@ def find_period(g: Graph) -> PeriodReport:
     failing = integrality_filter(cp)
     if failing:
         return PeriodReport("refuted_by_integrality", None, failing, None, digest)
-    # the integer view is D cp with D its leading entry; the filter passed,
-    # so D divides 2^(n-k) times every entry k and P(y) is an integer poly
-    n = cp.degree
-    ints = cp.integer_coeffs
-    scaled = [(c << (n - k)) // ints[n] for k, c in enumerate(ints)]
+    # cp = ints / D; the filter passed, so D divides 2^(n-k) ints[k] for
+    # every k and P(y) is an integer polynomial
+    n, d = cp.degree, cp.denominator
+    scaled = [(c << (n - k)) // d for k, c in enumerate(cp.integer_coeffs)]
     lift = konno_sato_lift(scaled, g.m - n)
     # a factor of degree at most N = deg lift has phi(d) <= N, and
     # phi(d) >= sqrt(d/2) for every d, so d <= 2N^2 covers them all
@@ -557,7 +544,7 @@ def chebyshev_eigen_check(k: int, r: int, tol: float = 1e-10) -> ChebyshevReport
         (a - b) // 2 for a, b in zip(u[m], u[m - 2] + (0, 0))
     )
     # T_m is primitive (its coefficients sum to T_m(1) = 1), so it divides
-    # cp exactly when it divides the integer view of cp
+    # cp exactly when it divides the integer coefficients of cp
     if _divide_exact(transition_charpoly(g).integer_coeffs, t_m) is None:
         raise ResidualExceededError(
             "T_%d does not divide the transition charpoly of twotail:%d,%d"

@@ -12,7 +12,9 @@ structure allows. On a tree or a unicyclic graph the transition charpoly
 is det(xD - A) / prod(deg), built by peeling leaves and closing the one
 cycle; on a denser graph it comes from the linalg kernel. The arc
 operator is orthogonal, so its charpoly is palindromic up to the sign
-det U, and the kernel runs only the first half of its steps.
+det U, and the kernel runs only the first half of its steps. Both come
+out as one linalg.CharPoly, integer coefficients over one denominator,
+and the spectral map compares them in integers.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .linalg import (
     charpoly_from_scaled,
     charpoly_rows,
     is_scaled_orthogonal,
-    row_sum_bound,
     sparse_rows,
 )
 
@@ -130,7 +131,7 @@ def _continuant(a: list[int], b: list[int]) -> int:
     return f
 
 
-def _structural_det(g: Graph) -> list[int]:
+def _structural_det(g: Graph) -> tuple[int, ...]:
     """det(xD - A) of a connected graph with m <= n, low to high.
 
     Leaves are peeled one by one. Each vertex v keeps (P_v, Q_v): det M
@@ -196,7 +197,7 @@ def _structural_det(g: Graph) -> list[int]:
         c = ((det + half) & mask) - half  # the low slot as a signed digit
         coeffs.append(c)
         det = (det - c) >> s
-    return coeffs
+    return tuple(coeffs)
 
 
 @functools.lru_cache(maxsize=256)
@@ -204,15 +205,14 @@ def transition_charpoly(g: Graph) -> CharPoly:
     """Exact characteristic polynomial of the transition matrix.
 
     When m <= n (a tree or a unicyclic graph), it is det(xD - A) from
-    _structural_det divided by the product of the degrees, as
+    _structural_det over the product of the degrees, as
     det(xI - T) = det(D^-1 (xD - A)). Otherwise the kernel runs on the
     rows of L*T, which sum to L, so L is its bound. Cached, because every
     layer reads it; a CharPoly is immutable.
     """
     if g.m <= g.n:
         _require_walkable(g)
-        scale = math.prod(g.degree)
-        return CharPoly(tuple(Fraction(c, scale) for c in _structural_det(g)))
+        return CharPoly(_structural_det(g), math.prod(g.degree))
     scale, rows = transition_rows(g)
     return charpoly_from_scaled(charpoly_rows(sparse_rows(rows), scale), scale)
 
@@ -230,16 +230,16 @@ def arc_charpoly(g: Graph) -> CharPoly:
     reversal, m transpositions, times one coin block (2/d)J - I per
     vertex, of determinant (-1)^(d-1), and the d sum to 2m. When
     det U = -1 the middle coefficient q_(N/2) must be 0, which is
-    checked; a nonzero one raises ResidualExceededError. If the
-    orthogonality check ever fails, the row-sum bound stands in and the
-    kernel runs all N steps. Cached so that the period certificate and
+    checked; a nonzero one raises ResidualExceededError, and so does a
+    failed orthogonality check. This is the one place the arc rows are
+    built and checked. Cached so that the period certificate and
     spectral_map_check share one 2m x 2m charpoly per graph; the cache
     stays small because no caller returns to a graph after its analysis.
     """
     scale, rows = grover_arc_rows(g)
     sparse = sparse_rows(rows)
     if not is_scaled_orthogonal(scale, sparse):
-        return charpoly_from_scaled(charpoly_rows(sparse, row_sum_bound(sparse)), scale)
+        raise ResidualExceededError("the arc rows A fail A A^T = L^2 I")
     size = len(sparse)
     half = size // 2
     q = charpoly_rows(sparse, scale, half)
@@ -264,10 +264,12 @@ def _times_x2_minus_1(poly: list, times: int) -> list:
 def konno_sato_lift(a: list, excess: int) -> list:
     """x^n P(x + 1/x) (x^2 - 1)^max(excess, 0) for P(y) = sum a_k y^k.
 
-    a holds the coefficients of P, low to high, as ints or Fractions, and
-    n = deg P. With a_k = c_k 2^(n-k) for the transition charpoly
-    cp_T = sum c_k x^k, P(y) = 2^n cp_T(y/2), and with excess = m - n the
-    lift is the arc charpoly that the Konno-Sato identity predicts (times
+    a holds the integer coefficients of P, low to high, and n = deg P.
+    With a_k = c_k 2^(n-k) for the transition charpoly cp_T = sum c_k x^k,
+    P(y) = 2^n cp_T(y/2); find_period passes it once the integrality
+    filter has made it integral, and spectral_map_check passes it times
+    the denominator of cp_T. With excess = m - n the lift is the arc
+    charpoly that the Konno-Sato identity predicts (times
     (x^2 - 1)^(n - m) for a tree). x^n (x + 1/x)^k = x^(n-k) (x^2 + 1)^k
     expands binomially, so ints stay ints.
     """
@@ -310,20 +312,19 @@ def spectral_map_check(g: Graph, tol: float = 1e-8) -> SpectralMapReport:
     eigenvalue lambda maps to the roots of x^2 - 2 lambda x + 1, that is
     exp(+-i arccos lambda), and the identity accounts for the rest of the
     arc spectrum at +-1. Both sides are compared in integers, on the
-    integer views of the two charpolys, and the counts come from exact
-    root multiplicities on the same views; tol is accepted for
-    compatibility and unused.
+    integer coefficients and denominators of the two charpolys, and the
+    counts come from exact root multiplicities on the same integers; tol
+    is accepted for compatibility and unused.
     """
     cp_t = transition_charpoly(g)
     p_u = arc_charpoly(g)
     n, arc_count = cp_t.degree, p_u.degree
 
-    # the integer views are D_T cp_t and D_U p_u, D the lcm of the
-    # denominators, which leads each view since both polynomials are monic.
+    # the integer coefficients are D_T cp_t and D_U p_u, D each denominator.
     # (2x)^n cp_t((x^2 + 1) / (2x)) is the lift of P(y) = 2^n cp_t(y/2), so
     # the identity holds exactly when lhs * D_T equals rhs * D_U
     t_ints, u_ints = cp_t.integer_coeffs, p_u.integer_coeffs
-    d_t, d_u = t_ints[-1], u_ints[-1]
+    d_t, d_u = cp_t.denominator, p_u.denominator
     rhs = konno_sato_lift([c << (n - k) for k, c in enumerate(t_ints)], g.m - n)
     lhs = _times_x2_minus_1(list(u_ints), max(n - g.m, 0))
     worst = max(abs(a * d_t - b * d_u) for a, b in zip(lhs, rhs, strict=True))
@@ -342,7 +343,7 @@ def spectral_map_check(g: Graph, tol: float = 1e-8) -> SpectralMapReport:
     )
     return SpectralMapReport(
         matched=matched,
-        max_residual=float(Fraction(worst, d_t * d_u)),
+        max_residual=worst / (d_t * d_u),
         predicted=predicted,
         unexplained=unexplained,
         plus_one_extra=plus_extra,

@@ -5,7 +5,8 @@ Bareiss elimination instead of Faddeev-LeVerrier, brute-force subset scans
 instead of recursive enumeration, permutation minima instead of pruned
 search, a floating-point Jacobi eigensolver instead of exact polynomial
 identities, the vertex-side Psi_d factorization instead of the arc-side
-Phi_d one, Fraction sums and Horner deflation instead of integer views,
+Phi_d one, Fraction sums, Horner deflation and the Fraction integrality
+filter instead of integer coefficients over one denominator,
 pendant extensions deduplicated by canonical form instead of odd cycles
 with rooted trees. Agreement between the two is the point.
 """
@@ -397,6 +398,18 @@ def real_cyclotomic(d: int) -> tuple[int, ...]:
             nxt[i] -= c
         prev, cur = cur, nxt
     return tuple(psi)
+
+
+def fraction_integrality_filter(coeffs) -> tuple[int, ...]:
+    """The integrality filter as first defined, on Fraction coefficients.
+
+    coeffs is cp low to high; the result lists the j where 2^j times the
+    coefficient of x^(n-j) is not an integer.
+    """
+    n = len(coeffs) - 1
+    return tuple(
+        j for j in range(n + 1) if (Fraction(coeffs[n - j]) * 2**j).denominator != 1
+    )
 
 
 def psi_period(coeffs, m: int):

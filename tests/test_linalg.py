@@ -309,32 +309,52 @@ def test_scaled_orthogonality_matches_dense_product(case):
 
 
 def test_integer_view():
-    cp = CharPoly((Fraction(-1, 4), Fraction(-3, 4), Fraction(0), Fraction(1)))
-    assert cp.integer_coeffs == (-1, -3, 0, 4)
-    assert cp.integer_coeffs is cp.integer_coeffs
-    assert CharPoly((Fraction(-1), Fraction(3))).integer_coeffs == (-1, 3)
-    assert CharPoly((Fraction(1, 6), Fraction(-1, 4))).integer_coeffs == (2, -3)
+    # x^3 - 3/4 x - 1/4 = (x - 1)(x + 1/2)^2 is (-1, -3, 0, 4) over 4
+    cp = CharPoly((-1, -3, 0, 4), 4)
+    assert (cp.integer_coeffs, cp.denominator) == ((-1, -3, 0, 4), 4)
+    assert cp.coeffs == (Fraction(-1, 4), Fraction(-3, 4), Fraction(0), Fraction(1))
+    assert cp[1] == Fraction(-3, 4)
+    # a common factor is divided out on construction
+    twice = CharPoly((-2, -6, 0, 8), 8)
+    assert (twice.integer_coeffs, twice.denominator) == ((-1, -3, 0, 4), 4)
+    assert twice == cp and hash(twice) == hash(cp)
+    assert CharPoly((-1, 3), 1).integer_coeffs == (-1, 3)
+    assert CharPoly((-1, 3), 1).denominator == 1
+    # 1/6 - x/4: the denominator stays 12 though no coefficient has it
+    cp = CharPoly((2, -3), 12)
+    assert cp.coeffs == (Fraction(1, 6), Fraction(-1, 4))
+    assert CharPoly((4, -6), 24) == cp
+    for bad in (0, -4):
+        with pytest.raises(InvalidParameterError):
+            CharPoly((1, 1), bad)
 
 
 def test_charpoly_eval_and_multiplicity():
     # (x - 1)^2 (x + 2)
-    cp = CharPoly((Fraction(2), Fraction(-3), Fraction(0), Fraction(1)))
+    cp = CharPoly((2, -3, 0, 1), 1)
     assert cp.eval_exact(Fraction(1)) == 0
+    assert cp.eval_exact(Fraction(1, 2)) == Fraction(5, 8)
     assert cp.root_multiplicity(Fraction(1)) == 2
     assert cp.root_multiplicity(Fraction(-2)) == 1
     assert cp.root_multiplicity(Fraction(5)) == 0
+    # (x - 1)(x + 1/2)^2 over the denominator 4
+    cp = CharPoly((-1, -3, 0, 4), 4)
+    assert cp.eval_exact(Fraction(-1, 2)) == 0
+    assert cp.eval_exact(Fraction(2)) == Fraction(25, 4)
+    assert cp.root_multiplicity(Fraction(-1, 2)) == 2
+    assert cp.root_multiplicity(Fraction(1)) == 1
 
 
 def test_root_multiplicity_at_non_integer_rationals():
-    # (2x - 1)^3 (x + 3), as integers and scaled to be monic
+    # (2x - 1)^3 (x + 3), as integers and over 8 to be monic
     poly = [1]
     for factor in ([-1, 2], [-1, 2], [-1, 2], [3, 1]):
         poly = [
             sum(poly[i] * factor[j - i] for i in range(len(poly)) if 0 <= j - i < 2)
             for j in range(len(poly) + 1)
         ]
-    for coeffs in (poly, [Fraction(c, 8) for c in poly]):
-        cp = CharPoly(tuple(Fraction(c) for c in coeffs))
+    for denominator in (1, 8):
+        cp = CharPoly(tuple(poly), denominator)
         assert cp.root_multiplicity(Fraction(1, 2)) == 3
         assert cp.root_multiplicity(Fraction(-3)) == 1
         assert cp.root_multiplicity(Fraction(1, 3)) == 0
@@ -342,9 +362,43 @@ def test_root_multiplicity_at_non_integer_rationals():
         assert cp.root_multiplicity(Fraction(3, 2)) == 0
     # 3x - 1: the floor quotient by 2x - 1 leaves remainder 0 at the constant
     # term, so only the exactness of each step rules 1/2 out
-    cp = CharPoly((Fraction(-1), Fraction(3)))
+    cp = CharPoly((-1, 3), 1)
     assert cp.root_multiplicity(Fraction(1, 2)) == 0
     assert cp.root_multiplicity(Fraction(1, 3)) == 1
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    values=st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=8),
+    denominator=st.integers(1, 10**4),
+    factor=st.integers(1, 10**3),
+    x=st.fractions(max_denominator=50).filter(lambda q: abs(q) <= 50),
+)
+def test_charpoly_single_form(values, denominator, factor, x):
+    # the values as they come, and then monic, as every characteristic
+    # polynomial is; both must mean the Fractions v / D entry by entry
+    for ints in (tuple(values), tuple(values) + (denominator,)):
+        cp = CharPoly(ints, denominator)
+        want = tuple(Fraction(v, denominator) for v in ints)
+        assert cp.coeffs == want
+        assert all(cp[j] == c for j, c in enumerate(want))
+        assert cp.degree == len(ints) - 1
+        assert cp.denominator >= 1
+        assert math.gcd(*cp.integer_coeffs, cp.denominator) == 1
+        scaled = CharPoly(tuple(factor * v for v in ints), factor * denominator)
+        assert scaled == cp and hash(scaled) == hash(cp)
+        value = Fraction(0)
+        for c in reversed(want):
+            value = value * x + c
+        assert cp.eval_exact(x) == value
+    # the monic one's denominator is the lcm of its coefficients'
+    # reduced denominators, and its last integer coefficient
+    assert cp.denominator == math.lcm(*(c.denominator for c in want))
+    assert cp.integer_coeffs == tuple(c * cp.denominator for c in want)
+    # different polynomials stay apart
+    bumped = list(ints)
+    bumped[0] += 1
+    assert CharPoly(tuple(bumped), denominator) != cp
 
 
 def test_eigen_diag():

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from groverwalk.families import (
     two_tail_graph,
 )
 from groverwalk.graphs import build_graph, classify
-from groverwalk.linalg import charpoly_exact, is_integer
+from groverwalk.linalg import CharPoly, charpoly_exact, is_integer
 from groverwalk.periodicity import (
     _cyclotomic,
     _cyclotomic_orders,
@@ -46,11 +47,13 @@ from groverwalk.walk import (
     build_grover_operator,
     build_transition_matrix,
     grover_arc_rows,
+    spectral_map_check,
     transition_charpoly,
 )
 
 from oracles import (
     brute_period,
+    fraction_integrality_filter,
     fraction_matching_sum,
     poly_mul,
     prime_divisors,
@@ -103,6 +106,46 @@ def test_paw_refuted(paw):
 def test_integrality_filter_values():
     cp = charpoly_exact(build_transition_matrix(cycle_graph(3)).matrix)
     assert integrality_filter(cp) == ()
+
+
+def test_integrality_filter_matches_fraction_oracle():
+    # the modulus test on the integer form against the Fraction definition,
+    # on every odd-unicyclic class with n <= 10 and every connected graph
+    # with 2 <= n <= 7
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        graphs = list(enumerate_odd_unicyclic(10, cap=10))
+    assert len(graphs) == 650
+    graphs += [g for n in range(2, 8) for g in enumerate_connected(n)]
+    refuted = 0
+    for g in graphs:
+        cp = transition_charpoly(g)
+        failing = integrality_filter(cp)
+        assert failing == fraction_integrality_filter(cp.coeffs), g
+        refuted += bool(failing)
+    assert 0 < refuted < len(graphs)
+
+
+def test_exact_routes_build_no_fraction_coefficients(monkeypatch, paw):
+    # the period route, the certificate, the spectral map and the Chebyshev
+    # check read the integer coefficients and the denominator only
+    def refuse(*args):
+        raise AssertionError("Fraction coefficients built")
+
+    monkeypatch.setattr(CharPoly, "coeffs", property(refuse))
+    monkeypatch.setattr(CharPoly, "__getitem__", refuse)
+    walk.transition_charpoly.cache_clear()
+    walk.arc_charpoly.cache_clear()
+    two_tails = [two_tail_graph(k, r) for k, r in ((3, 4), (5, 2), (7, 1), (9, 3))]
+    for g in [g for _, g, _ in PERIOD_TABLE] + two_tails:
+        report = find_period(g)
+        assert report.verdict == "periodic", g
+        assert certify_period(g, report.period)
+        assert spectral_map_check(g).matched
+    for k, r in ((3, 2), (5, 4), (9, 3)):
+        chebyshev_eigen_check(k, r)
+    # a refuted graph goes through the filter alone
+    assert find_period(paw).verdict == "refuted_by_integrality"
 
 
 def test_period_is_relabel_invariant():
@@ -317,10 +360,11 @@ def test_certificate_huge_period_is_not_factored(p):
     ids=["C5", "TT31", "K23"],
 )
 def test_certificate_rejects_non_orthogonal_rows(monkeypatch, g, p):
-    # the arc charpoly stays the true one, so only the check A A^T = L^2 I
-    # can reject. Row 0 gets one entry raised, a zero or a nonzero one, or
-    # a nonzero swapped into a zero slot, which keeps the row's length and
-    # breaks only its orthogonality to the other rows
+    # arc_charpoly checks A A^T = L^2 I once, for the certificate and the
+    # spectral map alike, and raises when it fails. Row 0 gets one entry
+    # raised, a zero or a nonzero one, or a nonzero swapped into a zero
+    # slot, which keeps the row's length and breaks only its orthogonality
+    # to the other rows
     scale, rows = grover_arc_rows(g)
     assert certify_period(g, p)
     zero = rows[0].index(0)
@@ -330,8 +374,13 @@ def test_certificate_rejects_non_orthogonal_rows(monkeypatch, g, p):
         bad = [list(row) for row in rows]
         for j, x in edit.items():
             bad[0][j] = x
-        monkeypatch.setattr(periodicity, "grover_arc_rows", lambda h: (scale, bad))
-        assert not certify_period(g, p), edit
+        monkeypatch.setattr(walk, "grover_arc_rows", lambda h: (scale, bad))
+        # the cache is bypassed, so the edited rows are the ones checked
+        with pytest.raises(ResidualExceededError, match="A A\\^T"):
+            walk.arc_charpoly.__wrapped__(g)
+        walk.arc_charpoly.cache_clear()
+        with pytest.raises(ResidualExceededError):
+            certify_period(g, p)
 
 
 @pytest.mark.parametrize(
@@ -351,11 +400,25 @@ def test_analyze_builds_arc_charpoly_once(monkeypatch, capsys):
         return kernel(rows, bound, steps)
 
     monkeypatch.setattr(walk, "charpoly_rows", counting)
+    # the arc rows and their orthogonality check, counted in every module
+    # that binds them
+    calls = {"grover_arc_rows": 0, "is_scaled_orthogonal": 0}
+    for name in calls:
+        for module in (walk, periodicity, cli):
+            fn = getattr(module, name, None)
+            if fn is not None:
+
+                def counted(*args, _fn=fn, _name=name):
+                    calls[_name] += 1
+                    return _fn(*args)
+
+                monkeypatch.setattr(module, name, counted)
     walk.arc_charpoly.cache_clear()
     g = two_tail_graph(5, 2)
     assert cli.main(["analyze", "--family", "twotail:5,2", "--json", "--no-timing"]) == 0
     assert json.loads(capsys.readouterr().out)["period"]["period"] == 360
     assert sizes.count(2 * g.m) == 1
+    assert calls == {"grover_arc_rows": 1, "is_scaled_orthogonal": 1}
 
 
 @pytest.mark.parametrize("p", [3.0, "3", None, Fraction(3), 2.5])
