@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .families import ENUMERATION_CAP, enumerate_odd_unicyclic
+from .families import enumerate_odd_unicyclic
 from .graphs import Classification, Graph, classify
 from .linalg import CharPoly
 from .periodicity import (
@@ -84,7 +84,7 @@ def analyze_graph(g: Graph) -> CensusRecord:
     )
 
 
-def run_census(max_n: int, cap: int = ENUMERATION_CAP) -> CensusResult:
+def run_census(max_n: int) -> CensusResult:
     """Analyze every odd-unicyclic class with at most max_n vertices."""
-    records = tuple(map(analyze_graph, enumerate_odd_unicyclic(max_n, cap=cap)))
+    records = tuple(map(analyze_graph, enumerate_odd_unicyclic(max_n)))
     return CensusResult(max_n=max_n, records=records)

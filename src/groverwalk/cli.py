@@ -4,8 +4,11 @@ Four commands: analyze a single graph, generate a family member, run the
 odd-unicyclic census, and run the verification suites. Analysis and census
 reports are single JSON documents with deterministic serialization: sorted
 keys, exact rationals as reduced "p/q" strings, floating-point values as
-strings with 15 significant digits. Identical invocations produce
-byte-identical output when timing is suppressed.
+strings with 15 significant digits. Each report block is made from JSON
+values, the rationals written from a CharPoly's integer coefficients and
+denominator and the floats formatted where they are read, so the report
+goes to json.dumps as it is. Identical invocations produce byte-identical
+output when timing is suppressed.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error
 (an oversized input included). Every period is certified exactly from the
@@ -16,15 +19,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict
-from fractions import Fraction
 
 from .census import CensusRecord, analyze_graph, run_census
 from .exceptions import CapExceededError, GroverWalkError, ResidualExceededError
 from .families import (
-    ENUMERATION_CAP,
     FamilySpec,
     complete_bipartite,
     cycle_graph,
@@ -53,30 +55,29 @@ from .walk import spectral_map_check
 # graph file right after parsing.
 ARC_CAP = 128
 
+# Default --max-n of census and verify; each enumerator has its own limit.
+ENUMERATION_CAP = 9
+
 
 # ---------------------------------------------------------------------------
 # Deterministic JSON serialization.
 
 
-def _encode(value):
-    """Fractions to "p/q", floats to 15-significant-digit strings."""
-    if isinstance(value, Fraction):
-        return "%d/%d" % (value.numerator, value.denominator)
-    if isinstance(value, float):
-        return format(value, ".15g")
-    if isinstance(value, dict):
-        return {key: _encode(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_encode(item) for item in value]
-    return value
+def _ratio(p: int, q: int) -> str:
+    """p/q, q > 0, as the reduced string "p/q"."""
+    g = math.gcd(p, q)
+    return "%d/%d" % (p // g, q // g)
+
+
+def _seconds(started: float) -> str:
+    return format(time.perf_counter() - started, ".15g")
 
 
 def _emit(report: dict, args) -> None:
-    payload = _encode(report)
     if args.json:
-        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        text = json.dumps(report, sort_keys=True, separators=(",", ":"))
     else:
-        text = json.dumps(payload, sort_keys=True, indent=2)
+        text = json.dumps(report, sort_keys=True, indent=2)
     _write_text(text + "\n", args.out)
 
 
@@ -106,7 +107,8 @@ def _classification_block(cls: Classification) -> dict:
 
 def _charpoly_block(cp) -> dict:
     # coefficients of the transition charpoly, the filter's input
-    return {"matrix": "transition", "ascending": list(cp.coeffs)}
+    ascending = [_ratio(c, cp.denominator) for c in cp.integer_coeffs]
+    return {"matrix": "transition", "ascending": ascending}
 
 
 def _degree_condition_block(cond) -> dict:
@@ -164,19 +166,19 @@ def cmd_analyze(args) -> int:
     g = _load_graph(args)
     started = time.perf_counter()
     report = _record_block(analyze_graph(g))
-    report["spectral_map"] = asdict(spectral_map_check(g))
+    spectral = asdict(spectral_map_check(g))
+    spectral["max_residual"] = format(spectral["max_residual"], ".15g")
+    report["spectral_map"] = spectral
     if not args.no_timing:
-        report["timing"] = {"seconds": time.perf_counter() - started}
+        report["timing"] = {"seconds": _seconds(started)}
     _emit(report, args)
     return 0
 
 
 def cmd_census(args) -> int:
     started = time.perf_counter()
-    # cap above the default triggers the enumeration's runtime warning;
-    # above the hard limit it raises and we exit 2
-    cap = max(ENUMERATION_CAP, args.max_n)
-    result = run_census(args.max_n, cap=cap)
+    # past the enumeration's limit it raises and we exit 2
+    result = run_census(args.max_n)
     odd = result.odd_periodic()
     report = {
         "max_n": result.max_n,
@@ -196,7 +198,7 @@ def cmd_census(args) -> int:
         },
     }
     if not args.no_timing:
-        report["timing"] = {"seconds": time.perf_counter() - started}
+        report["timing"] = {"seconds": _seconds(started)}
     _emit(report, args)
     return 0
 
@@ -323,10 +325,19 @@ def _suite_identities(args) -> list:
 
 
 def _suite_chebyshev(args) -> list:
+    try:
+        k_list, k_top = _parse_span(args.k)
+        r_list, r_top = _parse_span(args.r)
+    except ValueError as err:
+        raise GroverWalkError("bad --k/--r span: %s" % err) from err
+    # the largest case is twotail:k_top,r_top-1, checked before any graph is
+    # built; an r below 2 is left for chebyshev_eigen_check to reject
+    arcs = family_arcs(FamilySpec("twotail", (k_top, max(r_top - 1, 1))))
+    _check_arcs(arcs, "chebyshev case k=%d r=%d" % (k_top, r_top))
     cases = []
     worst = 0.0
-    for k in args.k_list:
-        for r in args.r_list:
+    for k in k_list:
+        for r in r_list:
             label = "chebyshev k=%d r=%d" % (k, r)
             try:
                 rep = chebyshev_eigen_check(k, r)
@@ -350,7 +361,7 @@ def _suite_main_theorem(args) -> list:
             "main-theorem needs --max-n >= 3, got %d" % args.max_n
         )
     cases = []
-    result = run_census(args.max_n, cap=max(ENUMERATION_CAP, args.max_n))
+    result = run_census(args.max_n)
     odd = result.odd_periodic()
     for record in odd:
         ok = record.is_cycle and record.period_report.period == record.graph.n
@@ -391,15 +402,6 @@ _SUITES = {
 
 
 def cmd_verify(args) -> int:
-    try:
-        args.k_list, k_top = _parse_span(args.k)
-        args.r_list, r_top = _parse_span(args.r)
-    except ValueError as err:
-        raise GroverWalkError("bad --k/--r span: %s" % err) from err
-    # the largest chebyshev case is twotail:k_top,r_top-1; an r below 2 is
-    # left for chebyshev_eigen_check to reject
-    arcs = family_arcs(FamilySpec("twotail", (k_top, max(r_top - 1, 1))))
-    _check_arcs(arcs, "chebyshev case k=%d r=%d" % (k_top, r_top))
     cases = _SUITES[args.suite](args)
     lines = []
     failures = 0

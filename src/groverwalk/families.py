@@ -10,17 +10,23 @@ The canonical form of a graph is the lexicographically smallest adjacency
 encoding over all vertex orderings that sort degrees ascending. The degree
 sequence is an isomorphism invariant, so restricting to degree-sorted
 orders keeps the form complete while pruning most of the n! search.
+
+Each enumerator has one fixed size limit, CONNECTED_CAP = 8 for
+enumerate_connected and HARD_CAP = 12 for enumerate_odd_unicyclic; a
+larger n raises CapExceededError before anything is built.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from .exceptions import CapExceededError, InvalidParameterError
 from .graphs import Graph, build_graph
 
-ENUMERATION_CAP = 9
+# Largest n each enumerator accepts, checked before anything is built:
+# n = 8 is the last connected level that finishes in seconds, and the
+# odd-unicyclic classes to n = 12 (4,795 of them) take well under one.
+CONNECTED_CAP = 8
 HARD_CAP = 12
 
 
@@ -189,42 +195,32 @@ def canonical_form(g: Graph) -> tuple[int, ...]:
     return tuple(best)
 
 
-def _check_cap(n: int, cap: int, what: str) -> None:
-    if cap > HARD_CAP:
-        raise CapExceededError(
-            "%s cap %d exceeds the hard limit %d" % (what, cap, HARD_CAP)
-        )
-    if cap > ENUMERATION_CAP:
-        warnings.warn(
-            "%s cap raised to %d; expect long enumerations" % (what, cap),
-            RuntimeWarning,
-            stacklevel=3,
-        )
+def _check_size(n: int, limit: int, what: str) -> None:
     if n < 1:
         raise InvalidParameterError("%s needs n >= 1, got %d" % (what, n))
-    if n > cap:
-        raise CapExceededError("%s size %d exceeds cap %d" % (what, n, cap))
+    if n > limit:
+        raise CapExceededError("%s size %d exceeds the limit %d" % (what, n, limit))
 
 
 _CONNECTED_CACHE: dict[int, tuple[Graph, ...]] = {}
 
 
-def enumerate_connected(n: int, cap: int = ENUMERATION_CAP) -> tuple[Graph, ...]:
+def enumerate_connected(n: int) -> tuple[Graph, ...]:
     """All connected graphs on n vertices, one per isomorphism class.
 
     Level n graphs come from level n-1 graphs by joining a fresh vertex to
     every non-empty subset of old vertices; every connected graph has a
     non-cut vertex, so each class is reached. Duplicates fall to the
     canonical form. Results are cached per n and returned sorted by edge
-    count then canonical form.
+    count then canonical form. n is at most CONNECTED_CAP.
     """
-    _check_cap(n, cap, "connected enumeration")
+    _check_size(n, CONNECTED_CAP, "connected enumeration")
     if n in _CONNECTED_CACHE:
         return _CONNECTED_CACHE[n]
     if n == 1:
         reps = (build_graph(1, []),)
     else:
-        smaller = enumerate_connected(n - 1, cap)
+        smaller = enumerate_connected(n - 1)
         seen: dict[tuple[int, ...], Graph] = {}
         new = n - 1
         for h in smaller:
@@ -303,7 +299,7 @@ def _cyclic_codes(k: int, n: int, first: list[int], size: list[int]):
     yield from fill(0, n)
 
 
-def enumerate_odd_unicyclic(n_max: int, cap: int = ENUMERATION_CAP) -> tuple[Graph, ...]:
+def enumerate_odd_unicyclic(n_max: int) -> tuple[Graph, ...]:
     """All connected graphs with |E| = |V| <= n_max whose cycle is odd.
 
     Built structurally, one graph per class: an odd-unicyclic graph is an
@@ -314,9 +310,9 @@ def enumerate_odd_unicyclic(n_max: int, cap: int = ENUMERATION_CAP) -> tuple[Gra
     least of its 2k images. Cycle vertices are 0..k-1 in order, so the
     bare cycle is cycle_graph(k); each tree's vertices follow in preorder,
     trees in cycle order. Ordered by vertex count, girth, then the
-    sequence of tree numbers.
+    sequence of tree numbers. n_max is at most HARD_CAP.
     """
-    _check_cap(n_max, cap, "odd unicyclic enumeration")
+    _check_size(n_max, HARD_CAP, "odd unicyclic enumeration")
     if n_max in _ODD_UNICYCLIC_CACHE:
         return _ODD_UNICYCLIC_CACHE[n_max]
     children, first = _rooted_trees(max(n_max - 2, 1))

@@ -189,52 +189,71 @@ def _two_colorable(g: Graph) -> bool:
     return True
 
 
-def unicycle_decomposition(g: Graph) -> UnicycleDecomposition:
-    """Peel degree-one vertices until only the cycle remains."""
-    alive = set(range(g.n))
-    deg = list(g.degree)
-    queue = deque(v for v in alive if deg[v] == 1)
-    while queue:
-        u = queue.popleft()
-        alive.discard(u)
-        for v in g.adj[u]:
-            if v in alive:
-                deg[v] -= 1
-                if deg[v] == 1:
-                    queue.append(v)
-    start = min(alive)
-    nbrs = sorted(v for v in g.adj[start] if v in alive)
-    cycle = [start, nbrs[0]]
+def peel_leaves(g: Graph) -> tuple[tuple[Edge, ...], tuple[int, ...]]:
+    """Remove degree-one vertices until none is left, then walk what remains.
+
+    g must be connected with m <= n. Returns the removals, each a
+    (leaf, neighbour) pair taken off with its last edge, in order, and the
+    cycle that is left: it starts at its smallest vertex id and proceeds
+    toward that vertex's smaller-id cycle neighbour. A tree peels down to
+    one vertex, the neighbour of the last removal, and leaves no cycle.
+    """
+    if g.m > g.n:
+        raise InvalidParameterError(
+            "leaf peeling needs m <= n, got m=%d n=%d" % (g.m, g.n)
+        )
+    left = list(g.degree)  # degree among the vertices not yet peeled
+    removals: list[Edge] = []
+    leaves = [v for v in range(g.n) if left[v] == 1]
+    while leaves:
+        u = leaves.pop()
+        if left[u] != 1:
+            continue  # the last vertex of a tree, left with degree 0
+        left[u] = 0
+        v = next(w for w in g.adj[u] if left[w])
+        removals.append((u, v))
+        left[v] -= 1
+        if left[v] == 1:
+            leaves.append(v)
+    rest = [w for w in range(g.n) if left[w]]
+    if not rest:
+        return tuple(removals), ()
+    start = rest[0]
+    cycle = [start, min(w for w in g.adj[start] if left[w])]
     while True:
-        prev, cur = cycle[-2], cycle[-1]
-        nxt = next(v for v in g.adj[cur] if v in alive and v != prev)
+        nxt = next(w for w in g.adj[cycle[-1]] if left[w] and w != cycle[-2])
         if nxt == start:
-            break
+            return tuple(removals), tuple(cycle)
         cycle.append(nxt)
-    cyc = tuple(cycle)
-    cycset = set()
-    k = len(cyc)
-    for i in range(k):
-        u, v = cyc[i], cyc[(i + 1) % k]
-        cycset.add((u, v) if u < v else (v, u))
-    forest = tuple(e for e in g.edges if e not in cycset)
-    return UnicycleDecomposition(cycle=cyc, girth=k, forest_edges=forest)
+
+
+def unicycle_decomposition(g: Graph) -> UnicycleDecomposition:
+    """The cycle peel_leaves leaves of a unicyclic graph, and the peeled edges."""
+    if g.m != g.n:
+        raise InvalidParameterError(
+            "a unicyclic graph has m = n, got m=%d n=%d" % (g.m, g.n)
+        )
+    removals, cycle = peel_leaves(g)
+    forest = tuple(sorted((u, v) if u < v else (v, u) for u, v in removals))
+    return UnicycleDecomposition(cycle=cycle, girth=len(cycle), forest_edges=forest)
 
 
 def classify(g: Graph) -> Classification:
     """Sort a graph into tree / bipartite / odd unicycle / other.
 
-    odd_unicycle is returned exactly when the graph is non-bipartite with
-    |E| = |V|: one independent cycle, and it must be odd.
+    With |E| = |V| the graph has one cycle, and it is bipartite exactly
+    when that cycle is even, so the girth decides; odd_unicycle carries
+    the decomposition. Denser graphs are 2-coloured.
     """
     if g.m == g.n - 1:
         return Classification("tree")
-    if _two_colorable(g):
-        return Classification("bipartite")
     if g.m == g.n:
         dec = unicycle_decomposition(g)
-        assert dec.girth % 2 == 1
+        if dec.girth % 2 == 0:
+            return Classification("bipartite")
         return Classification("odd_unicycle", dec)
+    if _two_colorable(g):
+        return Classification("bipartite")
     return Classification("other")
 
 

@@ -11,8 +11,8 @@ operator, for half of its steps, and those of the transition matrix of a
 graph with m > n; a tree or a unicyclic graph takes a structural route
 there. CharPoly holds one form: integer coefficients over one positive
 denominator, with no common factor, which the exact divisions read
-directly; its Fraction coefficients are made only for printing and for
-comparison with a Fraction sum.
+directly and the reports print from; its Fraction coefficients are made
+only for comparison with a Fraction sum.
 """
 
 from __future__ import annotations
@@ -149,8 +149,8 @@ class CharPoly:
     mean equality of polynomials. For a monic polynomial the denominator
     is the lcm of the reduced coefficients' denominators, and the last
     integer coefficient. coeffs and cp[j] build Fraction coefficients on
-    each call, for printing and for comparison with Fraction sums; the
-    exact routes read integer_coeffs and denominator.
+    each call, for comparison with Fraction sums; the exact routes and
+    the printed reports read integer_coeffs and denominator.
     """
 
     integer_coeffs: tuple[int, ...]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exceptions import InvalidParameterError, ResidualExceededError
-from .graphs import Arc, Graph
+from .graphs import Arc, Graph, peel_leaves
 from .linalg import (
     CharPoly,
     RationalMatrix,
@@ -134,14 +134,14 @@ def _continuant(a: list[int], b: list[int]) -> int:
 def _structural_det(g: Graph) -> tuple[int, ...]:
     """det(xD - A) of a connected graph with m <= n, low to high.
 
-    Leaves are peeled one by one. Each vertex v keeps (P_v, Q_v): det M
-    on the subtree v has absorbed so far, and the same without v, from
-    (x deg v, 1). Merging a peeled leaf u into its neighbour v joins two
-    blocks across the edge uv, whose entries are -1, so
-    (P_v, Q_v) <- (P_v P_u - Q_v Q_u, Q_v P_u). A tree ends at one vertex,
-    whose P is det M. A unicyclic graph ends at its cycle c_0..c_(k-1),
-    with a_i = P and b_i = Q on c_i, and Schwenk's edge formula on the
-    edge c_(k-1) c_0 closes it:
+    The leaves come off in the order graphs.peel_leaves gives. Each
+    vertex v keeps (P_v, Q_v): det M on the subtree v has absorbed so far,
+    and the same without v, from (x deg v, 1). Merging a peeled leaf u
+    into its neighbour v joins two blocks across the edge uv, whose
+    entries are -1, so (P_v, Q_v) <- (P_v P_u - Q_v Q_u, Q_v P_u). A tree
+    ends at one vertex, whose P is det M. A unicyclic graph ends at its
+    cycle c_0..c_(k-1), with a_i = P and b_i = Q on c_i, and Schwenk's
+    edge formula on the edge c_(k-1) c_0 closes it:
 
         det M = F(0..k-1) - b_0 b_(k-1) F(1..k-2) - 2 prod b_i,
 
@@ -160,30 +160,12 @@ def _structural_det(g: Graph) -> tuple[int, ...]:
     s = math.prod(g.degree).bit_length() + g.n + 2
     p = [d << s for d in g.degree]
     q = [1] * g.n
-    left = list(g.degree)  # degree among the vertices not yet peeled
-    leaves = [v for v in range(g.n) if left[v] == 1]
-    while leaves:
-        u = leaves.pop()
-        if left[u] != 1:
-            continue  # the last vertex of a tree, left with degree 0
-        left[u] = 0
-        v = next(w for w in g.adj[u] if left[w])
+    removals, cycle = peel_leaves(g)
+    for u, v in removals:
         p[v], q[v] = p[v] * p[u] - q[v] * q[u], q[v] * p[u]
-        left[v] -= 1
-        if left[v] == 1:
-            leaves.append(v)
-    rest = [w for w in range(g.n) if left[w]]
-    if not rest:
-        det = p[v]  # a tree: the last vertex merged into is the root
+    if not cycle:
+        det = p[removals[-1][1]]  # a tree: the last vertex merged into is the root
     else:
-        cycle = [rest[0]]
-        prev = -1
-        while True:
-            nxt = next(w for w in g.adj[cycle[-1]] if left[w] and w != prev)
-            if nxt == cycle[0]:
-                break
-            prev = cycle[-1]
-            cycle.append(nxt)
         a = [p[c] for c in cycle]
         b = [q[c] for c in cycle]
         det = (

@@ -8,7 +8,9 @@ identities, the vertex-side Psi_d factorization instead of the arc-side
 Phi_d one, Fraction sums, Horner deflation and the Fraction integrality
 filter instead of integer coefficients over one denominator,
 pendant extensions deduplicated by canonical form instead of odd cycles
-with rooted trees. Agreement between the two is the point.
+with rooted trees, a BFS leaf queue instead of the package's leaf stack,
+2-colouring instead of the parity of the girth. Agreement between the two
+is the point.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import deque
 from fractions import Fraction
 
 
@@ -183,6 +186,62 @@ def brute_cycles(n: int, edges) -> set:
     for u, v in edges:
         extend([u], v, {u, v})
     return cycles
+
+
+def oracle_unicycle_decomposition(n: int, edges) -> tuple[tuple[int, ...], tuple]:
+    """(cycle, forest edges) of a unicyclic graph, by a BFS leaf queue.
+
+    The cycle starts at its smallest vertex and proceeds toward that
+    vertex's smaller cycle neighbour; the forest is every other edge, in
+    sorted order.
+    """
+    adj = {v: set() for v in range(n)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    alive = set(range(n))
+    deg = {v: len(adj[v]) for v in range(n)}
+    queue = deque(v for v in range(n) if deg[v] == 1)
+    while queue:
+        u = queue.popleft()
+        alive.discard(u)
+        for v in adj[u]:
+            if v in alive:
+                deg[v] -= 1
+                if deg[v] == 1:
+                    queue.append(v)
+    start = min(alive)
+    cycle = [start, min(v for v in adj[start] if v in alive)]
+    while True:
+        prev, cur = cycle[-2], cycle[-1]
+        nxt = next(v for v in adj[cur] if v in alive and v != prev)
+        if nxt == start:
+            break
+        cycle.append(nxt)
+    ring = {frozenset((cycle[i], cycle[i - 1])) for i in range(len(cycle))}
+    forest = tuple(sorted(tuple(sorted(e)) for e in edges if frozenset(e) not in ring))
+    return tuple(cycle), forest
+
+
+def two_colouring_kind(n: int, edges) -> str:
+    """tree / bipartite / odd_unicycle / other, bipartiteness by 2-colouring."""
+    if len(edges) == n - 1:
+        return "tree"
+    adj = {v: set() for v in range(n)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    colour = {0: 0}
+    queue = deque([0])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if v not in colour:
+                colour[v] = 1 - colour[u]
+                queue.append(v)
+            elif colour[v] == colour[u]:
+                return "odd_unicycle" if len(edges) == n else "other"
+    return "bipartite"
 
 
 def oracle_grover_matrix(n: int, edges):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from groverwalk import cli, periodicity
+from groverwalk.linalg import CharPoly
 from groverwalk.census import analyze_graph, run_census
 from groverwalk.exceptions import ResidualExceededError
 from groverwalk.graphs import classify, write_graph_file
@@ -147,6 +148,34 @@ def test_cli_fraction_and_float_rendering():
     assert coeffs == ["-1/4", "-3/4", "0/1", "1/1"]
     assert isinstance(report["spectral_map"]["max_residual"], str)
     float(report["spectral_map"]["max_residual"])
+
+
+def test_census_ascending_is_fraction_rendering(capsys):
+    # the "p/q" strings written from the integer form are the reduced
+    # Fraction coefficients, on every census record with n <= 9
+    assert cli.main(["census", "--max-n", "9", "--json", "--no-timing"]) == 0
+    blocks = json.loads(capsys.readouterr().out)["records"]
+    records = run_census(9).records
+    assert len(blocks) == len(records) == 247
+    for block, record in zip(blocks, records):
+        want = ["%d/%d" % (c.numerator, c.denominator) for c in record.charpoly.coeffs]
+        assert block["charpoly"]["ascending"] == want
+
+
+def test_cli_output_builds_no_fraction_coefficients(monkeypatch, capsys):
+    # census and analyze write their reports from the integer form alone
+    def refuse(*args):
+        raise AssertionError("Fraction coefficients built")
+
+    monkeypatch.setattr(CharPoly, "coeffs", property(refuse))
+    monkeypatch.setattr(CharPoly, "__getitem__", refuse)
+    assert cli.main(["census", "--max-n", "7", "--json", "--no-timing"]) == 0
+    assert json.loads(capsys.readouterr().out)["summary"]["total_records"] == 37
+    for family in ("twotail:3,2", "path:4", "kbipartite:2,3", "cycle:9"):
+        assert cli.main(["analyze", "--family", family]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["spectral_map"]["matched"] is True
+        float(report["timing"]["seconds"])
 
 
 def test_cli_determinism():
@@ -323,6 +352,30 @@ def test_cli_verify_table1():
     assert proc.returncode == 0
     assert "suite table1: pass" in proc.stdout
     assert "FAIL" not in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "span, error",
+    [
+        (("--k", "99"), "k=99 r=6 has 218 arcs"),
+        (("--k", ""), "holds no values"),
+        (("--r", "2..1000000000000"), "has 4000000000010 arcs"),
+    ],
+    ids=["k-over-arc-cap", "empty-k", "huge-r"],
+)
+def test_cli_verify_checks_spans_only_for_chebyshev(span, error, monkeypatch, capsys):
+    # table1 reads neither --k nor --r, so their spans cannot stop it
+    assert cli.main(["verify", "--suite", "table1", *span]) == 0
+    assert capsys.readouterr().out.endswith("suite table1: pass\n")
+
+    # chebyshev rejects the same span before it builds a graph
+    def refuse(k, r):
+        raise AssertionError("built twotail:%d,%d" % (k, r))
+
+    monkeypatch.setattr(periodicity, "two_tail_graph", refuse)
+    monkeypatch.setattr(cli, "two_tail_graph", refuse)
+    assert cli.main(["verify", "--suite", "chebyshev", *span]) == 2
+    assert error in capsys.readouterr().err
 
 
 def test_cli_verify_failure_exit_code(monkeypatch, capsys):

@@ -7,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groverwalk.exceptions import CapExceededError, InvalidParameterError
+from groverwalk import families
 from groverwalk.families import (
+    CONNECTED_CAP,
+    HARD_CAP,
     FamilySpec,
     canonical_form,
     complete_bipartite,
@@ -137,7 +140,7 @@ def test_enumerate_connected_against_brute_force():
 
 def test_enumerate_connected_pairwise_noniso():
     for n in range(4, 8):
-        forms = [canonical_form(g) for g in enumerate_connected(n, cap=9)]
+        forms = [canonical_form(g) for g in enumerate_connected(n)]
         assert len(forms) == len(set(forms))
 
 
@@ -168,16 +171,25 @@ def test_enumerate_odd_unicyclic_subset_of_connected(connected_by_n):
         assert part == whole
 
 
-def test_enumeration_caps():
-    with pytest.raises(CapExceededError):
-        enumerate_connected(10)
-    with pytest.raises(CapExceededError):
-        enumerate_odd_unicyclic(13, cap=13)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        # the warning comes from the cap check, before any enumeration
-        enumerate_odd_unicyclic(3, cap=10)
-        assert any(issubclass(w.category, RuntimeWarning) for w in caught)
+def test_enumeration_caps(monkeypatch):
+    assert (CONNECTED_CAP, HARD_CAP) == (8, 12)
+    # each enumerator checks n against its own limit before it builds a graph
+    def refuse(*args):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(families, "build_graph", refuse)
+    with pytest.raises(CapExceededError, match="size 9 exceeds the limit 8"):
+        enumerate_connected(CONNECTED_CAP + 1)
+    with pytest.raises(CapExceededError, match="size 13 exceeds the limit 12"):
+        enumerate_odd_unicyclic(HARD_CAP + 1)
+    for enumerate_up_to in (enumerate_connected, enumerate_odd_unicyclic):
+        with pytest.raises(InvalidParameterError):
+            enumerate_up_to(0)
+    monkeypatch.undo()
+    # the limits are fixed, so reaching one is no cause for a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert len(enumerate_odd_unicyclic(HARD_CAP)) == 4795
 
 
 def test_enumerate_odd_unicyclic_matches_pendant_extensions():
@@ -190,21 +202,15 @@ def test_enumerate_odd_unicyclic_matches_pendant_extensions():
         assert prefix == tuple(g for g in reps if g.n <= n)
 
 
-def _at_hard_cap():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        return enumerate_odd_unicyclic(12, cap=12)
-
-
 def test_enumerate_odd_unicyclic_counts_to_hard_cap():
-    reps = _at_hard_cap()
+    reps = enumerate_odd_unicyclic(HARD_CAP)
     per_n = Counter(g.n for g in reps)
     assert [per_n[n] for n in range(3, 13)] == ODD_UNICYCLIC_PER_N
     assert len(reps) == 4795
 
 
 def test_enumerate_odd_unicyclic_order_and_shape():
-    reps = _at_hard_cap()
+    reps = enumerate_odd_unicyclic(HARD_CAP)
     keys = []
     for g in reps:
         cls = classify(g)
@@ -233,7 +239,8 @@ def test_enumerate_odd_unicyclic_labels():
 
 @functools.cache
 def _forms_on(n: int) -> frozenset:
-    return frozenset(canonical_form(g) for g in _at_hard_cap() if g.n == n)
+    reps = enumerate_odd_unicyclic(HARD_CAP)
+    return frozenset(canonical_form(g) for g in reps if g.n == n)
 
 
 @st.composite

@@ -19,19 +19,30 @@ from groverwalk.exceptions import (
     LoopEdgeError,
     ParseError,
 )
-from groverwalk.families import cycle_graph, enumerate_connected, path_graph
+from groverwalk.families import (
+    cycle_graph,
+    enumerate_connected,
+    enumerate_odd_unicyclic,
+    path_graph,
+)
 from groverwalk.graphs import (
     Arc,
     build_graph,
     classify,
     edge_weight,
     enumerate_matchings,
+    peel_leaves,
     read_graph_file,
     unicycle_decomposition,
     write_graph_file,
 )
 
-from oracles import brute_cycles, brute_matchings
+from oracles import (
+    brute_cycles,
+    brute_matchings,
+    oracle_unicycle_decomposition,
+    two_colouring_kind,
+)
 from strategies import connected_graphs
 
 
@@ -150,6 +161,46 @@ def test_unique_cycle_against_exhaustive_search():
             assert frozenset(cls.decomposition.cycle) in cycles
             seen += 1
     assert seen > 0
+
+
+def test_unicycle_decomposition_matches_oracle():
+    # every connected m = n graph with n <= 7, even cycles included, and
+    # every odd-unicyclic class with n <= 10
+    graphs = [g for n in range(3, 8) for g in enumerate_connected(n) if g.m == g.n]
+    graphs += enumerate_odd_unicyclic(10)
+    for g in graphs:
+        d = unicycle_decomposition(g)
+        assert (d.cycle, d.forest_edges) == oracle_unicycle_decomposition(g.n, g.edges)
+        assert d.girth == len(d.cycle)
+
+
+def test_classify_matches_two_colouring_oracle():
+    kinds = set()
+    for n in range(1, 8):
+        for g in enumerate_connected(n):
+            kind = classify(g).kind
+            assert kind == two_colouring_kind(g.n, g.edges), g
+            kinds.add(kind)
+    assert kinds == {"tree", "bipartite", "odd_unicycle", "other"}
+
+
+def test_peel_leaves_removes_each_tree_edge_once():
+    # a tree peels to its last vertex, the neighbour of the last removal
+    g = build_graph(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
+    removals, cycle = peel_leaves(g)
+    assert cycle == ()
+    assert sorted(tuple(sorted(e)) for e in removals) == list(g.edges)
+    peeled = [u for u, _ in removals]
+    assert len(set(peeled)) == 4 and removals[-1][1] not in peeled
+    assert peel_leaves(build_graph(1, [])) == ((), ())
+
+
+def test_peel_leaves_needs_at_most_one_cycle():
+    k4 = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    with pytest.raises(InvalidParameterError):
+        peel_leaves(k4)
+    with pytest.raises(InvalidParameterError):
+        unicycle_decomposition(path_graph(4))
 
 
 def test_matchings_triangle():
