@@ -4,11 +4,9 @@ Four commands: analyze a single graph, generate a family member, run the
 odd-unicyclic census, and run the verification suites. Analysis and census
 reports are single JSON documents with deterministic serialization: sorted
 keys, exact rationals as reduced "p/q" strings, floating-point values as
-strings with 15 significant digits. Each report block is made from JSON
-values, the rationals written from a CharPoly's integer coefficients and
-denominator and the floats formatted where they are read, so the report
-goes to json.dumps as it is. Identical invocations produce byte-identical
-output when timing is suppressed.
+strings with 15 significant digits, each written where its block is made,
+the rationals from a CharPoly's integers. Identical invocations produce
+byte-identical output when timing is suppressed.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error
 (an oversized input included). Every period is certified exactly from the

@@ -11,9 +11,9 @@ encoding over all vertex orderings that sort degrees ascending. The degree
 sequence is an isomorphism invariant, so restricting to degree-sorted
 orders keeps the form complete while pruning most of the n! search.
 
-Each enumerator has one fixed size limit, CONNECTED_CAP = 8 for
-enumerate_connected and HARD_CAP = 12 for enumerate_odd_unicyclic; a
-larger n raises CapExceededError before anything is built.
+Each enumerator has one fixed size limit: CONNECTED_CAP = 8, the last
+connected level that takes seconds, and HARD_CAP = 12 for odd-unicyclic
+graphs. A larger n raises CapExceededError before anything is built.
 """
 
 from __future__ import annotations
@@ -23,9 +23,6 @@ from dataclasses import dataclass
 from .exceptions import CapExceededError, InvalidParameterError
 from .graphs import Graph, build_graph
 
-# Largest n each enumerator accepts, checked before anything is built:
-# n = 8 is the last connected level that finishes in seconds, and the
-# odd-unicyclic classes to n = 12 (4,795 of them) take well under one.
 CONNECTED_CAP = 8
 HARD_CAP = 12
 

@@ -228,7 +228,7 @@ def peel_leaves(g: Graph) -> tuple[tuple[Edge, ...], tuple[int, ...]]:
 
 
 def unicycle_decomposition(g: Graph) -> UnicycleDecomposition:
-    """The cycle peel_leaves leaves of a unicyclic graph, and the peeled edges."""
+    """The cycle of a unicyclic graph, as peel_leaves finds it, and the peeled edges."""
     if g.m != g.n:
         raise InvalidParameterError(
             "a unicyclic graph has m = n, got m=%d n=%d" % (g.m, g.n)
