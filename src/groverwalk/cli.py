@@ -117,13 +117,14 @@ def _degree_condition_block(cond) -> dict:
 
 
 def _record_block(record: CensusRecord) -> dict:
-    failing = record.period_report.failing_indices
+    rep = record.period_report
+    failing = rep.failing_indices
     block = {
         "graph": _graph_block(record.graph),
         "classification": _classification_block(record.classification),
         "charpoly": _charpoly_block(record.charpoly),
         "integrality": {"failing_indices": failing, "passed": not failing},
-        "period": asdict(record.period_report),
+        "period": {"verdict": rep.verdict, "period": rep.period},
     }
     if record.degree_condition is not None:
         block["degree_condition"] = _degree_condition_block(record.degree_condition)
@@ -476,10 +477,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GroverWalkError as err:
-        print("error: %s" % err, file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (GroverWalkError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
 

@@ -7,10 +7,15 @@ everything downstream (arcs, matchings, file output).
 An arc is an ordered traversal of an edge. Arcs are totally ordered by
 (min endpoint, max endpoint, direction flag), so edge i contributes arcs
 2*i (low to high) and 2*i + 1 (high to low).
+
+A graph with m <= n is peeled leaf by leaf once: peel_leaves is memoised,
+so classify (through unicycle_decomposition) and the structural
+characteristic polynomial in walk read the same removals and cycle.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections import deque
 from dataclasses import dataclass
@@ -189,6 +194,7 @@ def _two_colorable(g: Graph) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=256)
 def peel_leaves(g: Graph) -> tuple[tuple[Edge, ...], tuple[int, ...]]:
     """Remove degree-one vertices until none is left, then walk what remains.
 
@@ -197,6 +203,7 @@ def peel_leaves(g: Graph) -> tuple[tuple[Edge, ...], tuple[int, ...]]:
     cycle that is left: it starts at its smallest vertex id and proceeds
     toward that vertex's smaller-id cycle neighbour. A tree peels down to
     one vertex, the neighbour of the last removal, and leaves no cycle.
+    Cached, like walk.transition_charpoly; the result is immutable.
     """
     if g.m > g.n:
         raise InvalidParameterError(
@@ -258,29 +265,21 @@ def classify(g: Graph) -> Classification:
 
 
 def enumerate_matchings(
-    g: Graph,
-    t: int,
-    allowed_edges: Sequence[Edge] | None = None,
-    forbidden_vertices: Sequence[int] | None = None,
+    g: Graph, t: int, allowed_edges: Sequence[Edge] | None = None
 ) -> Iterator[tuple[Edge, ...]]:
     """Yield every t-matching once, in canonical edge order.
 
     A t-matching is a set of t pairwise vertex-disjoint edges drawn from
-    allowed_edges (default: all edges) and avoiding forbidden_vertices
-    entirely. t=0 yields the single empty matching.
+    allowed_edges (default: all edges). t=0 yields the single empty
+    matching.
     """
     if t < 0:
         raise InvalidParameterError("matching size must be >= 0, got %d" % t)
-    banned = frozenset(forbidden_vertices or ())
     if allowed_edges is None:
-        pool = [e for e in g.edges if not (e[0] in banned or e[1] in banned)]
+        pool = g.edges
     else:
         allowed = {(u, v) if u < v else (v, u) for u, v in allowed_edges}
-        pool = [
-            e
-            for e in g.edges
-            if e in allowed and not (e[0] in banned or e[1] in banned)
-        ]
+        pool = [e for e in g.edges if e in allowed]
 
     chosen: list[Edge] = []
     used: set[int] = set()

@@ -12,19 +12,21 @@ it factors completely into cyclotomic polynomials Phi_d. The d that occur
 are the orders of the arc eigenvalues, their lcm is the period, and the
 period is certified exactly, minimality included, before it is reported:
 on the arc characteristic polynomial computed from the arc operator,
-independently of the transition side.
+independently of the transition side. The report holds the verdict, the
+period and the indices that failed the filter.
 
 The second half of the module verifies combinatorial identities between
 characteristic-polynomial coefficients and weighted matching sums on
 odd-unicyclic graphs, plus the Chebyshev eigenvector construction on the
 two-tailed family. These back the structural argument for why odd periods
-force the graph to be a bare odd cycle.
+force the graph to be a bare odd cycle. branch_frame walks each branch
+chain once; the lockstep length and the tail recurrence's premise are
+read from the chain lengths.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import math
 import operator
 from collections.abc import Iterable
@@ -44,15 +46,9 @@ from .graphs import (
     UnicycleDecomposition,
     classify,
     enumerate_matchings,
-    write_graph_file,
 )
 from .linalg import CharPoly, _divide_exact, is_integer
 from .walk import arc_charpoly, konno_sato_lift, transition_charpoly
-
-
-def graph_hash(g: Graph) -> str:
-    """Stable short digest of the canonical graph file text."""
-    return hashlib.sha256(write_graph_file(g).encode()).hexdigest()[:16]
 
 
 def _scaled_weight_sum(
@@ -75,18 +71,13 @@ def _scaled_weight_sum(
     return Fraction(total, scale ** (2 * t))
 
 
-def matching_sum(
-    g: Graph,
-    t: int,
-    allowed_edges=None,
-    forbidden_vertices=None,
-) -> Fraction:
+def matching_sum(g: Graph, t: int, allowed_edges=None) -> Fraction:
     """Sum over t-matchings of the product of reciprocal-degree weights.
 
-    The empty matching contributes 1, so t=0 always returns 1.
+    The matchings are drawn from allowed_edges (default: all edges). The
+    empty matching contributes 1, so t=0 always returns 1.
     """
-    matchings = enumerate_matchings(g, t, allowed_edges, forbidden_vertices)
-    return _scaled_weight_sum(g, matchings, t)
+    return _scaled_weight_sum(g, enumerate_matchings(g, t, allowed_edges), t)
 
 
 def integrality_filter(cp: CharPoly) -> tuple[int, ...]:
@@ -218,15 +209,12 @@ class PeriodReport:
 
     verdict is "periodic" or "refuted_by_integrality". period is set only
     for "periodic". failing_indices lists the integrality violations for
-    the refuted case. candidate_source names the route that found the
-    certified period: "cyclotomic", or None when refuted.
+    the refuted case.
     """
 
     verdict: str
     period: int | None
     failing_indices: tuple[int, ...]
-    candidate_source: str | None
-    graph_hash: str
 
 
 def find_period(g: Graph) -> PeriodReport:
@@ -241,11 +229,10 @@ def find_period(g: Graph) -> PeriodReport:
     bipartite spectrum holds already, so the lcm is the same. The period
     is certified by certify_period before it is reported.
     """
-    digest = graph_hash(g)
     cp = transition_charpoly(g)
     failing = integrality_filter(cp)
     if failing:
-        return PeriodReport("refuted_by_integrality", None, failing, None, digest)
+        return PeriodReport("refuted_by_integrality", None, failing)
     # cp = ints / D; the filter passed, so D divides 2^(n-k) ints[k] for
     # every k and P(y) is an integer polynomial
     n, d = cp.degree, cp.denominator
@@ -261,7 +248,7 @@ def find_period(g: Graph) -> PeriodReport:
     period = math.lcm(*orders)
     if not certify_period(g, period):
         raise RuntimeError("period %d failed its exact certificate" % period)
-    return PeriodReport("periodic", period, (), "cyclotomic", digest)
+    return PeriodReport("periodic", period, ())
 
 
 def odd_period_query(g: Graph) -> bool:
@@ -304,7 +291,7 @@ def cycle_matching_identity_check(
         Fraction((-1) ** (t + 1))
         * 2
         * cycle_weight
-        * matching_sum(g, t, off_cycle, d.cycle)
+        * matching_sum(g, t, off_cycle)
     )
     return cp[index] == rhs
 
@@ -367,17 +354,13 @@ def branch_frame(g: Graph) -> BranchFrame:
     )
 
 
-def lockstep_chain_length(frame: BranchFrame, g: Graph) -> int:
-    """Largest t with the first t vertices of both branches of degree 2."""
-    t = 0
-    while (
-        t < len(frame.branch_a)
-        and t < len(frame.branch_b)
-        and g.degree[frame.branch_a[t]] == 2
-        and g.degree[frame.branch_b[t]] == 2
-    ):
-        t += 1
-    return t
+def lockstep_chain_length(frame: BranchFrame) -> int:
+    """Largest t with the first t vertices of both branches of degree 2.
+
+    Each branch ends at its first vertex whose degree is not 2, so that
+    is one less than the shorter branch's length.
+    """
+    return min(len(frame.branch_a), len(frame.branch_b)) - 1
 
 
 def _paired_sum(g: Graph, frame: BranchFrame, i: int, upto: int) -> Fraction:
@@ -407,8 +390,9 @@ def tail_recurrence_check(g: Graph, i: int, r: int) -> bool:
 
     It holds when the first r vertices of both branches have degree 2,
     which makes every excluded edge weight exactly 1/4 and pins the edge
-    after the last excluded one. Outside that shape the premise fails and
-    ShapeMismatch is raised. i=0 reduces to 2 = 2.
+    after the last excluded one. Outside that shape, when r >= 2 exceeds
+    lockstep_chain_length, the premise fails and ShapeMismatch is raised.
+    i=0 reduces to 2 = 2.
     """
     if i < 0:
         raise InvalidParameterError("matching size must be >= 0, got %d" % i)
@@ -417,12 +401,8 @@ def tail_recurrence_check(g: Graph, i: int, r: int) -> bool:
     frame = branch_frame(g)
     if i == 0:
         return _paired_sum(g, frame, 0, r) == 2
-    if r >= 2:
-        for chain in (frame.branch_a, frame.branch_b):
-            if len(chain) <= r or any(g.degree[chain[j]] != 2 for j in range(r)):
-                raise ShapeMismatchError(
-                    "branch lacks %d degree-2 chain vertices" % r
-                )
+    if r >= 2 and lockstep_chain_length(frame) < r:
+        raise ShapeMismatchError("branch lacks %d degree-2 chain vertices" % r)
     lhs = _paired_sum(g, frame, i, r)
     base = matching_sum(g, i, frame.outer_edges)
     rhs = 2 * base
@@ -474,7 +454,7 @@ def branch_integrality_instances(g: Graph) -> tuple[IntegralityInstance, ...]:
     4^i * (outer i-matching sum) and 2^(2(i-1)-1) * S(i-1, 2) are integers.
     """
     frame = branch_frame(g)
-    t = lockstep_chain_length(frame, g)
+    t = lockstep_chain_length(frame)
     out = []
     for i in range(1, t + 1):
         k_scaled = Fraction(4) ** i * matching_sum(g, i, frame.outer_edges)

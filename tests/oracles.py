@@ -72,20 +72,17 @@ def brute_matchings(edges, t: int):
     return out
 
 
-def fraction_matching_sum(
-    n: int, edges, t: int, allowed_edges=None, forbidden_vertices=()
-) -> Fraction:
+def fraction_matching_sum(n: int, edges, t: int, allowed_edges=None) -> Fraction:
     """Sum over t-matchings of prod 1/(deg u deg v), in Fractions.
 
     The matchings come from the subset scan over the edges that are
-    allowed (all when allowed_edges is None) and avoid forbidden_vertices.
+    allowed (all when allowed_edges is None).
     """
     deg = [0] * n
     for u, v in edges:
         deg[u] += 1
         deg[v] += 1
-    banned = set(forbidden_vertices or ())
-    pool = [e for e in edges if not (e[0] in banned or e[1] in banned)]
+    pool = list(edges)
     if allowed_edges is not None:
         allowed = {tuple(sorted(e)) for e in allowed_edges}
         pool = [e for e in pool if e in allowed]
@@ -221,6 +218,34 @@ def oracle_unicycle_decomposition(n: int, edges) -> tuple[tuple[int, ...], tuple
     ring = {frozenset((cycle[i], cycle[i - 1])) for i in range(len(cycle))}
     forest = tuple(sorted(tuple(sorted(e)) for e in edges if frozenset(e) not in ring))
     return tuple(cycle), forest
+
+
+def walked_lockstep_length(branch_a, branch_b, degree) -> int:
+    """Largest t with the first t vertices of both branches of degree 2.
+
+    Walks the degrees position by position, as the package once did.
+    """
+    t = 0
+    while (
+        t < len(branch_a)
+        and t < len(branch_b)
+        and degree[branch_a[t]] == 2
+        and degree[branch_b[t]] == 2
+    ):
+        t += 1
+    return t
+
+
+def walked_tail_guard_fails(branch_a, branch_b, degree, r: int) -> bool:
+    """True when the tail recurrence's premise fails at exclusion depth r >= 2.
+
+    The premise is that each branch has more than r vertices and its first
+    r are of degree 2, checked vertex by vertex as the package once did.
+    """
+    return any(
+        len(chain) <= r or any(degree[chain[j]] != 2 for j in range(r))
+        for chain in (branch_a, branch_b)
+    )
 
 
 def two_colouring_kind(n: int, edges) -> str:

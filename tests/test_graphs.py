@@ -215,21 +215,16 @@ def test_matchings_c5_pairs():
 
 
 def test_matchings_restrictions(paw):
-    # forbidding the cycle vertices leaves no edge for t=1
-    got = list(enumerate_matchings(paw, 1, forbidden_vertices={0, 1, 2}))
-    assert got == []
     # allowed subset only
     got = list(enumerate_matchings(paw, 1, allowed_edges=[(0, 3)]))
     assert got == [((0, 3),)]
 
 
 def test_matching_singleton_count_rule(paw):
-    # t=1 count equals the number of allowed edges with no forbidden endpoint
-    allowed = paw.edges
-    forbidden = {3}
-    got = list(enumerate_matchings(paw, 1, allowed, forbidden))
-    want = [e for e in allowed if 3 not in e]
-    assert [m[0] for m in got] == want
+    # t=1 yields each allowed edge once, in canonical order
+    allowed = [e for e in paw.edges if 3 not in e]
+    got = list(enumerate_matchings(paw, 1, allowed[::-1]))
+    assert [m[0] for m in got] == allowed
 
 
 def test_matchings_match_brute_force():
