@@ -14,7 +14,7 @@ budget to run out of.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .families import enumerate_odd_unicyclic
 from .graphs import Classification, Graph, classify
@@ -28,8 +28,7 @@ from .periodicity import (
 from .walk import transition_charpoly
 
 
-@dataclass(frozen=True)
-class CensusRecord:
+class CensusRecord(NamedTuple):
     """One graph and everything we know about it.
 
     degree_condition is None unless the graph is odd-unicyclic.
@@ -52,8 +51,7 @@ class CensusRecord:
         return rep.verdict == "periodic" and rep.period % 2 == 1
 
 
-@dataclass(frozen=True)
-class CensusResult:
+class CensusResult(NamedTuple):
     max_n: int
     records: tuple[CensusRecord, ...]
 

@@ -20,7 +20,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict
 
 from .census import CensusRecord, analyze_graph, run_census
 from .exceptions import CapExceededError, GroverWalkError, ResidualExceededError
@@ -165,7 +164,7 @@ def cmd_analyze(args) -> int:
     g = _load_graph(args)
     started = time.perf_counter()
     report = _record_block(analyze_graph(g))
-    spectral = asdict(spectral_map_check(g))
+    spectral = spectral_map_check(g)._asdict()
     spectral["max_residual"] = format(spectral["max_residual"], ".15g")
     report["spectral_map"] = spectral
     if not args.no_timing:

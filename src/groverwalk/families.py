@@ -18,7 +18,7 @@ graphs. A larger n raises CapExceededError before anything is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exceptions import CapExceededError, InvalidParameterError
 from .graphs import Graph, build_graph
@@ -27,8 +27,7 @@ CONNECTED_CAP = 8
 HARD_CAP = 12
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     kind: str  # "cycle" | "path" | "kbipartite" | "twotail"
     params: tuple[int, ...]
 

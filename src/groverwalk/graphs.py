@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import operator
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
@@ -152,8 +151,7 @@ def build_graph(n: int, edges: Sequence[tuple[int, int]]) -> Graph:
     return Graph(n, edges)
 
 
-@dataclass(frozen=True)
-class UnicycleDecomposition:
+class UnicycleDecomposition(NamedTuple):
     """The unique cycle of a unicyclic graph plus the off-cycle edges.
 
     The cycle starts at its smallest vertex id and proceeds toward that
@@ -173,8 +171,7 @@ class UnicycleDecomposition:
         return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     kind: str  # "tree" | "bipartite" | "odd_unicycle" | "other"
     decomposition: UnicycleDecomposition | None = None
 

@@ -18,7 +18,6 @@ only for comparison with a Fraction sum.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exceptions import DimensionMismatchError, InvalidParameterError, NonSquareError
@@ -139,7 +138,6 @@ def _divide_exact(a: list[int], b: tuple[int, ...]) -> list[int] | None:
     return None if any(rest[:db]) else quot
 
 
-@dataclass(frozen=True)
 class CharPoly:
     """det(x I - M) as integer_coeffs / denominator, low to high.
 
@@ -150,22 +148,49 @@ class CharPoly:
     is the lcm of the reduced coefficients' denominators, and the last
     integer coefficient. coeffs and cp[j] build Fraction coefficients on
     each call, for comparison with Fraction sums; the exact routes and
-    the printed reports read integer_coeffs and denominator.
+    the printed reports read integer_coeffs and denominator. Instances
+    are immutable, since the lru_cache routes in walk share them.
     """
 
-    integer_coeffs: tuple[int, ...]
-    denominator: int
+    __slots__ = ("integer_coeffs", "denominator")
 
-    def __post_init__(self):
-        if self.denominator < 1:
+    def __init__(self, integer_coeffs: tuple[int, ...], denominator: int):
+        if denominator < 1:
             raise InvalidParameterError(
-                "denominator must be >= 1, got %d" % self.denominator
+                "denominator must be >= 1, got %d" % denominator
             )
-        g = math.gcd(*self.integer_coeffs, self.denominator)
+        g = math.gcd(*integer_coeffs, denominator)
         if g > 1:
-            reduced = tuple(c // g for c in self.integer_coeffs)
-            object.__setattr__(self, "integer_coeffs", reduced)
-            object.__setattr__(self, "denominator", self.denominator // g)
+            integer_coeffs = tuple(c // g for c in integer_coeffs)
+            denominator //= g
+        object.__setattr__(self, "integer_coeffs", integer_coeffs)
+        object.__setattr__(self, "denominator", denominator)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to CharPoly.%s" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete CharPoly.%s" % name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.integer_coeffs, self.denominator) == (
+            other.integer_coeffs,
+            other.denominator,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.integer_coeffs, self.denominator))
+
+    def __repr__(self) -> str:
+        return "CharPoly(integer_coeffs=%r, denominator=%r)" % (
+            self.integer_coeffs,
+            self.denominator,
+        )
+
+    def __reduce__(self):
+        return CharPoly, (self.integer_coeffs, self.denominator)
 
     @property
     def degree(self) -> int:

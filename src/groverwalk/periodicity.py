@@ -19,9 +19,9 @@ The second half of the module verifies combinatorial identities between
 characteristic-polynomial coefficients and weighted matching sums on
 odd-unicyclic graphs, plus the Chebyshev eigenvector construction on the
 two-tailed family. These back the structural argument for why odd periods
-force the graph to be a bare odd cycle. branch_frame walks each branch
-chain once; the lockstep length and the tail recurrence's premise are
-read from the chain lengths.
+force the graph to be a bare odd cycle. branch_frame is memoised and
+walks each branch chain once per graph; the lockstep length and the tail
+recurrence's premise are read from the chain lengths.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ import functools
 import math
 import operator
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exceptions import (
     IndexOutOfRangeError,
@@ -90,8 +90,7 @@ def integrality_filter(cp: CharPoly) -> tuple[int, ...]:
     return tuple(j for j in range(n + 1) if (ints[n - j] << j) % d)
 
 
-@dataclass(frozen=True)
-class DegreeConditionVerdict:
+class DegreeConditionVerdict(NamedTuple):
     kind: str  # "all_degree_two" | "one_degree_four" | "violates"
     vertex: int | None = None  # the degree-4 cycle vertex when applicable
 
@@ -203,8 +202,7 @@ def certify_period(g: Graph, p: int) -> bool:
     return len(rest) == 1 and math.lcm(*orders) == p
 
 
-@dataclass(frozen=True)
-class PeriodReport:
+class PeriodReport(NamedTuple):
     """Outcome of period detection.
 
     verdict is "periodic" or "refuted_by_integrality". period is set only
@@ -296,8 +294,7 @@ def cycle_matching_identity_check(
     return cp[index] == rhs
 
 
-@dataclass(frozen=True)
-class BranchFrame:
+class BranchFrame(NamedTuple):
     """The split of an odd-unicyclic graph at its degree-4 cycle vertex.
 
     hub is the cycle vertex of degree 4; its two off-cycle neighbours head
@@ -325,8 +322,13 @@ def _chain_from(g: Graph, hub: int, first: int) -> tuple[int, ...]:
     return tuple(chain)
 
 
+@functools.lru_cache(maxsize=256)
 def branch_frame(g: Graph) -> BranchFrame:
-    """Build the degree-4 split, or raise ShapeMismatch if it does not exist."""
+    """Build the degree-4 split, or raise ShapeMismatch if it does not exist.
+
+    Cached, like graphs.peel_leaves, because every identity instance on a
+    graph reads the same frame; the frame is immutable.
+    """
     cls = classify(g)
     if cls.kind != "odd_unicycle":
         raise ShapeMismatchError("graph is not odd-unicyclic")
@@ -436,8 +438,7 @@ def matching_split_check(g: Graph, t: int) -> bool:
     return outer_total == lhs_rho - touching
 
 
-@dataclass(frozen=True)
-class IntegralityInstance:
+class IntegralityInstance(NamedTuple):
     i: int
     scaled_outer: Fraction  # 4^i times the outer i-matching sum
     scaled_paired: Fraction  # 2^(2(i-1)-1) times S(i-1, 2)
@@ -491,8 +492,7 @@ def chebyshev_table(max_index: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class ChebyshevReport:
+class ChebyshevReport(NamedTuple):
     eigenvalues: tuple[float, ...]
     max_residual: float
     tail_edges: int

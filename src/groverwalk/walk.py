@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exceptions import InvalidParameterError, ResidualExceededError
 from .graphs import Arc, Graph, peel_leaves
@@ -36,8 +36,7 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
-class GroverOperator:
+class GroverOperator(NamedTuple):
     """Arc-space walk operator with its arc order."""
 
     matrix: RationalMatrix
@@ -47,8 +46,7 @@ class GroverOperator:
         return self.arcs.index(arc)
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
+class TransitionMatrix(NamedTuple):
     """Row-stochastic simple random walk matrix."""
 
     matrix: RationalMatrix
@@ -263,8 +261,7 @@ def konno_sato_lift(a: list, excess: int) -> list:
     return _times_x2_minus_1(lift, max(excess, 0))
 
 
-@dataclass(frozen=True)
-class SpectralMapReport:
+class SpectralMapReport(NamedTuple):
     """Outcome of checking the vertex-to-arc spectral correspondence.
 
     predicted counts the arc eigenvalues that are images of vertex

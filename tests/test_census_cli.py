@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -82,9 +81,38 @@ def test_census_peels_each_record_once():
     assert peel_leaves.cache_info().misses == 247
 
 
+def test_identities_suite_builds_each_branch_frame_once(capsys):
+    # the 10 two-tail graphs of the suite each get one frame, however many
+    # identity instances read it
+    periodicity.branch_frame.cache_clear()
+    assert cli.main(["verify", "--suite", "identities"]) == 0
+    assert capsys.readouterr().out.endswith("suite identities: pass\n")
+    assert periodicity.branch_frame.cache_info().misses == 10
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # the records are NamedTuples and CharPoly a slots class, so starting
+    # the CLI loads neither module (nor the ast, dis and tokenize behind them).
+    # -S keeps site out: a .pth hook of some installs imports inspect itself
+    code = (
+        "import sys, groverwalk.cli; "
+        "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
+
+
 def test_period_block_holds_verdict_and_period(capsys):
     # the failing indices are printed once, in the integrality block
-    assert [f.name for f in dataclasses.fields(PeriodReport)] == [
+    assert list(PeriodReport._fields) == [
         "verdict",
         "period",
         "failing_indices",
@@ -295,7 +323,7 @@ def test_cli_exit_two(argv):
 def test_cli_family_over_arc_cap(command, family, monkeypatch, capsys):
     # the cap is read from the closed form, so the graph is never built
     def refuse(spec):
-        raise AssertionError("built %s" % spec)
+        raise AssertionError("built %s" % (spec,))
 
     monkeypatch.setattr(cli, "make_family", refuse)
     assert cli.main([command, "--family", family]) == 2

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -299,7 +298,7 @@ def test_spectral_map_matches_fraction_oracle(connected_by_n):
             want = fraction_spectral_map(
                 walk.transition_charpoly(g).coeffs, walk.arc_charpoly(g).coeffs, g.m
             )
-            assert dataclasses.astuple(spectral_map_check(g)) == want, g
+            assert tuple(spectral_map_check(g)) == want, g
 
 
 def test_spectral_map_residual_on_wrong_charpolys(monkeypatch, connected_by_n):
@@ -318,7 +317,7 @@ def test_spectral_map_residual_on_wrong_charpolys(monkeypatch, connected_by_n):
                 want = fraction_spectral_map(
                     wrong.coeffs, walk.arc_charpoly(g).coeffs, g.m
                 )
-                assert dataclasses.astuple(report) == want, (g, h)
+                assert tuple(report) == want, (g, h)
                 # K_13 and C_4 share a transition spectrum
                 own = walk.transition_charpoly(g)
                 assert (report.max_residual > 0) == (own != wrong)
