@@ -35,7 +35,14 @@ from .families import (
     path_graph,
     two_tail_graph,
 )
-from .graphs import Classification, Graph, classify, read_graph_file, write_graph_file
+from .graphs import (
+    MAX_FILE_EDGES,
+    Classification,
+    Graph,
+    classify,
+    read_graph_file,
+    write_graph_file,
+)
 from .periodicity import (
     branch_integrality_instances,
     chebyshev_eigen_check,
@@ -46,11 +53,10 @@ from .periodicity import (
 )
 from .walk import spectral_map_check
 
-# Largest arc count 2m that analyze, gen and the chebyshev grid accept. The
-# arc operator is 2m x 2m, and at this size one analyze takes seconds; a
+# Largest arc count 2m that analyze, gen and the chebyshev grid accept. A
 # family or grid is checked from its closed form before it is built, a
-# graph file right after parsing.
-ARC_CAP = 128
+# graph file from its header by read_graph_file.
+ARC_CAP = 2 * MAX_FILE_EDGES
 
 # Default --max-n of census and verify; each enumerator has its own limit.
 ENUMERATION_CAP = 9
@@ -154,9 +160,7 @@ def _load_graph(args) -> Graph:
         return _family_graph(args.family)
     if args.graph:
         with open(args.graph, "r", encoding="utf-8") as handle:
-            g = read_graph_file(handle.read())
-        _check_arcs(2 * g.m, args.graph)
-        return g
+            return read_graph_file(handle.read())
     raise GroverWalkError("no graph given: pass a file path or --family")
 
 

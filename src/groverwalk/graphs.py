@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import functools
 import operator
+import re
 from collections import deque
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
 from .exceptions import (
+    CapExceededError,
     DisconnectedError,
     DuplicateEdgeError,
     EmptyGraphError,
@@ -31,6 +33,14 @@ from .exceptions import (
 )
 
 Edge = tuple[int, int]
+
+# Most edges a graph file may declare; the arc operator is 2m x 2m, and at
+# this size one analyze takes seconds.
+MAX_FILE_EDGES = 64
+
+# A line and its break as str.splitlines splits, one at a time, so that a
+# refused file is never split whole; the empty match at the end is blank.
+_LINE = re.compile("[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*(?:\r\n|.)?", re.S)
 
 
 class Arc(NamedTuple):
@@ -306,12 +316,14 @@ def read_graph_file(text: str) -> Graph:
 
     First non-comment line is "n m"; the next m non-comment lines are
     "u v" pairs. '#' starts a comment, blank lines are skipped, tokens are
-    whitespace separated. Malformed input raises ParseError with the line
-    number; graph validation errors propagate from build_graph.
+    whitespace separated. A header declaring more than MAX_FILE_EDGES
+    edges raises CapExceededError. Malformed input raises ParseError with
+    the line number; graph validation errors propagate from build_graph.
     """
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, match in enumerate(_LINE.finditer(text), start=1):
+        raw = match.group()
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -323,6 +335,9 @@ def read_graph_file(text: str) -> Graph:
         except ValueError:
             raise ParseError("non-integer token in %r" % raw.strip(), lineno) from None
         if header is None:
+            if b > MAX_FILE_EDGES:
+                msg = "header m=%d gives %d arcs; at most %d are accepted"
+                raise CapExceededError(msg % (b, 2 * b, 2 * MAX_FILE_EDGES))
             header = (a, b)
         else:
             if len(edges) >= header[1]:

@@ -2,17 +2,16 @@
 
 A graph is periodic when some power of its arc evolution operator is the
 identity; the period is the least such exponent. Detection is one exact
-route from the transition characteristic polynomial cp. The integrality
-filter refutes most graphs outright. For a graph that passes it,
+route. The integrality filter on the transition characteristic
+polynomial cp refutes most graphs outright. For a graph that passes it,
 P(y) = 2^n cp(y/2) is a monic integer polynomial whose roots are real and
-lie in [-2, 2]. Its Konno-Sato lift, x^n P(x + 1/x) (x^2 - 1)^(m - n)
-when m > n, is the arc characteristic polynomial, a monic integer
-polynomial whose roots lie on the unit circle, so by Kronecker's theorem
-it factors completely into cyclotomic polynomials Phi_d. The d that occur
-are the orders of the arc eigenvalues, their lcm is the period, and the
-period is certified exactly, minimality included, before it is reported:
-on the arc characteristic polynomial computed from the arc operator,
-independently of the transition side. The report holds the verdict, the
+lie in [-2, 2]. The arc characteristic polynomial u, computed from the
+arc operator once that operator is checked to be orthogonal, is then
+checked coefficient by coefficient against the Konno-Sato lift of P. So
+u is a monic integer polynomial whose roots lie on the unit circle, and
+by Kronecker's theorem it factors completely into cyclotomic polynomials
+Phi_d. The d that occur are the orders of the arc eigenvalues, and their
+lcm is the period, exact and least. The report holds the verdict, the
 period and the indices that failed the filter.
 
 The second half of the module verifies combinatorial identities between
@@ -28,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from collections.abc import Iterable
 from fractions import Fraction
 from typing import NamedTuple
@@ -48,7 +46,7 @@ from .graphs import (
     enumerate_matchings,
 )
 from .linalg import CharPoly, _divide_exact, is_integer
-from .walk import arc_charpoly, konno_sato_lift, transition_charpoly
+from .walk import arc_charpoly, konno_sato_residual, transition_charpoly
 
 
 def _scaled_weight_sum(
@@ -116,24 +114,16 @@ def degree_condition_filter(
 # Period detection. Polynomials are integer coefficient lists, low to high.
 
 
-def _prime_factors(k: int) -> list[int]:
-    primes = []
-    p = 2
+def _totient(d: int) -> int:
+    phi, k, p = d, d, 2
     while p * p <= k:
         if k % p == 0:
-            primes.append(p)
+            phi -= phi // p
             while k % p == 0:
                 k //= p
         p += 1
     if k > 1:
-        primes.append(k)
-    return primes
-
-
-def _totient(d: int) -> int:
-    phi = d
-    for p in _prime_factors(d):
-        phi -= phi // p
+        phi -= phi // k
     return phi
 
 
@@ -147,17 +137,17 @@ def _cyclotomic(d: int) -> tuple[int, ...]:
     return tuple(poly)
 
 
-def _cyclotomic_orders(
-    poly: list[int], candidates: Iterable[int]
-) -> tuple[list[int], list[int]]:
-    """Divide Phi_d out of poly as often as it goes, for each d in candidates.
+def _cyclotomic_orders(poly: list[int]) -> tuple[list[int], list[int]]:
+    """Divide Phi_d out of poly as often as it goes, for d = 1, 2, ...
 
-    A d with phi(d) above what is left of poly's degree is skipped before
-    Phi_d is built. Returns the d found, once per factor, and the quotient
-    left over.
+    On a poly of degree N a factor Phi_d has phi(d) <= N, and
+    phi(d) >= sqrt(d/2) for every d, so d <= 2N^2 covers them all. A d
+    with phi(d) above what is left of poly's degree is skipped before Phi_d
+    is built. Returns the d found, once per factor, and the quotient left
+    over.
     """
     orders = []
-    for d in candidates:
+    for d in range(1, 2 * (len(poly) - 1) ** 2 + 1):
         if len(poly) == 1:
             break
         if _totient(d) > len(poly) - 1:
@@ -166,40 +156,6 @@ def _cyclotomic_orders(
             poly = quot
             orders.append(d)
     return orders, poly
-
-
-def certify_period(g: Graph, p: int) -> bool:
-    """True iff p is the least k >= 1 with U^k = I, decided exactly.
-
-    Three exact checks, none of which raises U to a power:
-
-    1. A = L*U from grover_arc_rows has A A^T = L^2 I, which
-       walk.arc_charpoly checks before it returns, raising
-       ResidualExceededError otherwise. So U is orthogonal, hence
-       diagonalizable, and U^k = I exactly when every eigenvalue is a
-       k-th root of unity.
-    2. charpoly_U has integer coefficients and is used up by dividing
-       out cyclotomic polynomials Phi_d with d | p. The d found are the
-       orders of the eigenvalues, so U^k = I exactly when every d
-       divides k.
-    3. The lcm of the d found is p, so p is the least such k.
-
-    A factor of the degree-N charpoly has phi(d) <= N, and
-    phi(d) >= sqrt(d/2) for every d, so d <= 2N^2 bounds the search
-    whatever the size of p, and p itself is never factored.
-    """
-    try:
-        p = operator.index(p)
-    except TypeError:
-        raise InvalidParameterError("period %r is not an integer" % (p,)) from None
-    if p < 1:
-        raise InvalidParameterError("period must be >= 1, got %d" % p)
-    cp = arc_charpoly(g)
-    if cp.denominator != 1:
-        return False
-    divisors = (d for d in range(1, min(p, 2 * cp.degree**2) + 1) if p % d == 0)
-    orders, rest = _cyclotomic_orders(list(cp.integer_coeffs), divisors)
-    return len(rest) == 1 and math.lcm(*orders) == p
 
 
 class PeriodReport(NamedTuple):
@@ -219,34 +175,26 @@ def find_period(g: Graph) -> PeriodReport:
     """Decide periodicity of the arc evolution operator exactly.
 
     A graph that fails the integrality filter is refuted. Otherwise the
-    period is the lcm of the d whose Phi_d divides the Konno-Sato lift of
-    P(y) = 2^n cp(y/2) (walk.konno_sato_lift with excess m - n). Each
-    vertex eigenvalue cos(theta) lifts to exp(+-i theta), and the factor
-    (x^2 - 1)^(m - n) adds the arc eigenvalues +1 and -1 outside that
-    image; for a tree the lift has one spare Phi_1 Phi_2, which the
-    bipartite spectrum holds already, so the lcm is the same. The period
-    is certified by certify_period before it is reported.
+    arc charpoly u = walk.arc_charpoly(g), whose rows have passed
+    A A^T = L^2 I, so that U is orthogonal and diagonalizable, is checked
+    against the transition charpoly by walk.konno_sato_residual, and that
+    same u is factored into Phi_d. U^k = I exactly when every d found
+    divides k, so the period is their lcm. The identity is a theorem, and
+    once it holds on a graph that passed the filter Kronecker's theorem
+    rules out a leftover factor, so either failure is a defect and raises
+    RuntimeError, never a verdict.
     """
     cp = transition_charpoly(g)
     failing = integrality_filter(cp)
     if failing:
         return PeriodReport("refuted_by_integrality", None, failing)
-    # cp = ints / D; the filter passed, so D divides 2^(n-k) ints[k] for
-    # every k and P(y) is an integer polynomial
-    n, d = cp.degree, cp.denominator
-    scaled = [(c << (n - k)) // d for k, c in enumerate(cp.integer_coeffs)]
-    lift = konno_sato_lift(scaled, g.m - n)
-    # a factor of degree at most N = deg lift has phi(d) <= N, and
-    # phi(d) >= sqrt(d/2) for every d, so d <= 2N^2 covers them all
-    orders, rest = _cyclotomic_orders(lift, range(1, 2 * (len(lift) - 1) ** 2 + 1))
+    u = arc_charpoly(g)
+    if konno_sato_residual(cp, u):
+        raise RuntimeError("the arc charpoly fails the Konno-Sato identity")
+    orders, rest = _cyclotomic_orders(list(u.integer_coeffs))
     if len(rest) > 1:
-        # Kronecker's theorem rules this out for a polynomial that passed
-        # the integrality filter, so it is a defect, never a verdict
         raise RuntimeError("factor %r is not a product of Phi_d" % (rest,))
-    period = math.lcm(*orders)
-    if not certify_period(g, period):
-        raise RuntimeError("period %d failed its exact certificate" % period)
-    return PeriodReport("periodic", period, ())
+    return PeriodReport("periodic", math.lcm(*orders), ())
 
 
 def odd_period_query(g: Graph) -> bool:

@@ -212,9 +212,9 @@ def arc_charpoly(g: Graph) -> CharPoly:
     det U = -1 the middle coefficient q_(N/2) must be 0, which is
     checked; a nonzero one raises ResidualExceededError, and so does a
     failed orthogonality check. This is the one place the arc rows are
-    built and checked. Cached so that the period certificate and
-    spectral_map_check share one 2m x 2m charpoly per graph; the cache
-    stays small because no caller returns to a graph after its analysis.
+    built and checked. Cached so that find_period and spectral_map_check
+    share one 2m x 2m charpoly per graph; the cache stays small because no
+    caller returns to a graph after its analysis.
     """
     scale, rows = grover_arc_rows(g)
     sparse = sparse_rows(rows)
@@ -246,12 +246,11 @@ def konno_sato_lift(a: list, excess: int) -> list:
 
     a holds the integer coefficients of P, low to high, and n = deg P.
     With a_k = c_k 2^(n-k) for the transition charpoly cp_T = sum c_k x^k,
-    P(y) = 2^n cp_T(y/2); find_period passes it once the integrality
-    filter has made it integral, and spectral_map_check passes it times
-    the denominator of cp_T. With excess = m - n the lift is the arc
-    charpoly that the Konno-Sato identity predicts (times
-    (x^2 - 1)^(n - m) for a tree). x^n (x + 1/x)^k = x^(n-k) (x^2 + 1)^k
-    expands binomially, so ints stay ints.
+    P(y) = 2^n cp_T(y/2); konno_sato_residual passes it times the
+    denominator of cp_T. With excess = m - n the lift is the arc charpoly
+    that the Konno-Sato identity predicts (times (x^2 - 1)^(n - m) for a
+    tree). x^n (x + 1/x)^k = x^(n-k) (x^2 + 1)^k expands binomially, so
+    ints stay ints.
     """
     n = len(a) - 1
     lift = [0] * (2 * n + 1)
@@ -259,6 +258,23 @@ def konno_sato_lift(a: list, excess: int) -> list:
         for i in range(k + 1):
             lift[n - k + 2 * i] += c * math.comb(k, i)
     return _times_x2_minus_1(lift, max(excess, 0))
+
+
+def konno_sato_residual(cp_t: CharPoly, p_u: CharPoly) -> int:
+    """Largest absolute coefficient of D_T D_U (lhs - rhs); 0 iff the identity
+
+        charpoly_U(x) = (x^2 - 1)^(m - n) (2x)^n charpoly_T((x^2 + 1) / (2x))
+
+    of Konno and Sato (Quantum Inf. Process. 11, 2012) holds, the factor
+    moved to the left for a tree. D_T, D_U are the denominators of cp_t and
+    p_u; the right side is the lift of P(y) = 2^n cp_t(y/2), all in ints.
+    """
+    n, m = cp_t.degree, p_u.degree // 2
+    d_t, d_u = cp_t.denominator, p_u.denominator
+    scaled = [c << (n - k) for k, c in enumerate(cp_t.integer_coeffs)]
+    rhs = konno_sato_lift(scaled, m - n)
+    lhs = _times_x2_minus_1(list(p_u.integer_coeffs), max(n - m, 0))
+    return max(abs(a * d_t - b * d_u) for a, b in zip(lhs, rhs, strict=True))
 
 
 class SpectralMapReport(NamedTuple):
@@ -283,30 +299,17 @@ class SpectralMapReport(NamedTuple):
 def spectral_map_check(g: Graph, tol: float = 1e-8) -> SpectralMapReport:
     """Verify Spec(U) against the image of Spec(T) plus {+1, -1} absorbers.
 
-    Checks exactly the Konno-Sato identity (Quantum Inf. Process. 11, 2012)
-
-        charpoly_U(x) = (x^2 - 1)^(m - n) (2x)^n charpoly_T((x^2 + 1) / (2x)),
-
-    with (x^2 - 1)^(n - m) moved to the left side for a tree. Each vertex
-    eigenvalue lambda maps to the roots of x^2 - 2 lambda x + 1, that is
-    exp(+-i arccos lambda), and the identity accounts for the rest of the
-    arc spectrum at +-1. Both sides are compared in integers, on the
-    integer coefficients and denominators of the two charpolys, and the
-    counts come from exact root multiplicities on the same integers; tol
+    Checks the Konno-Sato identity exactly, with konno_sato_residual. Each
+    vertex eigenvalue lambda maps to the roots of x^2 - 2 lambda x + 1,
+    that is exp(+-i arccos lambda), and the identity accounts for the rest
+    of the arc spectrum at +-1. The counts come from exact root
+    multiplicities on the integer coefficients of the two charpolys; tol
     is accepted for compatibility and unused.
     """
     cp_t = transition_charpoly(g)
     p_u = arc_charpoly(g)
     n, arc_count = cp_t.degree, p_u.degree
-
-    # the integer coefficients are D_T cp_t and D_U p_u, D each denominator.
-    # (2x)^n cp_t((x^2 + 1) / (2x)) is the lift of P(y) = 2^n cp_t(y/2), so
-    # the identity holds exactly when lhs * D_T equals rhs * D_U
-    t_ints, u_ints = cp_t.integer_coeffs, p_u.integer_coeffs
-    d_t, d_u = cp_t.denominator, p_u.denominator
-    rhs = konno_sato_lift([c << (n - k) for k, c in enumerate(t_ints)], g.m - n)
-    lhs = _times_x2_minus_1(list(u_ints), max(n - g.m, 0))
-    worst = max(abs(a * d_t - b * d_u) for a, b in zip(lhs, rhs, strict=True))
+    worst = konno_sato_residual(cp_t, p_u)
 
     t_plus = cp_t.root_multiplicity(1)
     t_minus = cp_t.root_multiplicity(-1)
@@ -322,7 +325,7 @@ def spectral_map_check(g: Graph, tol: float = 1e-8) -> SpectralMapReport:
     )
     return SpectralMapReport(
         matched=matched,
-        max_residual=worst / (d_t * d_u),
+        max_residual=worst / (cp_t.denominator * p_u.denominator),
         predicted=predicted,
         unexplained=unexplained,
         plus_one_extra=plus_extra,

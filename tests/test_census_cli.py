@@ -394,6 +394,15 @@ def test_cli_graph_file_over_arc_cap(tmp_path, capsys):
     assert "130 arcs" in capsys.readouterr().err
 
 
+def test_cli_graph_file_refused_from_its_header(tmp_path, capsys):
+    # the declared m is checked before any edge line is parsed, so the
+    # malformed second line is never read
+    path = tmp_path / "huge.graph"
+    path.write_text("1000001 1000000\nx y\n")
+    assert cli.main(["analyze", str(path)]) == 2
+    assert "at most %d" % cli.ARC_CAP in capsys.readouterr().err
+
+
 def test_cli_rejects_malformed_file(tmp_path):
     path = tmp_path / "loop.graph"
     path.write_text("2 1\n0 0\n")

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from groverwalk import cli
 from groverwalk.exceptions import (
+    CapExceededError,
     DisconnectedError,
     DuplicateEdgeError,
     EmptyGraphError,
@@ -283,6 +284,14 @@ def test_graph_file_format():
     # comments and blank lines are ignored
     g = read_graph_file("# triangle\n\n3 3\n0 1\n# middle\n1 2\n2 0\n")
     assert g == cycle_graph(3)
+
+
+def test_graph_file_edge_cap_is_read_from_the_header():
+    # 64 edges pass; 65 are refused before the malformed edge line is read
+    g = path_graph(65)
+    assert read_graph_file(write_graph_file(g)) == g
+    with pytest.raises(CapExceededError, match="130 arcs; at most 128"):
+        read_graph_file("# big\n66 65\nx y\n")
 
 
 def test_graph_file_errors():

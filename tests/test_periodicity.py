@@ -28,7 +28,6 @@ from groverwalk.periodicity import (
     _cyclotomic_orders,
     branch_frame,
     branch_integrality_instances,
-    certify_period,
     chebyshev_eigen_check,
     chebyshev_table,
     cycle_matching_identity_check,
@@ -123,8 +122,8 @@ def test_integrality_filter_matches_fraction_oracle():
 
 
 def test_exact_routes_build_no_fraction_coefficients(monkeypatch, paw):
-    # the period route, the certificate, the spectral map and the Chebyshev
-    # check read the integer coefficients and the denominator only
+    # the period route, the spectral map and the Chebyshev check read the
+    # integer coefficients and the denominator only
     def refuse(*args):
         raise AssertionError("Fraction coefficients built")
 
@@ -136,7 +135,6 @@ def test_exact_routes_build_no_fraction_coefficients(monkeypatch, paw):
     for g in [g for _, g, _ in PERIOD_TABLE] + two_tails:
         report = find_period(g)
         assert report.verdict == "periodic", g
-        assert certify_period(g, report.period)
         assert spectral_map_check(g).matched
     for k, r in ((3, 2), (5, 4), (9, 3)):
         chebyshev_eigen_check(k, r)
@@ -179,22 +177,24 @@ def test_cyclotomic():
 
 
 def test_cyclotomic_orders(monkeypatch):
-    # phi(90) = 24: one factor, found once
-    assert _cyclotomic_orders(list(_cyclotomic(90)), range(1, 100)) == ([90], [1])
+    # phi(90) = 24: one factor, found once, past the degree
+    assert _cyclotomic_orders(list(_cyclotomic(90))) == ([90], [1])
     # (x - 1)(x + 1)^2(x^2 + 1) = Phi_1 Phi_2^2 Phi_4, each factor reported once
     poly = poly_mul(poly_mul([-1, 1], [1, 2, 1]), [1, 0, 1])
-    assert _cyclotomic_orders(poly, range(1, 50)) == ([1, 2, 2, 4], [1])
+    assert _cyclotomic_orders(poly) == ([1, 2, 2, 4], [1])
     # x - 3 has its root off the unit circle and comes back as the rest
-    assert _cyclotomic_orders([-3, 1], range(1, 10)) == ([], [-3, 1])
-    # in find_period such a leftover is a defect, never a verdict
-    lift = periodicity.konno_sato_lift
-
-    def times_x_minus_3(a, excess):
-        return poly_mul(lift(a, excess), [-3, 1])
-
-    monkeypatch.setattr(periodicity, "konno_sato_lift", times_x_minus_3)
+    assert _cyclotomic_orders([-3, 1]) == ([], [-3, 1])
+    # in find_period such a leftover is a defect, never a verdict. A vertex
+    # eigenvalue 3/2 lifts to x^2 - 3x + 1 by the Konno-Sato identity, so
+    # the pair below passes the filter and the identity, and leaves it over
+    g = cycle_graph(5)
+    cp, u = transition_charpoly(g), walk.arc_charpoly(g)
+    cp_bad = CharPoly(tuple(poly_mul(cp.integer_coeffs, [-3, 2])), 2 * cp.denominator)
+    u_bad = CharPoly(tuple(poly_mul(u.integer_coeffs, [1, -3, 1])), u.denominator)
+    monkeypatch.setattr(periodicity, "transition_charpoly", lambda h: cp_bad)
+    monkeypatch.setattr(periodicity, "arc_charpoly", lambda h: u_bad)
     with pytest.raises(RuntimeError, match="not a product of Phi_d"):
-        find_period(cycle_graph(5))
+        find_period(g)
 
 
 @pytest.mark.parametrize(
@@ -203,26 +203,54 @@ def test_cyclotomic_orders(monkeypatch):
     ids=["K23", "K44", "C5", "P4"],
 )
 def test_find_period_factors_the_arc_charpoly(monkeypatch, g):
-    # the lift find_period factors is the arc charpoly, times x^2 - 1 for a tree
-    lifts = []
-    lift = periodicity.konno_sato_lift
+    # one factorization, of the very arc charpoly that was compared with
+    # the Konno-Sato lift; a tree's has no spare Phi_1 Phi_2
+    compared, factored = [], []
+    residual, orders = periodicity.konno_sato_residual, periodicity._cyclotomic_orders
 
-    def recording(a, excess):
-        lifts.append(lift(a, excess))
-        return lifts[-1]
+    def recording_residual(cp, u):
+        compared.append(u)
+        return residual(cp, u)
 
-    monkeypatch.setattr(periodicity, "konno_sato_lift", recording)
+    def recording_orders(poly):
+        factored.append(poly)
+        return orders(poly)
+
+    monkeypatch.setattr(periodicity, "konno_sato_residual", recording_residual)
+    monkeypatch.setattr(periodicity, "_cyclotomic_orders", recording_orders)
     find_period(g)
-    arc = [int(c) for c in walk.arc_charpoly(g).coeffs]
-    assert lifts == [poly_mul(arc, [-1, 0, 1]) if g.m < g.n else arc]
+    u = walk.arc_charpoly(g)
+    assert len(compared) == 1 and compared[0] is u
+    assert factored == [list(u.integer_coeffs)]
 
 
 def test_find_period_searches_orders_above_the_degree(monkeypatch):
-    # Phi_90 has degree 24 < 90: the search over d must reach past the degree
+    # Phi_90 has degree 24 < 90: the search over d must reach past the
+    # degree. It is the Konno-Sato lift of the degree-12 P whose roots are
+    # 2cos(2 pi j / 90), j coprime to 90, so the pair passes both checks
+    p = [1]
+    for j in range(1, 45):
+        if math.gcd(j, 90) == 1:
+            p = [b - 2 * math.cos(2 * math.pi * j / 90) * a for a, b in zip(p + [0], [0] + p)]
+    p = [round(c) for c in p]
     phi_90 = list(_cyclotomic(90))
-    monkeypatch.setattr(periodicity, "konno_sato_lift", lambda a, excess: phi_90)
-    monkeypatch.setattr(periodicity, "certify_period", lambda g, p: True)
+    assert walk.konno_sato_lift(p, 0) == phi_90
+    cp = CharPoly(tuple(c << k for k, c in enumerate(p)), 1 << 12)
+    monkeypatch.setattr(periodicity, "transition_charpoly", lambda h: cp)
+    monkeypatch.setattr(periodicity, "arc_charpoly", lambda h: CharPoly(tuple(phi_90), 1))
     assert find_period(cycle_graph(5)).period == 90
+
+
+def test_find_period_rejects_swapped_factor(monkeypatch):
+    # C_4 has arc charpoly (x^4 - 1)^2. With one x - 1 swapped for x + 1 the
+    # lcm of the orders is still 4, but the Konno-Sato identity fails
+    g = cycle_graph(4)
+    x4_minus_1 = [-1, 0, 0, 0, 1]
+    assert walk.arc_charpoly(g) == CharPoly(tuple(poly_mul(x4_minus_1, x4_minus_1)), 1)
+    swapped = poly_mul(poly_mul(x4_minus_1, [1, 1]), poly_mul([1, 1], [1, 0, 1]))
+    monkeypatch.setattr(periodicity, "arc_charpoly", lambda h: CharPoly(tuple(swapped), 1))
+    with pytest.raises(RuntimeError, match="Konno-Sato"):
+        find_period(g)
 
 
 def test_find_period_matches_psi_route():
@@ -285,20 +313,24 @@ def test_period_properties(g, data):
         assert _brute(g, a.period) == a.period
 
 
+def _agrees_with_square_and_multiply(g, k):
+    """find_period names k exactly when dense square-and-multiply certifies it."""
+    return (find_period(g).period == k) == square_and_multiply_certificate(
+        g.n, g.edges, k
+    )
+
+
 @pytest.mark.parametrize(
     "g,p", [(g, p) for _, g, p in PERIOD_TABLE], ids=[x[0] for x in PERIOD_TABLE]
 )
 def test_certificate_rejects_wrong_periods(g, p):
-    assert certify_period(g, p)
-    assert not certify_period(g, p + 1)
-    assert not certify_period(g, 2 * p)
-    with pytest.raises(InvalidParameterError):
-        certify_period(g, 0)
+    for k in (p, p + 1, 2 * p):
+        assert _agrees_with_square_and_multiply(g, k), k
 
 
 def test_certificate_on_all_small_periodic_graphs(connected_by_n):
-    # accepts p and rejects p + 1, 2p and every p/q, each verdict equal to
-    # that of dense square-and-multiply
+    # p, p + 1, 2p and every p/q, each verdict equal to that of dense
+    # square-and-multiply
     periodic = 0
     for n in range(2, 7):
         for g in connected_by_n[n]:
@@ -308,9 +340,7 @@ def test_certificate_on_all_small_periodic_graphs(connected_by_n):
             periodic += 1
             p = report.period
             for k in [p, p + 1, 2 * p] + [p // q for q in prime_divisors(p)]:
-                verdict = certify_period(g, k)
-                assert verdict == (k == p), (g, k)
-                assert verdict == square_and_multiply_certificate(g.n, g.edges, k), (g, k)
+                assert _agrees_with_square_and_multiply(g, k), (g, k)
     assert periodic > 0
 
 
@@ -321,7 +351,8 @@ def test_certificate_accepts_nothing_on_aperiodic_graphs(connected_by_n):
             if find_period(g).verdict == "periodic":
                 continue
             refuted += 1
-            assert not any(certify_period(g, k) for k in range(1, 25)), g
+            for k in range(1, 25):
+                assert _agrees_with_square_and_multiply(g, k), (g, k)
     assert refuted > 0
 
 
@@ -340,14 +371,7 @@ def test_certificate_accepts_nothing_on_aperiodic_graphs(connected_by_n):
     ids=["C5", "C6", "P4", "K23", "TT31", "TT31-wrong", "TT32", "TT51"],
 )
 def test_certificate_matches_square_and_multiply(g, p):
-    assert certify_period(g, p) == square_and_multiply_certificate(g.n, g.edges, p)
-
-
-@pytest.mark.parametrize("p", [10**30, 2**89 - 1])
-def test_certificate_huge_period_is_not_factored(p):
-    # the d search is bounded by the charpoly's degree, not by p: 2^89 - 1
-    # is prime, so trial division of p would not finish
-    assert not certify_period(two_tail_graph(3, 2), p)
+    assert _agrees_with_square_and_multiply(g, p)
 
 
 @pytest.mark.parametrize(
@@ -356,13 +380,13 @@ def test_certificate_huge_period_is_not_factored(p):
     ids=["C5", "TT31", "K23"],
 )
 def test_certificate_rejects_non_orthogonal_rows(monkeypatch, g, p):
-    # arc_charpoly checks A A^T = L^2 I once, for the certificate and the
+    # arc_charpoly checks A A^T = L^2 I once, for the period route and the
     # spectral map alike, and raises when it fails. Row 0 gets one entry
     # raised, a zero or a nonzero one, or a nonzero swapped into a zero
     # slot, which keeps the row's length and breaks only its orthogonality
     # to the other rows
     scale, rows = grover_arc_rows(g)
-    assert certify_period(g, p)
+    assert find_period(g).period == p
     zero = rows[0].index(0)
     nonzero = next(j for j, x in enumerate(rows[0]) if x)
     value = rows[0][nonzero]
@@ -376,7 +400,7 @@ def test_certificate_rejects_non_orthogonal_rows(monkeypatch, g, p):
             walk.arc_charpoly.__wrapped__(g)
         walk.arc_charpoly.cache_clear()
         with pytest.raises(ResidualExceededError):
-            certify_period(g, p)
+            find_period(g)
 
 
 @pytest.mark.parametrize(
@@ -415,21 +439,6 @@ def test_analyze_builds_arc_charpoly_once(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["period"]["period"] == 360
     assert sizes.count(2 * g.m) == 1
     assert calls == {"grover_arc_rows": 1, "is_scaled_orthogonal": 1}
-
-
-@pytest.mark.parametrize("p", [3.0, "3", None, Fraction(3), 2.5])
-def test_certificate_rejects_non_integer_period(p):
-    with pytest.raises(InvalidParameterError):
-        certify_period(cycle_graph(3), p)
-
-
-def test_certificate_accepts_integer_like_period():
-    class Three:
-        def __index__(self):
-            return 3
-
-    assert certify_period(cycle_graph(3), Three())
-    assert not certify_period(cycle_graph(3), True)  # the index of True is 1
 
 
 def test_degree_condition():
