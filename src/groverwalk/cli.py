@@ -160,7 +160,7 @@ def _load_graph(args) -> Graph:
         return _family_graph(args.family)
     if args.graph:
         with open(args.graph, "r", encoding="utf-8") as handle:
-            return read_graph_file(handle.read())
+            return read_graph_file(handle)
     raise GroverWalkError("no graph given: pass a file path or --family")
 
 

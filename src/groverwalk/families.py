@@ -129,21 +129,30 @@ def canonical_form(g: Graph) -> tuple[int, ...]:
 
     Entry i-1 of the encoding is an integer whose bit j records adjacency
     between the vertices placed at positions i and j. Branch and bound:
-    while the current prefix ties the incumbent, a candidate row larger
-    than the incumbent's kills the whole branch (candidates are visited in
+    at each position only the candidates with the least row are placed,
+    since the encoding is compared entry by entry; while the current
+    prefix ties the incumbent, a candidate row larger than the
+    incumbent's kills the whole branch (candidates are visited in
     ascending row order, so the first failure ends the level).
     """
-    n = g.n
+    return _canonical_bits(_adjacency_bits(g))
+
+
+def _adjacency_bits(g: Graph) -> list[int]:
+    """Bit v of entry u is set when u and v are adjacent."""
+    return [sum(1 << v for v in nbrs) for nbrs in g.adj]
+
+
+def _canonical_bits(adjbits: list[int]) -> tuple[int, ...]:
+    """canonical_form of the graph whose adjacency bitmasks are adjbits."""
+    n = len(adjbits)
     if n == 1:
         return ()
-    targets = sorted(g.degree)
+    degree = [ab.bit_count() for ab in adjbits]
+    targets = sorted(degree)
     by_degree: dict[int, list[int]] = {}
     for v in range(n):
-        by_degree.setdefault(g.degree[v], []).append(v)
-    adjbits = [0] * n
-    for u in range(n):
-        for v in g.adj[u]:
-            adjbits[u] |= 1 << v
+        by_degree.setdefault(degree[v], []).append(v)
 
     best: list[int] | None = None
     perm: list[int] = []
@@ -169,6 +178,8 @@ def canonical_form(g: Graph) -> tuple[int, ...]:
         scored.sort()
         for row, v in scored:
             if i > 0:
+                if row > scored[0][0]:
+                    break
                 if tight and best is not None:
                     if row > best[i - 1]:
                         break
@@ -207,8 +218,10 @@ def enumerate_connected(n: int) -> tuple[Graph, ...]:
     Level n graphs come from level n-1 graphs by joining a fresh vertex to
     every non-empty subset of old vertices; every connected graph has a
     non-cut vertex, so each class is reached. Duplicates fall to the
-    canonical form. Results are cached per n and returned sorted by edge
-    count then canonical form. n is at most CONNECTED_CAP.
+    canonical form, taken on adjacency bitmasks, so a Graph is built only
+    for the first candidate of each class. Results are cached per n and
+    returned sorted by edge count then canonical form. n is at most
+    CONNECTED_CAP.
     """
     _check_size(n, CONNECTED_CAP, "connected enumeration")
     if n in _CONNECTED_CACHE:
@@ -220,13 +233,14 @@ def enumerate_connected(n: int) -> tuple[Graph, ...]:
         seen: dict[tuple[int, ...], Graph] = {}
         new = n - 1
         for h in smaller:
-            base = list(h.edges)
+            base = _adjacency_bits(h)
             for mask in range(1, 1 << new):
-                edges = base + [(v, new) for v in range(new) if (mask >> v) & 1]
-                g = build_graph(n, edges)
-                key = canonical_form(g)
+                adjbits = [ab | ((mask >> v) & 1) << new for v, ab in enumerate(base)]
+                adjbits.append(mask)
+                key = _canonical_bits(adjbits)
                 if key not in seen:
-                    seen[key] = g
+                    joins = [(v, new) for v in range(new) if (mask >> v) & 1]
+                    seen[key] = build_graph(n, list(h.edges) + joins)
         reps = tuple(
             g for _, g in sorted(seen.items(), key=lambda kv: (kv[1].m, kv[0]))
         )

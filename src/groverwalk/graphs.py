@@ -20,7 +20,7 @@ import operator
 import re
 from collections import deque
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .exceptions import (
     CapExceededError,
@@ -39,7 +39,7 @@ Edge = tuple[int, int]
 MAX_FILE_EDGES = 64
 
 # A line and its break as str.splitlines splits, one at a time, so that a
-# refused file is never split whole; the empty match at the end is blank.
+# refused file is never split whole; the empty match at the end is dropped.
 _LINE = re.compile("[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*(?:\r\n|.)?", re.S)
 
 
@@ -278,7 +278,8 @@ def enumerate_matchings(
 
     A t-matching is a set of t pairwise vertex-disjoint edges drawn from
     allowed_edges (default: all edges). t=0 yields the single empty
-    matching.
+    matching. The matching sums of periodicity never list matchings; this
+    is the listing the tests check them against.
     """
     if t < 0:
         raise InvalidParameterError("matching size must be >= 0, got %d" % t)
@@ -311,19 +312,34 @@ def enumerate_matchings(
     yield from rec(0)
 
 
-def read_graph_file(text: str) -> Graph:
-    """Parse the plain edge-list format.
+def _split_lines(source: str | Iterable[str]) -> Iterator[str]:
+    """The lines of source as str.splitlines splits them, one at a time.
+
+    source is one str or an iterable of lines, such as an open text
+    file; each piece is split further at every break str.splitlines
+    knows, so both give the same lines. Nothing past the line asked for
+    is read.
+    """
+    for chunk in (source,) if isinstance(source, str) else source:
+        for match in _LINE.finditer(chunk):
+            if raw := match.group():
+                yield raw
+
+
+def read_graph_file(source: str | Iterable[str]) -> Graph:
+    """Parse the plain edge-list format from a str or an iterable of lines.
 
     First non-comment line is "n m"; the next m non-comment lines are
     "u v" pairs. '#' starts a comment, blank lines are skipped, tokens are
     whitespace separated. A header declaring more than MAX_FILE_EDGES
-    edges raises CapExceededError. Malformed input raises ParseError with
-    the line number; graph validation errors propagate from build_graph.
+    edges raises CapExceededError before any later line is read, so an
+    open file is refused from its header. Malformed input raises
+    ParseError with the line number; graph validation errors propagate
+    from build_graph.
     """
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
-    for lineno, match in enumerate(_LINE.finditer(text), start=1):
-        raw = match.group()
+    for lineno, raw in enumerate(_split_lines(source), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -138,6 +138,23 @@ def _divide_exact(a: list[int], b: tuple[int, ...]) -> list[int] | None:
     return None if any(rest[:db]) else quot
 
 
+def _deflate(poly, a: int) -> list[int] | None:
+    """poly / (x - a) by synthetic division, or None when a is not a root.
+
+    poly holds integer coefficients, low to high. Horner's rule from the
+    top gives the quotient's coefficients and, last, the remainder poly(a).
+    """
+    acc = 0
+    quot = []
+    for c in reversed(poly):
+        acc = acc * a + c
+        quot.append(acc)
+    if quot.pop():
+        return None
+    quot.reverse()
+    return quot
+
+
 class CharPoly:
     """det(x I - M) as integer_coeffs / denominator, low to high.
 
@@ -214,13 +231,18 @@ class CharPoly:
         """Exact multiplicity of the rational root r (0 if not a root).
 
         With r = a/b in lowest terms, integer_coeffs is divided by the
-        primitive factor b*x - a with _divide_exact as often as it goes.
+        primitive factor b*x - a as often as it goes: by synthetic division
+        when b = 1, as for the roots +-1 that the spectral map counts, and
+        with _divide_exact otherwise.
         """
         r = Fraction(r)
-        factor = (-r.numerator, r.denominator)
+        a, b = r.numerator, r.denominator
         coeffs = self.integer_coeffs
         mult = 0
-        while len(coeffs) > 1 and (quot := _divide_exact(coeffs, factor)) is not None:
+        while len(coeffs) > 1:
+            quot = _deflate(coeffs, a) if b == 1 else _divide_exact(coeffs, (-a, b))
+            if quot is None:
+                break
             mult += 1
             coeffs = quot
         return mult

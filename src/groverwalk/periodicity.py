@@ -20,14 +20,17 @@ odd-unicyclic graphs, plus the Chebyshev eigenvector construction on the
 two-tailed family. These back the structural argument for why odd periods
 force the graph to be a bare odd cycle. branch_frame is memoised and
 walks each branch chain once per graph; the lockstep length and the tail
-recurrence's premise are read from the chain lengths.
+recurrence's premise are read from the chain lengths. No matching is
+listed: every weighted matching sum is an entry of one integer matching
+polynomial per graph and edge pool, memoised like the transition
+charpoly, which one leaf peel builds in linear time on a forest pool and
+a split at an edge of a cycle reduces to forests otherwise.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterable
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -43,39 +46,129 @@ from .graphs import (
     Graph,
     UnicycleDecomposition,
     classify,
-    enumerate_matchings,
 )
 from .linalg import CharPoly, _divide_exact, is_integer
 from .walk import arc_charpoly, konno_sato_residual, transition_charpoly
 
 
-def _scaled_weight_sum(
-    g: Graph, matchings: Iterable[tuple[Edge, ...]], t: int
-) -> Fraction:
-    """Sum of prod 1/(deg u deg v) over the given t-matchings.
+def _weight_scale(g: Graph) -> int:
+    """L, the lcm of the nonzero degrees: edge uv weighs (L/deg u)(L/deg v) / L^2."""
+    return math.lcm(*(d for d in g.degree if d))
 
-    With L the lcm of the degrees, each edge weight is
-    (L/deg u)(L/deg v) / L^2, so the products are summed as integers and
-    divided by L^(2t) once.
+
+def _pool_poly(pool: tuple[Edge, ...], weight: dict, s: int) -> int:
+    """The packed matching polynomial of a pool of edges, by leaf peels.
+
+    Each vertex keeps (T_v, F_v), from (1, 1): the weighted matchings of
+    the subtree v has absorbed so far, and those that leave v free.
+    Peeling leaf v into its neighbour u either leaves the edge uv out or
+    takes it with both ends free, so
+    (T_u, F_u) <- (T_u T_v + w x F_u F_v, F_u T_v), the merge shape of
+    walk._structural_det. A vertex left with no neighbour closes its
+    tree, and a forest's polynomial is the product of those T, in one
+    pass. When edges are left with no leaf, the pool has a cycle, and one
+    edge e = uv that is left splits the matchings into those without e
+    and those with it, m(P) = m(P - e) + w_e x m(P - u - v); a unicyclic
+    pool takes two more peels.
+    """
+    adj: dict[int, set[int]] = {}
+    for u, v in pool:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    t = dict.fromkeys(adj, 1)
+    f = dict.fromkeys(adj, 1)
+    leaves = [v for v, nbrs in adj.items() if len(nbrs) == 1]
+    total = 1
+    while leaves:
+        v = leaves.pop()
+        if not adj[v]:
+            continue  # a tree's last vertex, already counted
+        u = adj[v].pop()
+        adj[u].discard(v)
+        w = weight[(u, v) if u < v else (v, u)]
+        t[u], f[u] = t[u] * t[v] + (w * f[u] * f[v] << s), f[u] * t[v]
+        if len(adj[u]) == 1:
+            leaves.append(u)
+        elif not adj[u]:
+            total *= t[u]
+    u = next((v for v, nbrs in adj.items() if nbrs), None)
+    if u is None:
+        return total
+    v = min(adj[u])
+    e = (u, v) if u < v else (v, u)
+    rest = tuple(x for x in pool if x != e)
+    apart = tuple(x for x in pool if u not in x and v not in x)
+    return _pool_poly(rest, weight, s) + (weight[e] * _pool_poly(apart, weight, s) << s)
+
+
+@functools.lru_cache(maxsize=64)
+def _matching_poly(g: Graph, pool: tuple[Edge, ...]) -> tuple[int, ...]:
+    """Entry t is the sum over t-matchings of pool of prod (L/deg u)(L/deg v).
+
+    pool is a sorted tuple of edges of g and L = _weight_scale(g), so the
+    t-matching sum is entry t over L^(2t); entries past the largest
+    matching are 0 and left off. Each polynomial is held as its value at
+    x = 2^s, one Python int, as in walk._structural_det. Its
+    coefficients are nonnegative and sum to at most prod (1 + w_e) over
+    the pool, which is below 2^s, so they are read back as unsigned
+    s-bit digits. Cached, like walk.transition_charpoly: every t of an
+    identity reads the same pool.
     """
     deg = g.degree
-    scale = math.lcm(*(d for d in deg if d))
-    total = 0
-    for matching in matchings:
-        prod = 1
-        for u, v in matching:
-            prod *= (scale // deg[u]) * (scale // deg[v])
-        total += prod
-    return Fraction(total, scale ** (2 * t))
+    scale = _weight_scale(g)
+    weight = {e: (scale // deg[e[0]]) * (scale // deg[e[1]]) for e in pool}
+    s = 1 + sum((1 + w).bit_length() for w in weight.values())
+    packed, mask = _pool_poly(pool, weight, s), (1 << s) - 1
+    coeffs = []
+    while packed:
+        coeffs.append(packed & mask)
+        packed >>= s
+    return tuple(coeffs)
 
 
 def matching_sum(g: Graph, t: int, allowed_edges=None) -> Fraction:
     """Sum over t-matchings of the product of reciprocal-degree weights.
 
     The matchings are drawn from allowed_edges (default: all edges). The
-    empty matching contributes 1, so t=0 always returns 1.
+    empty matching contributes 1, so t=0 always returns 1. No matching is
+    listed: the sum is entry t of the integer matching polynomial of the
+    pool, _matching_poly, over L^(2t), one Fraction.
     """
-    return _scaled_weight_sum(g, enumerate_matchings(g, t, allowed_edges), t)
+    if t < 0:
+        raise InvalidParameterError("matching size must be >= 0, got %d" % t)
+    if allowed_edges is None:
+        pool = g.edges
+    else:
+        allowed = {(u, v) if u < v else (v, u) for u, v in allowed_edges}
+        pool = tuple(e for e in g.edges if e in allowed)
+    coeffs = _matching_poly(g, pool)
+    if t >= len(coeffs):
+        return Fraction(0)
+    return Fraction(coeffs[t], _weight_scale(g) ** (2 * t))
+
+
+def _touching_sum(g: Graph, core: tuple[Edge, ...], t: int) -> Fraction:
+    """Sum over the t-matchings of g that hold a core edge, by the first one.
+
+    A matching whose first core edge is e_i = u_i v_i holds e_i and a
+    (t-1)-matching of g less e_1..e_(i-1) and the vertices u_i, v_i, so
+    the sum is that of w_(e_i) m_(t-1)(G - {e_1..e_(i-1)} - u_i - v_i),
+    computed apart from the sum over the other edges.
+    """
+    if t == 0:
+        return Fraction(0)
+    deg = g.degree
+    scale = _weight_scale(g)
+    total = 0
+    for i, (u, v) in enumerate(core):
+        earlier = core[:i]
+        pool = tuple(
+            e for e in g.edges if u not in e and v not in e and e not in earlier
+        )
+        coeffs = _matching_poly(g, pool)
+        if t - 1 < len(coeffs):
+            total += (scale // deg[u]) * (scale // deg[v]) * coeffs[t - 1]
+    return Fraction(total, scale ** (2 * t))
 
 
 def integrality_filter(cp: CharPoly) -> tuple[int, ...]:
@@ -365,9 +458,10 @@ def matching_split_check(g: Graph, t: int) -> bool:
     """Split all t-matchings at the core edge set and compare with charpoly.
 
     The weighted t-matching total over the whole graph equals the
-    coefficient of x^(n-2t) up to sign (-1)^t; subtracting the directly
-    enumerated matchings that touch the core must leave exactly the
-    outer-edge total. Exact comparison.
+    coefficient of x^(n-2t) up to sign (-1)^t; subtracting the matchings
+    that touch the core, summed by their first core edge in
+    _touching_sum and never as what the outer sum leaves, must leave
+    exactly the outer-edge total. Exact comparison.
     """
     if t < 0:
         raise InvalidParameterError("matching size must be >= 0, got %d" % t)
@@ -378,10 +472,7 @@ def matching_split_check(g: Graph, t: int) -> bool:
         )
     cp = transition_charpoly(g)
     outer_total = matching_sum(g, t, frame.outer_edges)
-    core = set(frame.core_edges)
-    touching = _scaled_weight_sum(
-        g, (mt for mt in enumerate_matchings(g, t) if any(e in core for e in mt)), t
-    )
+    touching = _touching_sum(g, frame.core_edges, t)
     lhs_rho = Fraction((-1) ** t) * cp[g.n - 2 * t]
     return outer_total == lhs_rho - touching
 

@@ -113,6 +113,34 @@ def iso_key(n: int, edges) -> tuple:
     return best
 
 
+def degree_sorted_min_encoding(n: int, edges) -> tuple:
+    """The least encoding over every vertex order that sorts degrees ascending.
+
+    Entry i-1 has bit j set when the vertices at positions i and j are
+    adjacent, for j < i; every such order is tried, with no pruning.
+    """
+    adjacent = {(min(u, v), max(u, v)) for u, v in edges}
+    deg = [0] * n
+    for u, v in adjacent:
+        deg[u] += 1
+        deg[v] += 1
+    best = None
+    for perm in itertools.permutations(range(n)):
+        if any(deg[perm[i]] > deg[perm[i + 1]] for i in range(n - 1)):
+            continue
+        code = tuple(
+            sum(
+                1 << j
+                for j in range(i)
+                if (min(perm[i], perm[j]), max(perm[i], perm[j])) in adjacent
+            )
+            for i in range(1, n)
+        )
+        if best is None or code < best:
+            best = code
+    return best
+
+
 @functools.cache
 def pendant_extension_classes(n_max: int) -> dict:
     """Odd-unicyclic classes with at most n_max vertices, by canonical form.

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import warnings
 from collections import Counter
 
@@ -26,7 +27,12 @@ from groverwalk.families import (
 from groverwalk.census import analyze_graph, run_census
 from groverwalk.graphs import build_graph, classify
 
-from oracles import brute_connected_classes, iso_key, pendant_extension_classes
+from oracles import (
+    brute_connected_classes,
+    degree_sorted_min_encoding,
+    iso_key,
+    pendant_extension_classes,
+)
 
 # odd-unicyclic classes on exactly n vertices, n = 3..12
 ODD_UNICYCLIC_PER_N = [1, 1, 4, 8, 23, 55, 155, 403, 1116, 3029]
@@ -122,6 +128,16 @@ def test_canonical_form_relabel_invariance():
             assert canonical_form(g.relabel(perm)) == want
 
 
+def test_canonical_form_is_the_least_degree_sorted_encoding():
+    # the pruned search against every degree-sorted order, on every
+    # connected graph with n <= 6 and a relabelled copy of each
+    for n in range(1, 7):
+        for g in enumerate_connected(n):
+            want = degree_sorted_min_encoding(g.n, g.edges)
+            assert canonical_form(g) == want, g
+            assert canonical_form(g.relabel(list(range(n))[::-1])) == want
+
+
 def test_canonical_form_separates_nonisomorphic():
     forms = [canonical_form(g) for g in enumerate_connected(6)]
     assert len(forms) == len(set(forms))
@@ -136,6 +152,39 @@ def test_enumerate_connected_against_brute_force():
     for n in range(1, 6):
         got = {iso_key(g.n, g.edges) for g in enumerate_connected(n)}
         assert got == brute_connected_classes(n)
+
+
+# sha256 of repr(tuple of each graph's edges), in the order returned,
+# for n = 1..7, as the enumeration that built a Graph per candidate gave it
+CONNECTED_EDGE_DIGESTS = {
+    1: "b18a48f02566e6150fce7a3ece72478f44afc0341489d43f01f25f0351984bab",
+    2: "f5e5441ac66855177e23ba6802804d05ca4f3a9487456a8a77d2f1369f176ae5",
+    3: "c711855e1881f040cbcf003edcc5d9aca42dd6bab28d3207e17f48e0993c076d",
+    4: "9142b37c22c4bf8f1d3d2093a7231087b1b3480bf42ab1c48dadde7b51107ad7",
+    5: "3d93dfb5d2874519796e30ebaeaa8c12c8fc743bfcc926dd6eba207de493ddda",
+    6: "bb901cbd8887966dc94a5b51d08b270a9daf9d21b935013e108a091d54c6319d",
+    7: "e7b6aaa27ab2c0799844c2244616c9ec55d858c0bf506166fdb7d0edd121cb0f",
+}
+
+
+def test_enumerate_connected_order_is_pinned():
+    for n, digest in CONNECTED_EDGE_DIGESTS.items():
+        edges = repr([g.edges for g in enumerate_connected(n)]).encode()
+        assert hashlib.sha256(edges).hexdigest() == digest, n
+
+
+def test_enumerate_connected_builds_one_graph_per_class(monkeypatch):
+    built = Counter()
+
+    def counting(n, edges):
+        built[n] += 1
+        return build_graph(n, edges)
+
+    monkeypatch.setattr(families, "build_graph", counting)
+    monkeypatch.setattr(families, "_CONNECTED_CACHE", {})
+    reps = {n: enumerate_connected(n) for n in range(1, 7)}
+    assert built == {n: len(reps[n]) for n in reps}
+    assert sum(built.values()) == 143
 
 
 def test_enumerate_connected_pairwise_noniso():

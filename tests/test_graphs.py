@@ -294,6 +294,32 @@ def test_graph_file_edge_cap_is_read_from_the_header():
         read_graph_file("# big\n66 65\nx y\n")
 
 
+def test_graph_file_is_refused_before_the_line_after_the_header():
+    # an open file is read line by line, so an over-cap header is the last
+    # line pulled from it
+    def lines():
+        yield "# big\n"
+        yield "66 65\n"
+        raise AssertionError("a line past the header was read")
+
+    with pytest.raises(CapExceededError, match="130 arcs; at most 128"):
+        read_graph_file(lines())
+
+
+def test_graph_file_lines_split_as_the_whole_text():
+    # each line of an iterable is split at every break str.splitlines knows,
+    # so line numbers and edges come out as from the text in one piece
+    text = "# c\n3 3\n0 1\x0c1 2\n\n2 0\n"
+    assert read_graph_file(io.StringIO(text)) == read_graph_file(text) == cycle_graph(3)
+    bad = "3 3\n0 1\x0cx y\n2 0\n"
+    with pytest.raises(ParseError) as whole:
+        read_graph_file(bad)
+    with pytest.raises(ParseError) as by_line:
+        read_graph_file(io.StringIO(bad))
+    assert str(by_line.value) == str(whole.value)
+    assert "line 3" in str(whole.value)
+
+
 def test_graph_file_errors():
     with pytest.raises(LoopEdgeError):
         read_graph_file("2 2\n0 0\n0 1\n")

@@ -11,7 +11,8 @@ from groverwalk.exceptions import (
     InvalidParameterError,
     NonSquareError,
 )
-from groverwalk.families import cycle_graph
+from groverwalk import linalg
+from groverwalk.families import cycle_graph, enumerate_connected
 from groverwalk.linalg import (
     CharPoly,
     RationalMatrix,
@@ -23,7 +24,7 @@ from groverwalk.linalg import (
     mat_mul,
     row_sum_bound,
 )
-from groverwalk.walk import build_transition_matrix
+from groverwalk.walk import arc_charpoly, build_transition_matrix, transition_charpoly
 
 from oracles import char_value, jacobi_eigen, symmetrized_adjacency
 
@@ -343,6 +344,46 @@ def test_charpoly_eval_and_multiplicity():
     assert cp.eval_exact(Fraction(2)) == Fraction(25, 4)
     assert cp.root_multiplicity(Fraction(-1, 2)) == 2
     assert cp.root_multiplicity(Fraction(1)) == 1
+
+
+def divided_multiplicity(cp, r):
+    # root_multiplicity as _divide_exact by the primitive factor b*x - a
+    factor = (-r.numerator, r.denominator)
+    coeffs, mult = cp.integer_coeffs, 0
+    while len(coeffs) > 1 and (quot := _divide_exact(coeffs, factor)) is not None:
+        coeffs, mult = quot, mult + 1
+    return mult
+
+
+def test_unit_root_multiplicities_match_generic_division():
+    # every charpoly that spectral_map_check counts roots of, n <= 6
+    graphs = [g for n in range(2, 7) for g in enumerate_connected(n)]
+    assert len(graphs) == 142
+    seen = 0
+    for g in graphs:
+        for cp in (transition_charpoly(g), arc_charpoly(g)):
+            for r in (Fraction(1), Fraction(-1)):
+                want = divided_multiplicity(cp, r)
+                assert cp.root_multiplicity(r) == want, (g, r)
+                seen += want
+    assert seen > 0
+
+
+def test_integer_roots_skip_generic_division(monkeypatch):
+    calls = []
+
+    def counting(a, b):
+        calls.append(b)
+        return _divide_exact(a, b)
+
+    monkeypatch.setattr(linalg, "_divide_exact", counting)
+    # (x - 1)^2 (x + 1) (2x - 1)
+    cp = CharPoly((-1, 3, -1, -3, 2), 2)
+    assert cp.root_multiplicity(1) == 2
+    assert cp.root_multiplicity(-1) == 1
+    assert calls == []
+    assert cp.root_multiplicity(Fraction(1, 2)) == 1
+    assert calls == [(-1, 2), (-1, 2)]
 
 
 def test_root_multiplicity_at_non_integer_rationals():

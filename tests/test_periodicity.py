@@ -21,7 +21,7 @@ from groverwalk.families import (
     path_graph,
     two_tail_graph,
 )
-from groverwalk.graphs import build_graph, classify
+from groverwalk.graphs import build_graph, classify, enumerate_matchings
 from groverwalk.linalg import CharPoly, charpoly_exact, is_integer
 from groverwalk.periodicity import (
     _cyclotomic,
@@ -59,7 +59,7 @@ from oracles import (
     walked_lockstep_length,
     walked_tail_guard_fails,
 )
-from strategies import connected_graphs
+from strategies import connected_graphs, trees
 
 
 PERIOD_TABLE = [
@@ -479,11 +479,12 @@ def assert_matching_sums_match_oracle(g, allowed=None):
         assert got == want, (g, t, allowed)
 
 
-def test_matching_sums_match_fraction_oracle(connected_by_n):
-    # every odd-unicyclic graph with n <= 8, with the edge sets the
-    # identity checks pass, and every connected graph with n <= 6
-    unicyclic = enumerate_odd_unicyclic(8)
-    assert len(unicyclic) == 92
+def test_matching_sums_match_fraction_oracle():
+    # the matching polynomial, leaf peel and edge split, against
+    # the subset scan: every odd-unicyclic class with n <= 10 with the pools
+    # the identity checks pass, and every connected graph with n <= 7
+    unicyclic = enumerate_odd_unicyclic(10)
+    assert len(unicyclic) == 650
     for g in unicyclic:
         d = classify(g).decomposition
         cycle = set(d.cycle)
@@ -493,9 +494,67 @@ def test_matching_sums_match_fraction_oracle(connected_by_n):
         assert_matching_sums_match_oracle(g, g.edges[::2])
         if degree_condition_filter(d, g).kind == "one_degree_four":
             assert_matching_sums_match_oracle(g, branch_frame(g).outer_edges)
-    for n in range(1, 7):
-        for g in connected_by_n[n]:
-            assert_matching_sums_match_oracle(g)
+    connected = [g for n in range(1, 8) for g in enumerate_connected(n)]
+    assert len(connected) == 996
+    for g in connected:
+        assert_matching_sums_match_oracle(g)
+        assert_matching_sums_match_oracle(g, g.edges[::2])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(g=trees(max_n=40))
+def test_matching_sums_of_trees_are_charpoly_coefficients(g):
+    # Sachs / Godsil-Gutman: on a forest, det(xI - T) is the sum over
+    # t-matchings of (-1)^t x^(n-2t) prod 1/(deg u deg v), and its odd
+    # terms vanish; this reaches trees far past the subset scan
+    cp = transition_charpoly(g)
+    for t in range(g.n // 2 + 1):
+        assert (-1) ** t * matching_sum(g, t) == cp[g.n - 2 * t], t
+        if 2 * t + 1 <= g.n:
+            assert cp[g.n - 2 * t - 1] == 0
+    assert matching_sum(g, g.n // 2 + 1) == 0
+
+
+def listed_touching_sum(g, core, t):
+    # the t-matchings that hold a core edge, listed and weighed in Fractions
+    total = Fraction(0)
+    for mt in enumerate_matchings(g, t):
+        if any(e in core for e in mt):
+            prod = Fraction(1)
+            for u, v in mt:
+                prod *= Fraction(1, g.degree[u] * g.degree[v])
+            total += prod
+    return total
+
+
+def test_touching_sum_matches_listed_matchings():
+    graphs = [two_tail_graph(k, r) for k in (3, 5) for r in range(1, 6)]
+    for g in enumerate_odd_unicyclic(9):
+        if degree_condition_filter(classify(g).decomposition, g).kind == (
+            "one_degree_four"
+        ):
+            graphs.append(g)
+    assert len(graphs) == 10 + 33
+    for g in graphs:
+        core = branch_frame(g).core_edges
+        for t in range(g.n // 2 + 2):
+            got = periodicity._touching_sum(g, core, t)
+            assert got == listed_touching_sum(g, set(core), t), (g, t)
+
+
+def test_matching_poly_is_cached_per_pool():
+    g = two_tail_graph(5, 4)
+    periodicity._matching_poly.cache_clear()
+    for t in range(g.n // 2 + 1):
+        matching_sum(g, t)
+        matching_sum(g, t, reversed(branch_frame(g).outer_edges))
+    info = periodicity._matching_poly.cache_info()
+    assert (info.misses, info.hits) == (2, 2 * (g.n // 2 + 1) - 2)
+
+
+def test_matching_sum_rejects_negative_size():
+    with pytest.raises(InvalidParameterError):
+        matching_sum(cycle_graph(3), -1)
 
 
 def test_paired_sum_matches_fraction_oracle():
