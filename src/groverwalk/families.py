@@ -10,6 +10,10 @@ The canonical form of a graph is the lexicographically smallest adjacency
 encoding over all vertex orderings that sort degrees ascending. The degree
 sequence is an isomorphism invariant, so restricting to degree-sorted
 orders keeps the form complete while pruning most of the n! search.
+Twins, v and w with N(v) - {w} = N(w) - {v}, can be swapped by an
+automorphism that fixes every other vertex; the canonical search places
+only the least of a set of unplaced twins, and the connected enumeration
+skips each join that such a swap maps onto a smaller one.
 
 Each enumerator has one fixed size limit: CONNECTED_CAP = 8, the last
 connected level that takes seconds, and HARD_CAP = 12 for odd-unicyclic
@@ -134,6 +138,15 @@ def canonical_form(g: Graph) -> tuple[int, ...]:
     prefix ties the incumbent, a candidate row larger than the
     incumbent's kills the whole branch (candidates are visited in
     ascending row order, so the first failure ends the level).
+
+    Twins are placed once. Vertices v and w are twins when
+    N(v) - {w} = N(w) - {v}; then swapping them is an automorphism that
+    fixes every other vertex. At a position where v and a twin w < v are
+    both unplaced, they have the same degree and the same row, and every
+    order that places v there is the swap-image of one that places w
+    there, with the same encoding; so v is skipped, and the least
+    encoding is still found below w (or below w's least unplaced twin,
+    which the same swaps reach).
     """
     return _canonical_bits(_adjacency_bits(g))
 
@@ -141,6 +154,22 @@ def canonical_form(g: Graph) -> tuple[int, ...]:
 def _adjacency_bits(g: Graph) -> list[int]:
     """Bit v of entry u is set when u and v are adjacent."""
     return [sum(1 << v for v in nbrs) for nbrs in g.adj]
+
+
+def _lower_twins(adjbits: list[int]) -> list[int]:
+    """Bit w of entry v is set when w < v and v, w are twins.
+
+    Twins have N(v) - {w} = N(w) - {v}, which on bitmasks reads as equal
+    rows once each row's bit for the other vertex is cleared.
+    """
+    twins = []
+    for v, ab in enumerate(adjbits):
+        low = 0
+        for w in range(v):
+            if ab & ~(1 << w) == adjbits[w] & ~(1 << v):
+                low |= 1 << w
+        twins.append(low)
+    return twins
 
 
 def _canonical_bits(adjbits: list[int]) -> tuple[int, ...]:
@@ -153,6 +182,7 @@ def _canonical_bits(adjbits: list[int]) -> tuple[int, ...]:
     by_degree: dict[int, list[int]] = {}
     for v in range(n):
         by_degree.setdefault(degree[v], []).append(v)
+    lower_twins = _lower_twins(adjbits)
 
     best: list[int] | None = None
     perm: list[int] = []
@@ -167,7 +197,7 @@ def _canonical_bits(adjbits: list[int]) -> tuple[int, ...]:
             return
         scored = []
         for v in by_degree[targets[i]]:
-            if (placed >> v) & 1:
+            if (placed >> v) & 1 or lower_twins[v] & ~placed:
                 continue
             ab = adjbits[v]
             row = 0
@@ -222,6 +252,14 @@ def enumerate_connected(n: int) -> tuple[Graph, ...]:
     for the first candidate of each class. Results are cached per n and
     returned sorted by edge count then canonical form. n is at most
     CONNECTED_CAP.
+
+    A join mask is tried only when it holds the lower twins (see
+    canonical_form) of each vertex it holds. If it holds v and not a twin
+    w < v, the swap of v and w is an automorphism of the parent that maps
+    the mask to the smaller one holding w in place of v, and joins to
+    the two are isomorphic. Masks run upward for each parent, so the
+    first candidate of a class is never skipped, and each class keeps
+    the representative that joining every subset gives.
     """
     _check_size(n, CONNECTED_CAP, "connected enumeration")
     if n in _CONNECTED_CACHE:
@@ -234,7 +272,12 @@ def enumerate_connected(n: int) -> tuple[Graph, ...]:
         new = n - 1
         for h in smaller:
             base = _adjacency_bits(h)
+            # (bit of v, v's lower twins) for each v that has one
+            lower = _lower_twins(base)
+            twinned = [(1 << v, low) for v, low in enumerate(lower) if low]
             for mask in range(1, 1 << new):
+                if any(mask & bit and low & ~mask for bit, low in twinned):
+                    continue
                 adjbits = [ab | ((mask >> v) & 1) << new for v, ab in enumerate(base)]
                 adjbits.append(mask)
                 key = _canonical_bits(adjbits)

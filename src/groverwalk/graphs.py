@@ -38,6 +38,9 @@ Edge = tuple[int, int]
 # this size one analyze takes seconds.
 MAX_FILE_EDGES = 64
 
+# Most characters of a malformed line that a ParseError quotes.
+_QUOTE_CHARS = 60
+
 # A line and its break as str.splitlines splits, one at a time, so that a
 # refused file is never split whole; the empty match at the end is dropped.
 _LINE = re.compile("[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*(?:\r\n|.)?", re.S)
@@ -326,6 +329,15 @@ def _split_lines(source: str | Iterable[str]) -> Iterator[str]:
                 yield raw
 
 
+def _quote(raw: str) -> str:
+    """repr of the stripped line, cut to its first _QUOTE_CHARS characters,
+    so that an error on a huge line stays short."""
+    text = raw.strip()
+    if len(text) <= _QUOTE_CHARS:
+        return repr(text)
+    return repr(text[:_QUOTE_CHARS]) + "..."
+
+
 def read_graph_file(source: str | Iterable[str]) -> Graph:
     """Parse the plain edge-list format from a str or an iterable of lines.
 
@@ -334,8 +346,8 @@ def read_graph_file(source: str | Iterable[str]) -> Graph:
     whitespace separated. A header declaring more than MAX_FILE_EDGES
     edges raises CapExceededError before any later line is read, so an
     open file is refused from its header. Malformed input raises
-    ParseError with the line number; graph validation errors propagate
-    from build_graph.
+    ParseError with the line number and at most 60 characters of
+    the line; graph validation errors propagate from build_graph.
     """
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
@@ -343,13 +355,13 @@ def read_graph_file(source: str | Iterable[str]) -> Graph:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
+        parts = line.split(None, 2)  # a third part is already an error
         if len(parts) != 2:
-            raise ParseError("expected two integers, got %r" % raw.strip(), lineno)
+            raise ParseError("expected two integers, got %s" % _quote(raw), lineno)
         try:
             a, b = int(parts[0]), int(parts[1])
         except ValueError:
-            raise ParseError("non-integer token in %r" % raw.strip(), lineno) from None
+            raise ParseError("non-integer token in %s" % _quote(raw), lineno) from None
         if header is None:
             if b > MAX_FILE_EDGES:
                 msg = "header m=%d gives %d arcs; at most %d are accepted"

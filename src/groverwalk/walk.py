@@ -32,7 +32,6 @@ from .linalg import (
     charpoly_from_scaled,
     charpoly_rows,
     is_scaled_orthogonal,
-    sparse_rows,
 )
 
 
@@ -59,24 +58,52 @@ def _require_walkable(g: Graph) -> None:
         )
 
 
+def _sparse_arc_rows(g: Graph) -> tuple[int, list[list[tuple[int, int]]]]:
+    """L, the lcm of the degrees, and the nonzero entries of A = L*U by row.
+
+    Row e lists (f, A[e][f]) by ascending f, rows and columns in g.arcs()
+    order, where edge i gives arcs 2i (low to high) and 2i + 1. Entry
+    (e, f) is nonzero only when f feeds into e (t(f) = o(e)): it is
+    2L/deg(o(e)), less L when e is the reversal of f. That reversal entry
+    is 0 at a vertex of degree 2, and is left out. Built from the
+    adjacency alone, so a row costs the degree of its origin.
+    """
+    _require_walkable(g)
+    scale = math.lcm(*g.degree)
+    into: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]  # (f, o(f)) by t(f)
+    for i, (u, v) in enumerate(g.edges):
+        into[v].append((2 * i, u))
+        into[u].append((2 * i + 1, v))
+    rows = []
+    for u, v in g.edges:
+        for o, t in ((u, v), (v, u)):
+            w = 2 * scale // g.degree[o]
+            back = w - scale
+            row = [(f, back if y == t else w) for f, y in into[o] if y != t or back]
+            rows.append(row)
+    return scale, rows
+
+
+def _dense(rows: list[list[tuple[int, int]]]) -> list[list[int]]:
+    """The square dense matrix whose nonzero entries are the sparse rows."""
+    out = [[0] * len(rows) for _ in rows]
+    for dense_row, row in zip(out, rows):
+        for j, x in row:
+            dense_row[j] = x
+    return out
+
+
 def grover_arc_rows(g: Graph) -> tuple[int, list[list[int]]]:
     """L, the lcm of the degrees, and the rows of the integer operator A = L*U.
 
     Rows and columns follow g.arcs(). Entry (e, f) is 2L/deg(t(f)) when f
     feeds into e (t(f) = o(e)) and e is not the reversal of f; the
     reversal gets 2L/deg(t(f)) - L; everything else is 0. Every entry is
-    an integer because deg(t(f)) divides L.
+    an integer because deg(t(f)) divides L. The dense form of the rows
+    that arc_charpoly reads.
     """
-    _require_walkable(g)
-    arcs = g.arcs()
-    index = {arc: i for i, arc in enumerate(arcs)}
-    scale = math.lcm(*g.degree)
-    rows = [[0] * len(arcs) for _ in arcs]
-    for fi, f in enumerate(arcs):
-        w = 2 * scale // g.degree[f.terminus]
-        for nbr in g.adj[f.terminus]:
-            rows[index[Arc(f.terminus, nbr)]][fi] = w - scale if nbr == f.origin else w
-    return scale, rows
+    scale, rows = _sparse_arc_rows(g)
+    return scale, _dense(rows)
 
 
 def _over_scale(scale: int, rows: list[list[int]]) -> RationalMatrix:
@@ -96,19 +123,25 @@ def build_grover_operator(g: Graph) -> GroverOperator:
     return GroverOperator(matrix=_over_scale(*grover_arc_rows(g)), arcs=g.arcs())
 
 
+def _sparse_transition_rows(g: Graph) -> tuple[int, list[list[tuple[int, int]]]]:
+    """L, the lcm of the degrees, and row u of L*T as (v, L/deg(u)) pairs,
+    one per neighbour v of u in ascending order."""
+    _require_walkable(g)
+    scale = math.lcm(*g.degree)
+    return scale, [
+        [(v, scale // d) for v in sorted(nbrs)] for nbrs, d in zip(g.adj, g.degree)
+    ]
+
+
 def transition_rows(g: Graph) -> tuple[int, list[list[int]]]:
     """L, the lcm of the degrees, and the rows of the integer matrix L*T.
 
     Entry (u, v) is L/deg(u) for each neighbour v of u and 0 otherwise, an
-    integer because deg(u) divides L. Every row sums to L.
+    integer because deg(u) divides L. Every row sums to L. The dense form
+    of the rows that transition_charpoly reads when m > n.
     """
-    _require_walkable(g)
-    scale = math.lcm(*g.degree)
-    rows = []
-    for u in range(g.n):
-        w = scale // g.degree[u]
-        rows.append([w if v in g.adj[u] else 0 for v in range(g.n)])
-    return scale, rows
+    scale, rows = _sparse_transition_rows(g)
+    return scale, _dense(rows)
 
 
 def build_transition_matrix(g: Graph) -> TransitionMatrix:
@@ -193,15 +226,16 @@ def transition_charpoly(g: Graph) -> CharPoly:
     if g.m <= g.n:
         _require_walkable(g)
         return CharPoly(_structural_det(g), math.prod(g.degree))
-    scale, rows = transition_rows(g)
-    return charpoly_from_scaled(charpoly_rows(sparse_rows(rows), scale), scale)
+    scale, rows = _sparse_transition_rows(g)
+    return charpoly_from_scaled(charpoly_rows(rows, scale), scale)
 
 
 @functools.lru_cache(maxsize=16)
 def arc_charpoly(g: Graph) -> CharPoly:
     """Exact characteristic polynomial of the arc operator U.
 
-    Runs the integer kernel on the rows of A = L*U from grover_arc_rows.
+    Runs the integer kernel on the sparse rows of A = L*U, the nonzero
+    entries of grover_arc_rows, built straight from the adjacency lists.
     Once A A^T = L^2 I is checked, L is the kernel's bound and half of
     its N = 2m steps suffice: for a real orthogonal U of even size,
     x^N c(1/x) = det(I - xU) = det U c(x), so c_j = det U c_(N-j), and
@@ -216,8 +250,7 @@ def arc_charpoly(g: Graph) -> CharPoly:
     share one 2m x 2m charpoly per graph; the cache stays small because no
     caller returns to a graph after its analysis.
     """
-    scale, rows = grover_arc_rows(g)
-    sparse = sparse_rows(rows)
+    scale, sparse = _sparse_arc_rows(g)
     if not is_scaled_orthogonal(scale, sparse):
         raise ResidualExceededError("the arc rows A fail A A^T = L^2 I")
     size = len(sparse)

@@ -43,3 +43,27 @@ def unicyclic_graphs(draw, max_n: int = 40):
     k = draw(st.integers(3, n))
     cycle = [(i, (i + 1) % k) for i in range(k)]
     return _relabelled(draw, n, cycle + _hang_trees(draw, k, n))
+
+
+@st.composite
+def twin_rich_graphs(draw, max_n: int = 7):
+    """A complete multipartite graph, a star or K_n less a matching, relabelled.
+
+    Vertices in one part, the leaves of a star, and the ends of a removed
+    matching edge are twins (N(v) - {w} = N(w) - {v}), in large classes.
+    """
+    kind = draw(st.sampled_from(["multipartite", "star", "minus_matching"]))
+    if kind == "multipartite":
+        n = draw(st.integers(2, max_n))
+        part = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        if len(set(part)) == 1:
+            part[0] += 1  # at least two parts keep it connected
+        edges = [(u, v) for v in range(n) for u in range(v) if part[u] != part[v]]
+    elif kind == "star":
+        n = draw(st.integers(2, max_n))
+        edges = [(0, v) for v in range(1, n)]
+    else:
+        n = draw(st.integers(3, max_n))
+        removed = {(2 * i, 2 * i + 1) for i in range(draw(st.integers(0, n // 2)))}
+        edges = [(u, v) for v in range(n) for u in range(v) if (u, v) not in removed]
+    return _relabelled(draw, n, edges)

@@ -403,6 +403,18 @@ def test_cli_graph_file_refused_from_its_header(tmp_path, capsys):
     assert "at most %d" % cli.ARC_CAP in capsys.readouterr().err
 
 
+def test_cli_one_line_graph_file_gets_a_short_error(tmp_path, capsys):
+    # a header and 49,999 edges on one line, 10^5 tokens with no break:
+    # the error names line 1 and quotes only the start of it
+    path = tmp_path / "oneline.graph"
+    edges = " ".join("%d %d" % (i, i + 1) for i in range(49999))
+    path.write_text("50000 49999 " + edges)
+    assert cli.main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "line 1: expected two integers, got '50000 49999 0 1" in err
+    assert len(err) < 200
+
+
 def test_cli_rejects_malformed_file(tmp_path):
     path = tmp_path / "loop.graph"
     path.write_text("2 1\n0 0\n")

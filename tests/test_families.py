@@ -27,6 +27,7 @@ from groverwalk.families import (
 from groverwalk.census import analyze_graph, run_census
 from groverwalk.graphs import build_graph, classify
 
+from strategies import twin_rich_graphs
 from oracles import (
     brute_connected_classes,
     degree_sorted_min_encoding,
@@ -138,13 +139,46 @@ def test_canonical_form_is_the_least_degree_sorted_encoding():
             assert canonical_form(g.relabel(list(range(n))[::-1])) == want
 
 
+def _candidates(n: int):
+    """Every adjacency the enumerator can try on n vertices: each class on
+    n - 1 vertices with a new vertex joined to each non-empty subset."""
+    new = n - 1
+    for h in enumerate_connected(new):
+        base = families._adjacency_bits(h)
+        for mask in range(1, 1 << new):
+            adjbits = [ab | ((mask >> v) & 1) << new for v, ab in enumerate(base)]
+            yield adjbits + [mask]
+
+
+def test_canonical_search_on_every_candidate():
+    # the twin-pruned search against every degree-sorted order, on the
+    # labelled candidates of n <= 6, not only on the class representatives
+    tried = 0
+    for n in range(2, 7):
+        for adjbits in _candidates(n):
+            edges = [(u, v) for v in range(n) for u in range(v) if adjbits[v] >> u & 1]
+            assert families._canonical_bits(adjbits) == degree_sorted_min_encoding(
+                n, edges
+            ), edges
+            tried += 1
+    assert tried == 759
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(twin_rich_graphs(max_n=7))
+def test_canonical_form_on_twin_rich_graphs(g):
+    assert canonical_form(g) == degree_sorted_min_encoding(g.n, g.edges)
+
+
 def test_canonical_form_separates_nonisomorphic():
     forms = [canonical_form(g) for g in enumerate_connected(6)]
     assert len(forms) == len(set(forms))
 
 
-def test_enumerate_connected_counts(connected_by_n):
-    assert [len(connected_by_n[n]) for n in range(1, 7)] == [1, 1, 2, 6, 21, 112]
+def test_enumerate_connected_counts():
+    # OEIS A001349
+    got = [len(enumerate_connected(n)) for n in range(1, 8)]
+    assert got == [1, 1, 2, 6, 21, 112, 853]
 
 
 def test_enumerate_connected_against_brute_force():
@@ -185,6 +219,24 @@ def test_enumerate_connected_builds_one_graph_per_class(monkeypatch):
     reps = {n: enumerate_connected(n) for n in range(1, 7)}
     assert built == {n: len(reps[n]) for n in reps}
     assert sum(built.values()) == 143
+
+
+def test_enumerate_connected_skips_twin_swapped_joins(monkeypatch):
+    # a join mask is tried only when it holds each chosen vertex's lower
+    # twins; joining every subset, as before, made 759 searches
+    searches = Counter()
+    search = families._canonical_bits
+
+    def counting(adjbits):
+        searches[len(adjbits)] += 1
+        return search(adjbits)
+
+    monkeypatch.setattr(families, "_canonical_bits", counting)
+    monkeypatch.setattr(families, "_CONNECTED_CACHE", {})
+    for n in range(1, 7):
+        enumerate_connected(n)
+    assert searches == {2: 1, 3: 2, 4: 8, 5: 53, 6: 417}
+    assert sum(searches.values()) == 481
 
 
 def test_enumerate_connected_pairwise_noniso():

@@ -22,7 +22,7 @@ from groverwalk.families import (
     two_tail_graph,
 )
 from groverwalk.graphs import build_graph, classify, enumerate_matchings
-from groverwalk.linalg import CharPoly, charpoly_exact, is_integer
+from groverwalk.linalg import CharPoly, charpoly_exact, is_integer, sparse_rows
 from groverwalk.periodicity import (
     _cyclotomic,
     _cyclotomic_orders,
@@ -394,7 +394,8 @@ def test_certificate_rejects_non_orthogonal_rows(monkeypatch, g, p):
         bad = [list(row) for row in rows]
         for j, x in edit.items():
             bad[0][j] = x
-        monkeypatch.setattr(walk, "grover_arc_rows", lambda h: (scale, bad))
+        sparse = (scale, sparse_rows(bad))
+        monkeypatch.setattr(walk, "_sparse_arc_rows", lambda h: sparse)
         # the cache is bypassed, so the edited rows are the ones checked
         with pytest.raises(ResidualExceededError, match="A A\\^T"):
             walk.arc_charpoly.__wrapped__(g)
@@ -422,7 +423,7 @@ def test_analyze_builds_arc_charpoly_once(monkeypatch, capsys):
     monkeypatch.setattr(walk, "charpoly_rows", counting)
     # the arc rows and their orthogonality check, counted in every module
     # that binds them
-    calls = {"grover_arc_rows": 0, "is_scaled_orthogonal": 0}
+    calls = {"_sparse_arc_rows": 0, "is_scaled_orthogonal": 0}
     for name in calls:
         for module in (walk, periodicity, cli):
             fn = getattr(module, name, None)
@@ -438,7 +439,7 @@ def test_analyze_builds_arc_charpoly_once(monkeypatch, capsys):
     assert cli.main(["analyze", "--family", "twotail:5,2", "--json", "--no-timing"]) == 0
     assert json.loads(capsys.readouterr().out)["period"]["period"] == 360
     assert sizes.count(2 * g.m) == 1
-    assert calls == {"grover_arc_rows": 1, "is_scaled_orthogonal": 1}
+    assert calls == {"_sparse_arc_rows": 1, "is_scaled_orthogonal": 1}
 
 
 def test_degree_condition():

@@ -9,11 +9,13 @@ from groverwalk.exceptions import InvalidParameterError
 from groverwalk.families import (
     complete_bipartite,
     cycle_graph,
+    make_family,
+    parse_family,
     path_graph,
     two_tail_graph,
 )
 from groverwalk.graphs import Arc, build_graph
-from groverwalk.linalg import RationalMatrix, charpoly_exact, mat_mul
+from groverwalk.linalg import RationalMatrix, charpoly_exact, mat_mul, sparse_rows
 from groverwalk.periodicity import chebyshev_eigen_check
 from groverwalk.walk import (
     build_grover_operator,
@@ -255,6 +257,26 @@ def test_transition_rows_are_scaled_matrix(connected_by_n):
                 for v in range(g.n):
                     want = Fraction(1, g.degree[u]) if v in g.adj[u] else 0
                     assert t[u, v] == want
+
+
+# the five shapes of the CI arc-cap smoke step
+ARC_CAP_SHAPES = [
+    "path:65", "twotail:3,30", "twotail:61,1", "kbipartite:2,32", "twotail:5,3"
+]
+
+
+def test_sparse_rows_are_the_dense_rows_nonzeros(connected_by_n):
+    # the rows the kernels read are built from the adjacency, with no dense
+    # row in between: sorted by column, zeros (the reversal entry at a
+    # degree-2 vertex) left out
+    graphs = [g for n in range(2, 7) for g in connected_by_n[n]]
+    graphs += [make_family(parse_family(spec)) for spec in ARC_CAP_SHAPES]
+    for g in graphs:
+        scale, dense = grover_arc_rows(g)
+        assert walk._sparse_arc_rows(g) == (scale, sparse_rows(dense)), g
+        scale, dense = transition_rows(g)
+        assert walk._sparse_transition_rows(g) == (scale, sparse_rows(dense)), g
+    assert len(graphs) == 147
 
 
 def test_charpolys_from_rows_equal_charpoly_exact(connected_by_n):
