@@ -55,7 +55,7 @@ from .walk import spectral_map_check
 
 # Largest arc count 2m that analyze, gen and the chebyshev grid accept. A
 # family or grid is checked from its closed form before it is built, a
-# graph file from its header by read_graph_file.
+# graph file from its length and header by read_graph_file.
 ARC_CAP = 2 * MAX_FILE_EDGES
 
 # Default --max-n of census and verify; each enumerator has its own limit.

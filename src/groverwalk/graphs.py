@@ -2,7 +2,7 @@
 
 Vertices are 0..n-1. Edges are stored as sorted pairs (u, v) with u < v, and
 the edge list itself is kept sorted, which fixes a canonical order for
-everything downstream (arcs, matchings, file output).
+everything downstream (arcs, file output).
 
 An arc is an ordered traversal of an edge. Arcs are totally ordered by
 (min endpoint, max endpoint, direction flag), so edge i contributes arcs
@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import functools
 import operator
-import re
 from collections import deque
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence, TextIO
 
 from .exceptions import (
     CapExceededError,
@@ -38,12 +37,13 @@ Edge = tuple[int, int]
 # this size one analyze takes seconds.
 MAX_FILE_EDGES = 64
 
+# Most characters a graph file may hold. A file of MAX_FILE_EDGES edges fits
+# many times over, comments included; a longer one is refused after one
+# bounded read, however its lines are broken.
+MAX_FILE_CHARS = 1 << 16
+
 # Most characters of a malformed line that a ParseError quotes.
 _QUOTE_CHARS = 60
-
-# A line and its break as str.splitlines splits, one at a time, so that a
-# refused file is never split whole; the empty match at the end is dropped.
-_LINE = re.compile("[^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*(?:\r\n|.)?", re.S)
 
 
 class Arc(NamedTuple):
@@ -274,61 +274,6 @@ def classify(g: Graph) -> Classification:
     return Classification("other")
 
 
-def enumerate_matchings(
-    g: Graph, t: int, allowed_edges: Sequence[Edge] | None = None
-) -> Iterator[tuple[Edge, ...]]:
-    """Yield every t-matching once, in canonical edge order.
-
-    A t-matching is a set of t pairwise vertex-disjoint edges drawn from
-    allowed_edges (default: all edges). t=0 yields the single empty
-    matching. The matching sums of periodicity never list matchings; this
-    is the listing the tests check them against.
-    """
-    if t < 0:
-        raise InvalidParameterError("matching size must be >= 0, got %d" % t)
-    if allowed_edges is None:
-        pool = g.edges
-    else:
-        allowed = {(u, v) if u < v else (v, u) for u, v in allowed_edges}
-        pool = [e for e in g.edges if e in allowed]
-
-    chosen: list[Edge] = []
-    used: set[int] = set()
-
-    def rec(start: int) -> Iterator[tuple[Edge, ...]]:
-        if len(chosen) == t:
-            yield tuple(chosen)
-            return
-        # not enough edges left to finish
-        if len(pool) - start < t - len(chosen):
-            return
-        for i in range(start, len(pool)):
-            u, v = pool[i]
-            if u in used or v in used:
-                continue
-            chosen.append(pool[i])
-            used.update((u, v))
-            yield from rec(i + 1)
-            chosen.pop()
-            used.difference_update((u, v))
-
-    yield from rec(0)
-
-
-def _split_lines(source: str | Iterable[str]) -> Iterator[str]:
-    """The lines of source as str.splitlines splits them, one at a time.
-
-    source is one str or an iterable of lines, such as an open text
-    file; each piece is split further at every break str.splitlines
-    knows, so both give the same lines. Nothing past the line asked for
-    is read.
-    """
-    for chunk in (source,) if isinstance(source, str) else source:
-        for match in _LINE.finditer(chunk):
-            if raw := match.group():
-                yield raw
-
-
 def _quote(raw: str) -> str:
     """repr of the stripped line, cut to its first _QUOTE_CHARS characters,
     so that an error on a huge line stays short."""
@@ -338,20 +283,27 @@ def _quote(raw: str) -> str:
     return repr(text[:_QUOTE_CHARS]) + "..."
 
 
-def read_graph_file(source: str | Iterable[str]) -> Graph:
-    """Parse the plain edge-list format from a str or an iterable of lines.
+def read_graph_file(source: str | TextIO) -> Graph:
+    """Parse the plain edge-list format from a str or a text stream.
 
-    First non-comment line is "n m"; the next m non-comment lines are
-    "u v" pairs. '#' starts a comment, blank lines are skipped, tokens are
-    whitespace separated. A header declaring more than MAX_FILE_EDGES
-    edges raises CapExceededError before any later line is read, so an
-    open file is refused from its header. Malformed input raises
-    ParseError with the line number and at most 60 characters of
+    A stream is read once, for at most MAX_FILE_CHARS + 1 characters, and
+    text longer than MAX_FILE_CHARS raises CapExceededError; the text is
+    then split into lines by str.splitlines. First non-comment line is
+    "n m"; the next m non-comment lines are "u v" pairs. '#' starts a
+    comment, blank lines are skipped, tokens are whitespace separated. A
+    header declaring more than MAX_FILE_EDGES edges raises
+    CapExceededError before any later line is parsed. Malformed input
+    raises ParseError with the line number and at most 60 characters of
     the line; graph validation errors propagate from build_graph.
     """
+    text = source if isinstance(source, str) else source.read(MAX_FILE_CHARS + 1)
+    if len(text) > MAX_FILE_CHARS:
+        raise CapExceededError(
+            "graph file exceeds %d characters, the most accepted" % MAX_FILE_CHARS
+        )
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(_split_lines(source), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

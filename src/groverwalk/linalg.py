@@ -248,11 +248,6 @@ class CharPoly:
         return mult
 
 
-def sparse_rows(rows) -> list[list[tuple[int, int]]]:
-    """The nonzero entries of each dense integer row as (column, value) pairs."""
-    return [[(j, v) for j, v in enumerate(row) if v] for row in rows]
-
-
 def row_sum_bound(rows: list[list[tuple[int, int]]]) -> int:
     """The largest absolute row sum of sparse rows, a bound for charpoly_rows."""
     return max(sum(abs(v) for _, v in row) for row in rows)

@@ -84,43 +84,24 @@ def _sparse_arc_rows(g: Graph) -> tuple[int, list[list[tuple[int, int]]]]:
     return scale, rows
 
 
-def _dense(rows: list[list[tuple[int, int]]]) -> list[list[int]]:
-    """The square dense matrix whose nonzero entries are the sparse rows."""
-    out = [[0] * len(rows) for _ in rows]
+def _over_scale(scale: int, rows: list[list[tuple[int, int]]]) -> RationalMatrix:
+    """The square matrix with the sparse rows' entries over scale, 0 elsewhere."""
+    zero = Fraction(0)
+    out = [[zero] * len(rows) for _ in rows]
     for dense_row, row in zip(out, rows):
         for j, x in row:
-            dense_row[j] = x
-    return out
-
-
-def grover_arc_rows(g: Graph) -> tuple[int, list[list[int]]]:
-    """L, the lcm of the degrees, and the rows of the integer operator A = L*U.
-
-    Rows and columns follow g.arcs(). Entry (e, f) is 2L/deg(t(f)) when f
-    feeds into e (t(f) = o(e)) and e is not the reversal of f; the
-    reversal gets 2L/deg(t(f)) - L; everything else is 0. Every entry is
-    an integer because deg(t(f)) divides L. The dense form of the rows
-    that arc_charpoly reads.
-    """
-    scale, rows = _sparse_arc_rows(g)
-    return scale, _dense(rows)
-
-
-def _over_scale(scale: int, rows: list[list[int]]) -> RationalMatrix:
-    """The integer rows divided by scale, as a RationalMatrix."""
-    # one Fraction per distinct entry; Fractions are immutable
-    values = {x: Fraction(x, scale) for x in {x for row in rows for x in row}}
-    return RationalMatrix([[values[x] for x in row] for row in rows])
+            dense_row[j] = Fraction(x, scale)
+    return RationalMatrix(out)
 
 
 def build_grover_operator(g: Graph) -> GroverOperator:
-    """Exact arc-space operator U = A/L, the rows of grover_arc_rows over L.
+    """Exact arc-space operator U = A/L, the rows of _sparse_arc_rows over L.
 
     Entry (e, f) is 2/deg(t(f)) when f feeds into e and e is not the
     reversal of f, and 2/deg(t(f)) - 1 on the reversal. The result is
     orthogonal with row sums 1.
     """
-    return GroverOperator(matrix=_over_scale(*grover_arc_rows(g)), arcs=g.arcs())
+    return GroverOperator(matrix=_over_scale(*_sparse_arc_rows(g)), arcs=g.arcs())
 
 
 def _sparse_transition_rows(g: Graph) -> tuple[int, list[list[tuple[int, int]]]]:
@@ -133,20 +114,10 @@ def _sparse_transition_rows(g: Graph) -> tuple[int, list[list[tuple[int, int]]]]
     ]
 
 
-def transition_rows(g: Graph) -> tuple[int, list[list[int]]]:
-    """L, the lcm of the degrees, and the rows of the integer matrix L*T.
-
-    Entry (u, v) is L/deg(u) for each neighbour v of u and 0 otherwise, an
-    integer because deg(u) divides L. Every row sums to L. The dense form
-    of the rows that transition_charpoly reads when m > n.
-    """
-    scale, rows = _sparse_transition_rows(g)
-    return scale, _dense(rows)
-
-
 def build_transition_matrix(g: Graph) -> TransitionMatrix:
-    """T, the rows of transition_rows over L: entry (u, v) is 1/deg(u)."""
-    return TransitionMatrix(matrix=_over_scale(*transition_rows(g)))
+    """T, the rows of _sparse_transition_rows over L: entry (u, v) is 1/deg(u)
+    for each neighbour v of u, and 0 otherwise."""
+    return TransitionMatrix(matrix=_over_scale(*_sparse_transition_rows(g)))
 
 
 def _continuant(a: list[int], b: list[int]) -> int:
@@ -234,8 +205,8 @@ def transition_charpoly(g: Graph) -> CharPoly:
 def arc_charpoly(g: Graph) -> CharPoly:
     """Exact characteristic polynomial of the arc operator U.
 
-    Runs the integer kernel on the sparse rows of A = L*U, the nonzero
-    entries of grover_arc_rows, built straight from the adjacency lists.
+    Runs the integer kernel on the sparse rows of A = L*U from
+    _sparse_arc_rows, built straight from the adjacency lists.
     Once A A^T = L^2 I is checked, L is the kernel's bound and half of
     its N = 2m steps suffice: for a real orthogonal U of even size,
     x^N c(1/x) = det(I - xU) = det U c(x), so c_j = det U c_(N-j), and

@@ -12,7 +12,7 @@ from groverwalk import cli, periodicity
 from groverwalk.linalg import CharPoly
 from groverwalk.census import analyze_graph, run_census
 from groverwalk.exceptions import ResidualExceededError
-from groverwalk.graphs import classify, peel_leaves, write_graph_file
+from groverwalk.graphs import MAX_FILE_CHARS, classify, peel_leaves, write_graph_file
 from groverwalk.periodicity import PeriodReport
 from groverwalk.walk import transition_charpoly
 
@@ -404,14 +404,27 @@ def test_cli_graph_file_refused_from_its_header(tmp_path, capsys):
 
 
 def test_cli_one_line_graph_file_gets_a_short_error(tmp_path, capsys):
-    # a header and 49,999 edges on one line, 10^5 tokens with no break:
-    # the error names line 1 and quotes only the start of it
+    # a header and 4,999 edges on one line, under the character cap with no
+    # break: the error names line 1 and quotes only the start of it
+    path = tmp_path / "oneline.graph"
+    edges = " ".join("%d %d" % (i, i + 1) for i in range(4999))
+    path.write_text("5000 4999 " + edges)
+    assert path.stat().st_size <= MAX_FILE_CHARS
+    assert cli.main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "line 1: expected two integers, got '5000 4999 0 1" in err
+    assert len(err) < 200
+
+
+def test_cli_graph_file_over_char_cap_gets_a_short_error(tmp_path, capsys):
+    # a header and 49,999 edges on one line, 10^5 tokens and 578 KB:
+    # refused by its length after one bounded read
     path = tmp_path / "oneline.graph"
     edges = " ".join("%d %d" % (i, i + 1) for i in range(49999))
     path.write_text("50000 49999 " + edges)
     assert cli.main(["analyze", str(path)]) == 2
     err = capsys.readouterr().err
-    assert "line 1: expected two integers, got '50000 49999 0 1" in err
+    assert "exceeds %d characters" % MAX_FILE_CHARS in err
     assert len(err) < 200
 
 

@@ -19,28 +19,21 @@ from groverwalk.families import (
     parse_family,
     two_tail_graph,
 )
-from groverwalk.linalg import (
-    charpoly_from_scaled,
-    charpoly_rows,
-    is_scaled_orthogonal,
-    sparse_rows,
-)
-from groverwalk.walk import grover_arc_rows, transition_rows
+from groverwalk.linalg import charpoly_from_scaled, charpoly_rows, is_scaled_orthogonal
 
 from oracles import bareiss_det, oracle_grover_matrix, poly_mul
 from strategies import trees, unicyclic_graphs
 
 
 def kernel_transition(g):
-    scale, rows = transition_rows(g)
-    return charpoly_from_scaled(charpoly_rows(sparse_rows(rows), scale), scale)
+    scale, rows = walk._sparse_transition_rows(g)
+    return charpoly_from_scaled(charpoly_rows(rows, scale), scale)
 
 
 def kernel_arc(g):
-    scale, rows = grover_arc_rows(g)
-    sparse = sparse_rows(rows)
-    assert is_scaled_orthogonal(scale, sparse)
-    return charpoly_from_scaled(charpoly_rows(sparse, scale), scale)
+    scale, rows = walk._sparse_arc_rows(g)
+    assert is_scaled_orthogonal(scale, rows)
+    return charpoly_from_scaled(charpoly_rows(rows, scale), scale)
 
 
 @pytest.fixture

@@ -1,0 +1,26 @@
+"""The package's public names: each one resolves, and removed ones stay gone."""
+
+import groverwalk
+from groverwalk import graphs, linalg, walk
+
+# names deleted once a single route replaced them: matchings come from the
+# matching polynomials of periodicity, and the walk matrices from sparse rows
+REMOVED = {
+    graphs: ["enumerate_matchings", "_split_lines", "_LINE"],
+    walk: ["grover_arc_rows", "transition_rows", "_dense"],
+    linalg: ["sparse_rows"],
+}
+
+
+def test_every_exported_name_resolves():
+    assert len(groverwalk.__all__) == len(set(groverwalk.__all__))
+    for name in groverwalk.__all__:
+        assert getattr(groverwalk, name) is not None, name
+
+
+def test_removed_names_are_not_exported():
+    for module, names in REMOVED.items():
+        for name in names:
+            assert name not in groverwalk.__all__, name
+            assert not hasattr(groverwalk, name), name
+            assert not hasattr(module, name), (module.__name__, name)

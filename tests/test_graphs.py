@@ -27,11 +27,11 @@ from groverwalk.families import (
     path_graph,
 )
 from groverwalk.graphs import (
+    MAX_FILE_CHARS,
     Arc,
     build_graph,
     classify,
     edge_weight,
-    enumerate_matchings,
     peel_leaves,
     read_graph_file,
     unicycle_decomposition,
@@ -40,7 +40,6 @@ from groverwalk.graphs import (
 
 from oracles import (
     brute_cycles,
-    brute_matchings,
     oracle_unicycle_decomposition,
     two_colouring_kind,
 )
@@ -204,39 +203,6 @@ def test_peel_leaves_needs_at_most_one_cycle():
         unicycle_decomposition(path_graph(4))
 
 
-def test_matchings_triangle():
-    g = cycle_graph(3)
-    assert len(list(enumerate_matchings(g, 1))) == 3
-    assert list(enumerate_matchings(g, 2)) == []
-    assert list(enumerate_matchings(g, 0)) == [()]
-
-
-def test_matchings_c5_pairs():
-    assert len(list(enumerate_matchings(cycle_graph(5), 2))) == 5
-
-
-def test_matchings_restrictions(paw):
-    # allowed subset only
-    got = list(enumerate_matchings(paw, 1, allowed_edges=[(0, 3)]))
-    assert got == [((0, 3),)]
-
-
-def test_matching_singleton_count_rule(paw):
-    # t=1 yields each allowed edge once, in canonical order
-    allowed = [e for e in paw.edges if 3 not in e]
-    got = list(enumerate_matchings(paw, 1, allowed[::-1]))
-    assert [m[0] for m in got] == allowed
-
-
-def test_matchings_match_brute_force():
-    for n in range(2, 7):
-        for g in enumerate_connected(n):
-            for t in range(0, n // 2 + 1):
-                ours = {m for m in enumerate_matchings(g, t)}
-                brute = {m for m in brute_matchings(g.edges, t)}
-                assert ours == brute
-
-
 def test_graph_file_round_trip():
     for g in enumerate_connected(5):
         assert read_graph_file(write_graph_file(g)) == g
@@ -294,21 +260,31 @@ def test_graph_file_edge_cap_is_read_from_the_header():
         read_graph_file("# big\n66 65\nx y\n")
 
 
-def test_graph_file_is_refused_before_the_line_after_the_header():
-    # an open file is read line by line, so an over-cap header is the last
-    # line pulled from it
-    def lines():
-        yield "# big\n"
-        yield "66 65\n"
-        raise AssertionError("a line past the header was read")
+def test_graph_stream_is_read_once_up_to_the_char_cap():
+    # a stream gets one read of MAX_FILE_CHARS + 1 characters, however its
+    # lines are broken, and text longer than the cap is refused
+    sizes = []
 
-    with pytest.raises(CapExceededError, match="130 arcs; at most 128"):
-        read_graph_file(lines())
+    class Stream(io.StringIO):
+        def read(self, size=-1):
+            sizes.append(size)
+            return super().read(size)
+
+    fits = "3 3\n0 1\n1 2\n2 0\n" + "#" * (MAX_FILE_CHARS - 16)
+    assert len(fits) == MAX_FILE_CHARS
+    assert read_graph_file(Stream(fits)) == cycle_graph(3)
+    cap = "exceeds %d characters" % MAX_FILE_CHARS
+    for text in (fits + "\n", "1000001 1000000 " + "0 1 " * MAX_FILE_CHARS):
+        with pytest.raises(CapExceededError, match=cap):
+            read_graph_file(Stream(text))
+    assert sizes == [MAX_FILE_CHARS + 1] * 3
+    with pytest.raises(CapExceededError, match=cap):
+        read_graph_file(fits + " ")
 
 
 def test_graph_file_lines_split_as_the_whole_text():
-    # each line of an iterable is split at every break str.splitlines knows,
-    # so line numbers and edges come out as from the text in one piece
+    # a stream's text is split at every break str.splitlines knows, so line
+    # numbers and edges come out as from the text given as one str
     text = "# c\n3 3\n0 1\x0c1 2\n\n2 0\n"
     assert read_graph_file(io.StringIO(text)) == read_graph_file(text) == cycle_graph(3)
     bad = "3 3\n0 1\x0cx y\n2 0\n"

@@ -21,8 +21,8 @@ from groverwalk.families import (
     path_graph,
     two_tail_graph,
 )
-from groverwalk.graphs import build_graph, classify, enumerate_matchings
-from groverwalk.linalg import CharPoly, charpoly_exact, is_integer, sparse_rows
+from groverwalk.graphs import build_graph, classify
+from groverwalk.linalg import CharPoly, charpoly_exact, is_integer
 from groverwalk.periodicity import (
     _cyclotomic,
     _cyclotomic_orders,
@@ -43,12 +43,12 @@ from groverwalk.periodicity import (
 from groverwalk.walk import (
     build_grover_operator,
     build_transition_matrix,
-    grover_arc_rows,
     spectral_map_check,
     transition_charpoly,
 )
 
 from oracles import (
+    brute_matchings,
     brute_period,
     fraction_integrality_filter,
     fraction_matching_sum,
@@ -385,16 +385,15 @@ def test_certificate_rejects_non_orthogonal_rows(monkeypatch, g, p):
     # raised, a zero or a nonzero one, or a nonzero swapped into a zero
     # slot, which keeps the row's length and breaks only its orthogonality
     # to the other rows
-    scale, rows = grover_arc_rows(g)
+    scale, rows = walk._sparse_arc_rows(g)
     assert find_period(g).period == p
-    zero = rows[0].index(0)
-    nonzero = next(j for j, x in enumerate(rows[0]) if x)
-    value = rows[0][nonzero]
+    row = dict(rows[0])
+    zero = min(set(range(len(rows))) - set(row))
+    nonzero, value = rows[0][0]
     for edit in ({zero: 1}, {nonzero: value + 1}, {zero: value, nonzero: 0}):
-        bad = [list(row) for row in rows]
-        for j, x in edit.items():
-            bad[0][j] = x
-        sparse = (scale, sparse_rows(bad))
+        bad = {**row, **edit}
+        bad_row = sorted((j, x) for j, x in bad.items() if x)
+        sparse = (scale, [bad_row, *rows[1:]])
         monkeypatch.setattr(walk, "_sparse_arc_rows", lambda h: sparse)
         # the cache is bypassed, so the edited rows are the ones checked
         with pytest.raises(ResidualExceededError, match="A A\\^T"):
@@ -519,7 +518,7 @@ def test_matching_sums_of_trees_are_charpoly_coefficients(g):
 def listed_touching_sum(g, core, t):
     # the t-matchings that hold a core edge, listed and weighed in Fractions
     total = Fraction(0)
-    for mt in enumerate_matchings(g, t):
+    for mt in brute_matchings(g.edges, t):
         if any(e in core for e in mt):
             prod = Fraction(1)
             for u, v in mt:

@@ -15,14 +15,12 @@ from groverwalk.families import (
     two_tail_graph,
 )
 from groverwalk.graphs import Arc, build_graph
-from groverwalk.linalg import RationalMatrix, charpoly_exact, mat_mul, sparse_rows
+from groverwalk.linalg import RationalMatrix, charpoly_exact, mat_mul
 from groverwalk.periodicity import chebyshev_eigen_check
 from groverwalk.walk import (
     build_grover_operator,
     build_transition_matrix,
-    grover_arc_rows,
     spectral_map_check,
-    transition_rows,
 )
 
 from oracles import (
@@ -107,6 +105,11 @@ def test_operator_matches_oracle():
         assert tuple(tuple(row) for row in got.entries) == want
 
 
+def scaled_nonzeros(matrix, scale):
+    # the nonzero entries of scale * matrix by row, as sparse rows hold them
+    return [[(j, x * scale) for j, x in enumerate(row) if x] for row in matrix]
+
+
 def test_arc_rows_are_scaled_operator(connected_by_n):
     # A = L*U entry by entry, against the package's Fraction operator and
     # the oracle's independent entry rule
@@ -114,13 +117,13 @@ def test_arc_rows_are_scaled_operator(connected_by_n):
     for n in range(2, 7):
         for g in connected_by_n[n]:
             graphs += 1
-            scale, rows = grover_arc_rows(g)
+            scale, rows = walk._sparse_arc_rows(g)
             assert scale == math.lcm(*g.degree), g
-            assert all(type(x) is int for row in rows for x in row), g
+            assert all(type(x) is int for row in rows for _, x in row), g
             u = build_grover_operator(g).matrix.entries
-            assert rows == [[x * scale for x in row] for row in u], g
+            assert rows == scaled_nonzeros(u, scale), g
             oracle = oracle_grover_matrix(g.n, g.edges)
-            assert rows == [[x * scale for x in row] for row in oracle], g
+            assert rows == scaled_nonzeros(oracle, scale), g
     assert graphs == 142
 
 
@@ -176,7 +179,9 @@ def test_single_vertex_rejected():
     with pytest.raises(InvalidParameterError):
         build_grover_operator(g)
     with pytest.raises(InvalidParameterError):
-        grover_arc_rows(g)
+        walk._sparse_arc_rows(g)
+    with pytest.raises(InvalidParameterError):
+        walk._sparse_transition_rows(g)
     with pytest.raises(InvalidParameterError):
         build_transition_matrix(g)
     with pytest.raises(InvalidParameterError):
@@ -248,11 +253,11 @@ def test_konno_sato_identity_property(g):
 def test_transition_rows_are_scaled_matrix(connected_by_n):
     for n in range(2, 7):
         for g in connected_by_n[n]:
-            scale, rows = transition_rows(g)
+            scale, rows = walk._sparse_transition_rows(g)
             assert scale == math.lcm(*g.degree)
-            assert all(sum(row) == scale for row in rows)
+            assert all(sum(x for _, x in row) == scale for row in rows)
             t = build_transition_matrix(g).matrix
-            assert rows == [[x * scale for x in row] for row in t.entries], g
+            assert rows == scaled_nonzeros(t.entries, scale), g
             for u in range(g.n):
                 for v in range(g.n):
                     want = Fraction(1, g.degree[u]) if v in g.adj[u] else 0
@@ -265,17 +270,23 @@ ARC_CAP_SHAPES = [
 ]
 
 
-def test_sparse_rows_are_the_dense_rows_nonzeros(connected_by_n):
-    # the rows the kernels read are built from the adjacency, with no dense
-    # row in between: sorted by column, zeros (the reversal entry at a
+def test_sparse_rows_follow_the_walk_rules(connected_by_n):
+    # the rows the kernels read, against rules that do not share their
+    # code: the oracle's arc operator times L, and L/deg u for each
+    # neighbour of u; sorted by column, zeros (the reversal entry at a
     # degree-2 vertex) left out
     graphs = [g for n in range(2, 7) for g in connected_by_n[n]]
     graphs += [make_family(parse_family(spec)) for spec in ARC_CAP_SHAPES]
     for g in graphs:
-        scale, dense = grover_arc_rows(g)
-        assert walk._sparse_arc_rows(g) == (scale, sparse_rows(dense)), g
-        scale, dense = transition_rows(g)
-        assert walk._sparse_transition_rows(g) == (scale, sparse_rows(dense)), g
+        scale = math.lcm(*g.degree)
+        want = scaled_nonzeros(oracle_grover_matrix(g.n, g.edges), scale)
+        assert walk._sparse_arc_rows(g) == (scale, want), g
+        pairs = set(g.edges) | {(v, u) for u, v in g.edges}
+        want = [
+            [(v, scale // g.degree[u]) for v in range(g.n) if (u, v) in pairs]
+            for u in range(g.n)
+        ]
+        assert walk._sparse_transition_rows(g) == (scale, want), g
     assert len(graphs) == 147
 
 
