@@ -36,9 +36,11 @@ from .families import (
     two_tail_graph,
 )
 from .graphs import (
+    _MAX_INPUT_INT,
     MAX_FILE_EDGES,
     Classification,
     Graph,
+    _quote,
     classify,
     read_graph_file,
     write_graph_file,
@@ -159,7 +161,7 @@ def _load_graph(args) -> Graph:
     if args.family:
         return _family_graph(args.family)
     if args.graph:
-        with open(args.graph, "r", encoding="utf-8") as handle:
+        with open(args.graph, encoding="utf-8", errors="surrogateescape") as handle:
             return read_graph_file(handle)
     raise GroverWalkError("no graph given: pass a file path or --family")
 
@@ -422,17 +424,24 @@ def cmd_verify(args) -> int:
 def _parse_span(text: str) -> tuple[range | list[int], int]:
     """Parse "3,5,7" or "2..6" into its values and the largest of them.
 
-    A ".." span stays a range, so a huge one is never listed; an empty or
-    reversed span is rejected.
+    A ".." span stays a range, so a huge one is never listed. An empty or
+    reversed span, a non-integer and an integer of 2^63 or more are
+    rejected, with at most 60 characters of the text quoted.
     """
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        span = range(int(lo), int(hi) + 1)
-    else:
-        span = [int(part) for part in text.split(",") if part]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            span = range(int(lo), int(hi) + 1)
+        else:
+            span = [int(part) for part in text.split(",") if part]
+    except ValueError:
+        raise ValueError("non-integer value in %s" % _quote(text)) from None
     if not span:
-        raise ValueError("%r holds no values" % text)
-    return span, span[-1] if isinstance(span, range) else max(span)
+        raise ValueError("%s holds no values" % _quote(text))
+    low, top = (span[0], span[-1]) if isinstance(span, range) else (min(span), max(span))
+    if max(-low, top) >= _MAX_INPUT_INT:
+        raise ValueError("value out of range in %s" % _quote(text))
+    return span, top
 
 
 # ---------------------------------------------------------------------------

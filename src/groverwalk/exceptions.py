@@ -43,14 +43,6 @@ class CapExceededError(GroverWalkError, ValueError):
     """An enumeration or an input graph goes beyond its configured size cap."""
 
 
-class DimensionMismatchError(GroverWalkError, ValueError):
-    """Matrix operands have incompatible shapes."""
-
-
-class NonSquareError(GroverWalkError, ValueError):
-    """A square matrix was required."""
-
-
 class IndexOutOfRangeError(GroverWalkError, IndexError):
     """A coefficient or matching index falls outside the valid range."""
 

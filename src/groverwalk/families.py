@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .exceptions import CapExceededError, InvalidParameterError
-from .graphs import Graph, build_graph
+from .graphs import _QUOTE_CHARS, Graph, _quote, build_graph
 
 CONNECTED_CAP = 8
 HARD_CAP = 12
@@ -40,14 +40,18 @@ class FamilySpec(NamedTuple):
 
 
 def parse_family(text: str) -> FamilySpec:
-    """Parse strings like "cycle:5" or "twotail:3,2"."""
+    """Parse strings like "cycle:5" or "twotail:3,2", of at most 60 characters."""
+    if len(text) > _QUOTE_CHARS:
+        msg = "family string %s is longer than %d characters"
+        raise InvalidParameterError(msg % (_quote(text), _QUOTE_CHARS))
     kind, sep, rest = text.partition(":")
     if not sep or not rest:
-        raise InvalidParameterError("family string %r needs kind:params" % text)
+        raise InvalidParameterError("family string %s needs kind:params" % _quote(text))
     try:
         params = tuple(int(p) for p in rest.split(","))
     except ValueError:
-        raise InvalidParameterError("non-integer parameter in %r" % text) from None
+        msg = "non-integer parameter in %s" % _quote(text)
+        raise InvalidParameterError(msg) from None
     return FamilySpec(kind=kind.strip().lower(), params=params)
 
 
@@ -89,7 +93,7 @@ def family_arcs(spec: FamilySpec) -> int:
         if r < 1:
             raise InvalidParameterError("twotail needs r >= 1, got %d" % r)
         return 2 * (k + 2 * r)
-    raise InvalidParameterError("unknown family kind %r" % spec.kind)
+    raise InvalidParameterError("unknown family kind %s" % _quote(spec.kind))
 
 
 def make_family(spec: FamilySpec) -> Graph:

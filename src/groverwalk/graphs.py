@@ -45,6 +45,10 @@ MAX_FILE_CHARS = 1 << 16
 # Most characters of a malformed line that a ParseError quotes.
 _QUOTE_CHARS = 60
 
+# Integers read from a graph file or a span lie below this in absolute value,
+# far beyond any valid input, so that an error naming one stays short.
+_MAX_INPUT_INT = 1 << 63
+
 
 class Arc(NamedTuple):
     origin: int
@@ -275,32 +279,42 @@ def classify(g: Graph) -> Classification:
 
 
 def _quote(raw: str) -> str:
-    """repr of the stripped line, cut to its first _QUOTE_CHARS characters,
-    so that an error on a huge line stays short."""
-    text = raw.strip()
-    if len(text) <= _QUOTE_CHARS:
-        return repr(text)
-    return repr(text[:_QUOTE_CHARS]) + "..."
+    """repr of the stripped text, cut after _QUOTE_CHARS characters of it and
+    its escapes, so that an error on a huge or unprintable line stays short."""
+    quoted = repr(raw.strip())
+    if len(quoted) <= _QUOTE_CHARS + 2:
+        return quoted
+    return quoted[: _QUOTE_CHARS + 1] + "..."
 
 
 def read_graph_file(source: str | TextIO) -> Graph:
     """Parse the plain edge-list format from a str or a text stream.
 
     A stream is read once, for at most MAX_FILE_CHARS + 1 characters, and
-    text longer than MAX_FILE_CHARS raises CapExceededError; the text is
-    then split into lines by str.splitlines. First non-comment line is
-    "n m"; the next m non-comment lines are "u v" pairs. '#' starts a
-    comment, blank lines are skipped, tokens are whitespace separated. A
-    header declaring more than MAX_FILE_EDGES edges raises
-    CapExceededError before any later line is parsed. Malformed input
-    raises ParseError with the line number and at most 60 characters of
-    the line; graph validation errors propagate from build_graph.
+    text longer than MAX_FILE_CHARS raises CapExceededError. A lone
+    surrogate, which errors="surrogateescape" makes of a byte that is not
+    UTF-8, raises ParseError with its byte offset; a leading byte-order
+    mark is dropped. The text is split by str.splitlines. First
+    non-comment line is "n m"; the next m non-comment lines are "u v"
+    pairs. '#' starts a comment, blank lines are skipped, tokens are
+    whitespace separated. A header declaring more than MAX_FILE_EDGES
+    edges raises CapExceededError before any later line is parsed.
+    Malformed input, an integer of 2^63 or more included, raises
+    ParseError with the line number and at most 60 characters of the
+    line; graph validation errors propagate from build_graph.
     """
     text = source if isinstance(source, str) else source.read(MAX_FILE_CHARS + 1)
     if len(text) > MAX_FILE_CHARS:
         raise CapExceededError(
             "graph file exceeds %d characters, the most accepted" % MAX_FILE_CHARS
         )
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as err:
+            offset = len(text[: err.start].encode("utf-8"))
+            raise ParseError("not UTF-8 text at byte offset %d" % offset) from None
+        text = text.removeprefix("\ufeff")
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -314,6 +328,8 @@ def read_graph_file(source: str | TextIO) -> Graph:
             a, b = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError("non-integer token in %s" % _quote(raw), lineno) from None
+        if max(abs(a), abs(b)) >= _MAX_INPUT_INT:
+            raise ParseError("integer out of range in %s" % _quote(raw), lineno)
         if header is None:
             if b > MAX_FILE_EDGES:
                 msg = "header m=%d gives %d arcs; at most %d are accepted"

@@ -1,18 +1,16 @@
-"""Exact rational matrices and characteristic polynomials.
+"""Exact characteristic polynomials from integer sparse rows.
 
-Matrix entries are fractions.Fraction and nothing is ever rounded. The matrix
-route to a characteristic polynomial is one Faddeev-LeVerrier kernel,
-charpoly_rows, which runs on an integer matrix B held as sparse rows of
-(column, value) pairs, with the working matrix packed one Python int per
-row; it can stop after its first steps, which give the top coefficients.
-charpoly_exact clears the denominators of a RationalMatrix and runs the
-whole kernel. walk hands the kernel the integer rows of the arc
-operator, for half of its steps, and those of the transition matrix of a
-graph with m > n; a tree or a unicyclic graph takes a structural route
-there. CharPoly holds one form: integer coefficients over one positive
-denominator, with no common factor, which the exact divisions read
-directly and the reports print from; its Fraction coefficients are made
-only for comparison with a Fraction sum.
+Nothing is ever rounded. The one matrix route to a characteristic
+polynomial is a Faddeev-LeVerrier kernel, charpoly_rows, on an integer
+matrix B = L*M held as sparse rows of (column, value) pairs, the working
+matrix packed one Python int per row; charpoly_from_scaled divides L back
+out. It can stop after its first steps, which give the top coefficients.
+walk hands it the rows of the arc operator, for half of its steps, and
+those of the transition matrix of a graph with m > n; a tree or a
+unicyclic graph takes a structural route there. CharPoly holds one form:
+integer coefficients over one positive denominator, with no common
+factor, which the exact divisions read and the reports print from; its
+Fraction coefficients are made only for comparison with a Fraction sum.
 """
 
 from __future__ import annotations
@@ -20,95 +18,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exceptions import DimensionMismatchError, InvalidParameterError, NonSquareError
+from .exceptions import InvalidParameterError
 
 
 def is_integer(q: Fraction) -> bool:
     """True when the reduced denominator is 1."""
     return Fraction(q).denominator == 1
-
-
-class RationalMatrix:
-    """Immutable dense matrix of Fractions."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, entries):
-        rows = tuple(
-            tuple(x if type(x) is Fraction else Fraction(x) for x in row)
-            for row in entries
-        )
-        if not rows:
-            raise InvalidParameterError("matrix needs at least one row")
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise DimensionMismatchError("ragged rows")
-        self.rows = len(rows)
-        self.cols = width
-        self.entries = rows
-
-    @staticmethod
-    def identity(n: int) -> "RationalMatrix":
-        one, zero = Fraction(1), Fraction(0)
-        return RationalMatrix(
-            [[one if i == j else zero for j in range(n)] for i in range(n)]
-        )
-
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "RationalMatrix":
-        zero = Fraction(0)
-        return RationalMatrix([[zero] * cols for _ in range(rows)])
-
-    def __getitem__(self, ij) -> Fraction:
-        i, j = ij
-        return self.entries[i][j]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RationalMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(list(zip(*self.entries)))
-
-    def trace(self) -> Fraction:
-        if self.rows != self.cols:
-            raise NonSquareError("trace of a %dx%d matrix" % (self.rows, self.cols))
-        return sum((self.entries[i][i] for i in range(self.rows)), Fraction(0))
-
-    def is_identity(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        one, zero = Fraction(1), Fraction(0)
-        for i, row in enumerate(self.entries):
-            for j, x in enumerate(row):
-                if x != (one if i == j else zero):
-                    return False
-        return True
-
-    def row_sums(self) -> tuple[Fraction, ...]:
-        return tuple(sum(row, Fraction(0)) for row in self.entries)
-
-    def __repr__(self) -> str:
-        return "RationalMatrix(%d x %d)" % (self.rows, self.cols)
-
-
-def mat_mul(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    if a.cols != b.rows:
-        raise DimensionMismatchError(
-            "cannot multiply %dx%d by %dx%d" % (a.rows, a.cols, b.rows, b.cols)
-        )
-    bt = list(zip(*b.entries))
-    out = []
-    for arow in a.entries:
-        out.append([sum(x * y for x, y in zip(arow, bcol)) for bcol in bt])
-    return RationalMatrix(out)
 
 
 def _divide_exact(a: list[int], b: tuple[int, ...]) -> list[int] | None:
@@ -248,11 +163,6 @@ class CharPoly:
         return mult
 
 
-def row_sum_bound(rows: list[list[tuple[int, int]]]) -> int:
-    """The largest absolute row sum of sparse rows, a bound for charpoly_rows."""
-    return max(sum(abs(v) for _, v in row) for row in rows)
-
-
 def is_scaled_orthogonal(scale: int, rows: list[list[tuple[int, int]]]) -> bool:
     """B B^T = scale^2 I for B given by sparse rows of (column, value) pairs.
 
@@ -360,19 +270,3 @@ def charpoly_from_scaled(q: list[int], scale: int) -> CharPoly:
     """
     return CharPoly(tuple(c * scale**j for j, c in enumerate(q)), scale ** (len(q) - 1))
 
-
-def charpoly_exact(m: RationalMatrix) -> CharPoly:
-    """Characteristic polynomial of a rational matrix, exactly.
-
-    Clears the denominators once, B = L*M with L their lcm, and runs
-    charpoly_rows on the sparse rows of B with its largest absolute row
-    sum as the bound.
-    """
-    if m.rows != m.cols:
-        raise NonSquareError("characteristic polynomial of a %dx%d matrix" % (m.rows, m.cols))
-    L = math.lcm(*(x.denominator for row in m.entries for x in row if x))
-    b = [
-        [(j, x.numerator * (L // x.denominator)) for j, x in enumerate(row) if x]
-        for row in m.entries
-    ]
-    return charpoly_from_scaled(charpoly_rows(b, row_sum_bound(b)), L)

@@ -7,7 +7,9 @@ walk is the simple random walk matrix, and the spectrum of the arc operator
 is the image of the vertex spectrum under x -> exp(+-i arccos x), with any
 leftover eigenvalues sitting at +1 or -1.
 
-Each characteristic polynomial takes the shortest exact route the walk's
+Both matrices exist only as the integer sparse rows of A = L*U and L*T,
+L the lcm of the degrees, which the charpoly routes read. Each
+characteristic polynomial takes the shortest exact route the walk's
 structure allows. On a tree or a unicyclic graph the transition charpoly
 is det(xD - A) / prod(deg), built by peeling leaves and closing the one
 cycle; on a denser graph it comes from the linalg kernel. The arc
@@ -21,34 +23,11 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 from .exceptions import InvalidParameterError, ResidualExceededError
-from .graphs import Arc, Graph, peel_leaves
-from .linalg import (
-    CharPoly,
-    RationalMatrix,
-    charpoly_from_scaled,
-    charpoly_rows,
-    is_scaled_orthogonal,
-)
-
-
-class GroverOperator(NamedTuple):
-    """Arc-space walk operator with its arc order."""
-
-    matrix: RationalMatrix
-    arcs: tuple[Arc, ...]
-
-    def arc_index(self, arc: Arc) -> int:
-        return self.arcs.index(arc)
-
-
-class TransitionMatrix(NamedTuple):
-    """Row-stochastic simple random walk matrix."""
-
-    matrix: RationalMatrix
+from .graphs import Graph, peel_leaves
+from .linalg import CharPoly, charpoly_from_scaled, charpoly_rows, is_scaled_orthogonal
 
 
 def _require_walkable(g: Graph) -> None:
@@ -84,26 +63,6 @@ def _sparse_arc_rows(g: Graph) -> tuple[int, list[list[tuple[int, int]]]]:
     return scale, rows
 
 
-def _over_scale(scale: int, rows: list[list[tuple[int, int]]]) -> RationalMatrix:
-    """The square matrix with the sparse rows' entries over scale, 0 elsewhere."""
-    zero = Fraction(0)
-    out = [[zero] * len(rows) for _ in rows]
-    for dense_row, row in zip(out, rows):
-        for j, x in row:
-            dense_row[j] = Fraction(x, scale)
-    return RationalMatrix(out)
-
-
-def build_grover_operator(g: Graph) -> GroverOperator:
-    """Exact arc-space operator U = A/L, the rows of _sparse_arc_rows over L.
-
-    Entry (e, f) is 2/deg(t(f)) when f feeds into e and e is not the
-    reversal of f, and 2/deg(t(f)) - 1 on the reversal. The result is
-    orthogonal with row sums 1.
-    """
-    return GroverOperator(matrix=_over_scale(*_sparse_arc_rows(g)), arcs=g.arcs())
-
-
 def _sparse_transition_rows(g: Graph) -> tuple[int, list[list[tuple[int, int]]]]:
     """L, the lcm of the degrees, and row u of L*T as (v, L/deg(u)) pairs,
     one per neighbour v of u in ascending order."""
@@ -112,12 +71,6 @@ def _sparse_transition_rows(g: Graph) -> tuple[int, list[list[tuple[int, int]]]]
     return scale, [
         [(v, scale // d) for v in sorted(nbrs)] for nbrs, d in zip(g.adj, g.degree)
     ]
-
-
-def build_transition_matrix(g: Graph) -> TransitionMatrix:
-    """T, the rows of _sparse_transition_rows over L: entry (u, v) is 1/deg(u)
-    for each neighbour v of u, and 0 otherwise."""
-    return TransitionMatrix(matrix=_over_scale(*_sparse_transition_rows(g)))
 
 
 def _continuant(a: list[int], b: list[int]) -> int:

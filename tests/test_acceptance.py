@@ -7,6 +7,7 @@ exact rational arithmetic.
 """
 
 import itertools
+import math
 import random
 import time
 from fractions import Fraction
@@ -23,7 +24,7 @@ from groverwalk.families import (
     two_tail_graph,
 )
 from groverwalk.graphs import classify, edge_weight
-from groverwalk.linalg import RationalMatrix, charpoly_exact, mat_mul
+from groverwalk.linalg import charpoly_from_scaled, charpoly_rows
 from groverwalk.periodicity import (
     branch_integrality_instances,
     chebyshev_eigen_check,
@@ -34,12 +35,13 @@ from groverwalk.periodicity import (
     tail_recurrence_check,
 )
 from groverwalk.walk import (
-    build_grover_operator,
-    build_transition_matrix,
+    _sparse_arc_rows,
+    _sparse_transition_rows,
     spectral_map_check,
+    transition_charpoly,
 )
 
-from oracles import char_value
+from oracles import char_value, int_mat_mul
 
 
 def _line(ok: bool, label: str, detail: str = "") -> bool:
@@ -142,21 +144,23 @@ def test_05_charpoly_oracle_and_edge_sum():
     points = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2, 3), Fraction(-5)]
     bad = 0
     for _ in range(200):
-        m = RationalMatrix(
-            [
-                [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)]
-                for _ in range(4)
-            ]
-        )
-        cp = charpoly_exact(m)
-        if any(cp.eval_exact(x) != char_value(m.entries, x) for x in points):
+        m = [
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)]
+            for _ in range(4)
+        ]
+        # B = L*M with L the lcm of the denominators, bounded by its row sums
+        scale = math.lcm(*(x.denominator for row in m for x in row))
+        b = [[(j, int(x * scale)) for j, x in enumerate(row) if x] for row in m]
+        bound = max(sum(abs(v) for _, v in row) for row in b)
+        cp = charpoly_from_scaled(charpoly_rows(b, bound), scale)
+        if any(cp.eval_exact(x) != char_value(m, x) for x in points):
             bad += 1
 
     graphs = 0
     for n in range(2, 8):
         for g in enumerate_connected(n):
             graphs += 1
-            cp = charpoly_exact(build_transition_matrix(g).matrix)
+            cp = transition_charpoly(g)
             total = sum((edge_weight(g, e) for e in g.edges), Fraction(0))
             if cp[g.n - 2] != -total:
                 bad += 1
@@ -274,13 +278,21 @@ def test_10_structural_exactness():
     bad = []
     for g in _corpus():
         count += 1
-        op = build_grover_operator(g)
-        t = build_transition_matrix(g)
-        if not mat_mul(op.matrix, op.matrix.transpose()).is_identity():
+        # the rows arc_charpoly and transition_charpoly read: A = L*U must
+        # give A A^T = L^2 I, and every row of A and of L*T must sum to L
+        scale, arc_rows = _sparse_arc_rows(g)
+        _, transition_rows = _sparse_transition_rows(g)
+        a = [[0] * len(arc_rows) for _ in arc_rows]
+        for i, row in enumerate(arc_rows):
+            for j, v in row:
+                a[i][j] = v
+        size = len(a)
+        square = [[scale * scale * (i == j) for j in range(size)] for i in range(size)]
+        if int_mat_mul(a, [list(col) for col in zip(*a)]) != square:
             bad.append((g.edges, "not orthogonal"))
-        if any(s != 1 for s in op.matrix.row_sums()):
+        if any(sum(v for _, v in row) != scale for row in arc_rows):
             bad.append((g.edges, "arc row sums"))
-        if any(s != 1 for s in t.matrix.row_sums()):
+        if any(sum(v for _, v in row) != scale for row in transition_rows):
             bad.append((g.edges, "transition row sums"))
     assert _line(
         not bad,

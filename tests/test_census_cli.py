@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -7,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groverwalk import cli, periodicity
 from groverwalk.linalg import CharPoly
@@ -434,6 +438,106 @@ def test_cli_rejects_malformed_file(tmp_path):
     proc = run_cli("analyze", str(path))
     assert proc.returncode == 2
     assert "loop" in proc.stderr.lower()
+
+
+def test_cli_non_utf8_graph_file_gets_a_short_error(tmp_path, capsys):
+    path = tmp_path / "bad.graph"
+    path.write_bytes(b"3 3\n0 1\n1 2\n0 2\xff\n")
+    assert cli.main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "not UTF-8 text at byte offset 15" in err
+    assert len(err) < 200 and "Traceback" not in err
+    # the offset counts from the first byte of the file, a byte-order mark too
+    path.write_bytes(b"\xef\xbb\xbf3 3\n0 1\xc3\n")
+    assert cli.main(["analyze", str(path)]) == 2
+    assert "not UTF-8 text at byte offset 10" in capsys.readouterr().err
+
+
+def test_cli_byte_order_mark_is_dropped(tmp_path, capsys):
+    text = b"3 3\n0 1\n1 2\n0 2\n"
+    reports = []
+    for name, data in (("plain.graph", text), ("bom.graph", b"\xef\xbb\xbf" + text)):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert cli.main(["analyze", str(path), "--json", "--no-timing"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        reports.append(out)
+    assert reports[0] == reports[1]
+
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+def assert_clean_exit(code, err):
+    # a report or a one-line error; an uncaught exception fails the test
+    assert code in (0, 2), (code, err)
+    assert len(err) < 200, err
+    assert "Traceback" not in err, err
+
+
+# integers near the ones a valid input holds, and up to 80 digits long
+_numbers = st.one_of(
+    st.integers(-2, 12),
+    st.builds(
+        lambda sign, digits: sign * 10**digits - 1,
+        st.sampled_from([1, -1]),
+        st.integers(1, 80),
+    ),
+)
+
+_graph_lines = st.lists(st.tuples(_numbers, _numbers), min_size=1, max_size=14).map(
+    lambda pairs: "".join("%d %d\n" % p for p in pairs).encode()[:256]
+)
+
+# a short pattern repeated, as in a line of NULs or of escapes
+_repeated_bytes = st.builds(
+    lambda chunk, times: (chunk * times)[:256],
+    st.binary(min_size=1, max_size=3),
+    st.integers(1, 128),
+)
+
+_family_texts = st.one_of(
+    st.text(),
+    st.text(min_size=100, max_size=400),
+    st.builds(
+        lambda kind, params: "%s:%s" % (kind, ",".join(map(str, params))),
+        st.sampled_from(["cycle", "path", "kbipartite", "twotail", "Cycle ", "x", ""]),
+        st.lists(_numbers, max_size=3),
+    ),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(data=st.one_of(st.binary(max_size=256), _graph_lines, _repeated_bytes))
+def test_cli_fuzzed_graph_file_exits_cleanly(data, tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "input.graph"
+    path.write_bytes(data)
+    assert_clean_exit(*run_main(["analyze", str(path), "--json", "--no-timing"]))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(text=_family_texts)
+def test_cli_fuzzed_family_exits_cleanly(text):
+    for command in ("analyze", "gen"):
+        assert_clean_exit(*run_main([command, "--family=" + text]))
+
+
+_span_texts = st.one_of(
+    st.text(),
+    st.builds("{}..{}".format, _numbers, _numbers),
+    st.lists(_numbers, max_size=4).map(lambda values: ",".join(map(str, values))),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(flag=st.sampled_from(["--k", "--r"]), text=_span_texts)
+def test_cli_fuzzed_chebyshev_span_exits_cleanly(flag, text):
+    assert_clean_exit(*run_main(["verify", "--suite", "chebyshev", "%s=%s" % (flag, text)]))
 
 
 def test_cli_verify_table1():

@@ -1,14 +1,32 @@
 """The package's public names: each one resolves, and removed ones stay gone."""
 
 import groverwalk
-from groverwalk import graphs, linalg, walk
+from groverwalk import exceptions, graphs, linalg, walk
 
 # names deleted once a single route replaced them: matchings come from the
-# matching polynomials of periodicity, and the walk matrices from sparse rows
+# matching polynomials of periodicity, and the walk matrices, with their
+# characteristic polynomials, only from integer sparse rows
 REMOVED = {
     graphs: ["enumerate_matchings", "_split_lines", "_LINE"],
-    walk: ["grover_arc_rows", "transition_rows", "_dense"],
-    linalg: ["sparse_rows"],
+    walk: [
+        "grover_arc_rows",
+        "transition_rows",
+        "_dense",
+        "GroverOperator",
+        "TransitionMatrix",
+        "build_grover_operator",
+        "build_transition_matrix",
+        "_over_scale",
+        "Fraction",
+    ],
+    linalg: [
+        "sparse_rows",
+        "RationalMatrix",
+        "mat_mul",
+        "charpoly_exact",
+        "row_sum_bound",
+    ],
+    exceptions: ["DimensionMismatchError", "NonSquareError"],
 }
 
 

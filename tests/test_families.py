@@ -89,6 +89,14 @@ def test_family_parsing():
         parse_family("cycle:x")
     with pytest.raises(InvalidParameterError):
         parse_family("cycle")
+    # 60 characters at most, and errors quote a bounded part of the text
+    assert parse_family("cycle:" + "0" * 53 + "5") == FamilySpec("cycle", (5,))
+    with pytest.raises(InvalidParameterError, match="longer than 60 characters"):
+        parse_family("cycle:" + "0" * 54 + "5")
+    for text in ("\x00" * 60, "\x00" * 59 + ":1"):
+        with pytest.raises(InvalidParameterError) as err:
+            make_family(parse_family(text))
+        assert len(str(err.value)) < 120
 
 
 def test_family_parameter_errors():

@@ -296,6 +296,27 @@ def test_graph_file_lines_split_as_the_whole_text():
     assert "line 3" in str(whole.value)
 
 
+def test_graph_file_errors_stay_short():
+    # a number past 64 bits, a line of escapes and a byte that is not UTF-8
+    # each get a one-line error that quotes a bounded part of the input
+    big = 1 << 63
+    with pytest.raises(ParseError, match="line 2: integer out of range"):
+        read_graph_file("2 1\n0 %d\n" % big)
+    with pytest.raises(InvalidParameterError):
+        read_graph_file("2 1\n0 %d\n" % (big - 1))
+    with pytest.raises(ParseError, match="line 1: integer out of range"):
+        read_graph_file("%d 1\n0 1\n" % -big)
+    with pytest.raises(ParseError) as err:
+        read_graph_file("\x00" * 100)
+    assert len(str(err.value)) < 120
+    with pytest.raises(ParseError, match="not UTF-8 text at byte offset 7"):
+        read_graph_file("2 1\n\u00e9 \udcff\n")  # é is two bytes
+    # a leading byte-order mark is dropped, one anywhere else is a bad token
+    assert read_graph_file("\ufeff3 3\n0 1\n1 2\n2 0\n") == cycle_graph(3)
+    with pytest.raises(ParseError, match="line 2: non-integer token"):
+        read_graph_file("3 3\n\ufeff0 1\n1 2\n2 0\n")
+
+
 def test_graph_file_errors():
     with pytest.raises(LoopEdgeError):
         read_graph_file("2 2\n0 0\n0 1\n")

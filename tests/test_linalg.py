@@ -6,25 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groverwalk.exceptions import (
-    DimensionMismatchError,
-    InvalidParameterError,
-    NonSquareError,
-)
+from groverwalk.exceptions import InvalidParameterError
 from groverwalk import linalg
 from groverwalk.families import cycle_graph, enumerate_connected
 from groverwalk.linalg import (
     CharPoly,
-    RationalMatrix,
-    charpoly_exact,
+    charpoly_from_scaled,
     charpoly_rows,
     _divide_exact,
     is_integer,
     is_scaled_orthogonal,
-    mat_mul,
-    row_sum_bound,
 )
-from groverwalk.walk import arc_charpoly, build_transition_matrix, transition_charpoly
+from groverwalk.walk import arc_charpoly, transition_charpoly
 
 from oracles import char_value, jacobi_eigen, symmetrized_adjacency
 
@@ -34,40 +27,30 @@ def symmetrized(g):
 
 
 def random_rational_matrix(rng, n):
-    return RationalMatrix(
-        [
-            [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
-            for _ in range(n)
-        ]
-    )
+    return [
+        [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+        for _ in range(n)
+    ]
+
+
+def row_sum_bound(rows):
+    # the largest absolute row sum of sparse rows, a bound for charpoly_rows
+    return max(sum(abs(v) for _, v in row) for row in rows)
+
+
+def rational_charpoly(entries):
+    # det(xI - M) for a dense rational M: the kernel runs on B = L*M, L the
+    # lcm of the denominators, under B's largest absolute row sum
+    entries = [[Fraction(x) for x in row] for row in entries]
+    scale = math.lcm(*(x.denominator for row in entries for x in row))
+    rows = [[(j, int(x * scale)) for j, x in enumerate(row) if x] for row in entries]
+    return charpoly_from_scaled(charpoly_rows(rows, row_sum_bound(rows)), scale)
 
 
 def test_is_integer():
     assert is_integer(Fraction(4, 2))
     assert is_integer(Fraction(0))
     assert not is_integer(Fraction(-4, 3))
-
-
-def test_matrix_basics():
-    m = RationalMatrix([[1, 2], [3, 4]])
-    assert m[0, 1] == 2
-    assert m.trace() == 5
-    assert m.transpose()[1, 0] == 2
-    assert m.row_sums() == (Fraction(3), Fraction(7))
-    assert RationalMatrix.identity(3).is_identity()
-    assert not m.is_identity()
-
-
-def test_matrix_errors():
-    with pytest.raises(DimensionMismatchError):
-        RationalMatrix([[1, 2], [3]])
-    with pytest.raises(InvalidParameterError):
-        RationalMatrix([])
-    a = RationalMatrix([[1, 2, 3], [4, 5, 6]])
-    with pytest.raises(DimensionMismatchError):
-        mat_mul(a, a)
-    with pytest.raises(NonSquareError):
-        charpoly_exact(a)
 
 
 def test_divide_exact():
@@ -91,14 +74,15 @@ def test_divide_exact():
 
 
 def test_charpoly_known_values():
-    zero_cp = charpoly_exact(RationalMatrix.zeros(2, 2))
+    zero_cp = rational_charpoly([[0, 0], [0, 0]])
     assert zero_cp.degree == 2
     assert zero_cp[0] == 0 and zero_cp[1] == 0 and zero_cp[2] == 1
 
-    cp = charpoly_exact(RationalMatrix([[0, 1], [1, 0]]))
+    cp = rational_charpoly([[0, 1], [1, 0]])
     assert cp[0] == -1 and cp[1] == 0 and cp[2] == 1
 
-    cp = charpoly_exact(build_transition_matrix(cycle_graph(3)).matrix)
+    half = Fraction(1, 2)
+    cp = rational_charpoly([[0, half, half], [half, 0, half], [half, half, 0]])
     assert cp[0] == Fraction(-1, 4)
     assert cp[1] == Fraction(-3, 4)
     assert cp[2] == 0
@@ -109,18 +93,16 @@ def test_charpoly_trace_relation():
     rng = random.Random(11)
     for _ in range(10):
         m = random_rational_matrix(rng, 4)
-        cp = charpoly_exact(m)
-        assert cp[3] == -m.trace()
+        cp = rational_charpoly(m)
+        assert cp[3] == -sum(m[i][i] for i in range(4))
 
 
 def test_charpoly_permutation_similarity():
     rng = random.Random(3)
     m = random_rational_matrix(rng, 4)
     perm = [2, 0, 3, 1]
-    permuted = RationalMatrix(
-        [[m[perm[i], perm[j]] for j in range(4)] for i in range(4)]
-    )
-    assert charpoly_exact(m).coeffs == charpoly_exact(permuted).coeffs
+    permuted = [[m[perm[i]][perm[j]] for j in range(4)] for i in range(4)]
+    assert rational_charpoly(m).coeffs == rational_charpoly(permuted).coeffs
 
 
 def test_charpoly_against_bareiss_oracle():
@@ -128,19 +110,19 @@ def test_charpoly_against_bareiss_oracle():
     points = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(3)]
     for _ in range(200):
         m = random_rational_matrix(rng, 4)
-        cp = charpoly_exact(m)
+        cp = rational_charpoly(m)
         for x in points:
-            assert cp.eval_exact(x) == char_value(m.entries, x)
+            assert cp.eval_exact(x) == char_value(m, x)
 
 
 def assert_charpoly_matches_bareiss(entries):
     # both sides have degree n, so n + 1 distinct points pin the polynomial
-    m = RationalMatrix(entries)
-    cp = charpoly_exact(m)
-    assert cp.degree == m.rows and cp[m.rows] == 1
-    for t in range(m.rows + 1):
-        x = Fraction(2 * t - m.rows, 3)
-        assert cp.eval_exact(x) == char_value(m.entries, x)
+    n = len(entries)
+    cp = rational_charpoly(entries)
+    assert cp.degree == n and cp[n] == 1
+    for t in range(n + 1):
+        x = Fraction(2 * t - n, 3)
+        assert cp.eval_exact(x) == char_value(entries, x)
     return cp
 
 

@@ -14,55 +14,64 @@ from groverwalk.families import (
     path_graph,
     two_tail_graph,
 )
-from groverwalk.graphs import Arc, build_graph
-from groverwalk.linalg import RationalMatrix, charpoly_exact, mat_mul
+from groverwalk.graphs import build_graph
+from groverwalk.linalg import charpoly_from_scaled, charpoly_rows
 from groverwalk.periodicity import chebyshev_eigen_check
-from groverwalk.walk import (
-    build_grover_operator,
-    build_transition_matrix,
-    spectral_map_check,
-)
+from groverwalk.walk import spectral_map_check
 
 from oracles import (
     char_value,
     eigenvalue_multiplicity,
     fraction_spectral_map,
+    int_mat_mul,
     oracle_grover_matrix,
     transition_eigenvalues,
 )
 from strategies import connected_graphs
 
 
+def dense(rows):
+    # the square integer matrix that sparse rows describe
+    out = [[0] * len(rows) for _ in rows]
+    for dense_row, row in zip(out, rows):
+        for j, v in row:
+            dense_row[j] = v
+    return out
+
+
+def transition_entries(g):
+    # T by its entry rule: 1/deg(u) for each neighbour v of u
+    return [
+        [Fraction(1, g.degree[u]) if v in g.adj[u] else 0 for v in range(g.n)]
+        for u in range(g.n)
+    ]
+
+
 def test_p2_operator_is_swap():
-    op = build_grover_operator(path_graph(2))
-    assert op.matrix == RationalMatrix([[0, 1], [1, 0]])
-    assert mat_mul(op.matrix, op.matrix).is_identity()
+    scale, rows = walk._sparse_arc_rows(path_graph(2))
+    assert (scale, rows) == (1, [[(1, 1)], [(0, 1)]])
+    assert int_mat_mul(dense(rows), dense(rows)) == [[1, 0], [0, 1]]
 
 
 def test_c3_operator_is_permutation():
     # degree 2 everywhere: the coin is trivial and the walk just shifts arcs
-    op = build_grover_operator(cycle_graph(3))
-    for i in range(6):
-        row = [op.matrix[i, j] for j in range(6)]
-        assert sorted(row) == [0, 0, 0, 0, 0, 1]
-        assert op.matrix[i, i] == 0
+    scale, rows = walk._sparse_arc_rows(cycle_graph(3))
+    assert scale == 2
+    for i, row in enumerate(rows):
+        assert len(row) == 1 and row[0][1] == scale
+        assert row[0][0] != i
+    assert sorted(row[0][0] for row in rows) == list(range(6))
 
 
 def test_star_rows():
-    op = build_grover_operator(complete_bipartite(1, 3))
-    hub_rows = [i for i, a in enumerate(op.arcs) if a.origin == 0]
+    g = complete_bipartite(1, 3)
+    scale, rows = walk._sparse_arc_rows(g)
+    assert scale == 3
+    hub_rows = [i for i, a in enumerate(g.arcs()) if a.origin == 0]
     for i in hub_rows:
-        row = sorted(op.matrix[i, j] for j in range(len(op.arcs)))
-        nonzero = [x for x in row if x != 0]
+        nonzero = sorted(Fraction(v, scale) for _, v in rows[i])
         assert nonzero == [Fraction(-1, 3), Fraction(2, 3), Fraction(2, 3)]
-    assert all(s == 1 for s in op.matrix.row_sums())
-
-
-def test_arc_index_lookup():
-    op = build_grover_operator(cycle_graph(4))
-    for i, arc in enumerate(op.arcs):
-        assert op.arc_index(arc) == i
-    assert op.arcs[op.arc_index(Arc(1, 0))] == Arc(1, 0)
+    assert all(sum(v for _, v in row) == scale for row in rows)
 
 
 @pytest.mark.parametrize(
@@ -78,16 +87,21 @@ def test_arc_index_lookup():
     ids=["C3", "C6", "P4", "K23", "TT32", "paw"],
 )
 def test_operator_orthogonal_row_stochastic(g):
-    op = build_grover_operator(g)
-    assert mat_mul(op.matrix, op.matrix.transpose()).is_identity()
-    assert all(s == 1 for s in op.matrix.row_sums())
-    assert all(s == 1 for s in build_transition_matrix(g).matrix.row_sums())
+    # A A^T = L^2 I and every row of A = L*U and of L*T sums to L
+    scale, rows = walk._sparse_arc_rows(g)
+    a = dense(rows)
+    size = len(a)
+    square = int_mat_mul(a, [list(col) for col in zip(*a)])
+    assert square == [[scale * scale * (i == j) for j in range(size)] for i in range(size)]
+    assert all(sum(v for _, v in row) == scale for row in rows)
+    scale, rows = walk._sparse_transition_rows(g)
+    assert all(sum(v for _, v in row) == scale for row in rows)
 
 
 def test_operator_determinant_unit():
     for g in (cycle_graph(3), path_graph(3), complete_bipartite(2, 2)):
-        cp = charpoly_exact(build_grover_operator(g).matrix)
-        assert abs(cp[0]) == 1
+        assert abs(walk.arc_charpoly(g)[0]) == 1
+        assert abs(char_value(oracle_grover_matrix(g.n, g.edges), Fraction(0))) == 1
 
 
 def test_operator_matches_oracle():
@@ -100,9 +114,10 @@ def test_operator_matches_oracle():
         (7, list(two_tail_graph(3, 2).edges)),
     ]
     for n, edges in cases:
-        got = build_grover_operator(build_graph(n, edges)).matrix
-        want = oracle_grover_matrix(n, edges)
-        assert tuple(tuple(row) for row in got.entries) == want
+        g = build_graph(n, edges)
+        scale, rows = walk._sparse_arc_rows(g)
+        got = tuple(tuple(Fraction(v, scale) for v in row) for row in dense(rows))
+        assert got == oracle_grover_matrix(n, edges)
 
 
 def scaled_nonzeros(matrix, scale):
@@ -111,8 +126,7 @@ def scaled_nonzeros(matrix, scale):
 
 
 def test_arc_rows_are_scaled_operator(connected_by_n):
-    # A = L*U entry by entry, against the package's Fraction operator and
-    # the oracle's independent entry rule
+    # A = L*U entry by entry, against the oracle's independent entry rule
     graphs = 0
     for n in range(2, 7):
         for g in connected_by_n[n]:
@@ -120,8 +134,6 @@ def test_arc_rows_are_scaled_operator(connected_by_n):
             scale, rows = walk._sparse_arc_rows(g)
             assert scale == math.lcm(*g.degree), g
             assert all(type(x) is int for row in rows for _, x in row), g
-            u = build_grover_operator(g).matrix.entries
-            assert rows == scaled_nonzeros(u, scale), g
             oracle = oracle_grover_matrix(g.n, g.edges)
             assert rows == scaled_nonzeros(oracle, scale), g
     assert graphs == 142
@@ -129,18 +141,19 @@ def test_arc_rows_are_scaled_operator(connected_by_n):
 
 def test_transition_hub_row():
     g = two_tail_graph(3, 1)
-    t = build_transition_matrix(g).matrix
-    hub = [t[0, v] for v in range(g.n)]
+    scale, rows = walk._sparse_transition_rows(g)
+    hub = [Fraction(v, scale) for v in dense(rows)[0]]
     assert hub.count(Fraction(1, 4)) == 4
     assert hub.count(0) == 1
 
 
 def test_transition_entries_c3():
-    t = build_transition_matrix(cycle_graph(3)).matrix
+    scale, rows = walk._sparse_transition_rows(cycle_graph(3))
+    t = dense(rows)
     for u in range(3):
         for v in range(3):
             want = Fraction(1, 2) if u != v else 0
-            assert t[u, v] == want
+            assert Fraction(t[u][v], scale) == want
 
 
 def test_spectral_map_counts_match_oracle_spectrum(connected_by_n):
@@ -177,13 +190,9 @@ def test_chebyshev_eigenvalues_in_oracle_spectrum(k):
 def test_single_vertex_rejected():
     g = build_graph(1, [])
     with pytest.raises(InvalidParameterError):
-        build_grover_operator(g)
-    with pytest.raises(InvalidParameterError):
         walk._sparse_arc_rows(g)
     with pytest.raises(InvalidParameterError):
         walk._sparse_transition_rows(g)
-    with pytest.raises(InvalidParameterError):
-        build_transition_matrix(g)
     with pytest.raises(InvalidParameterError):
         spectral_map_check(g)
 
@@ -192,9 +201,11 @@ def test_arc_charpoly_is_cached_and_exact():
     g = two_tail_graph(3, 1)
     cp = walk.arc_charpoly(g)
     assert walk.arc_charpoly(g) is cp
-    assert cp == charpoly_exact(build_grover_operator(g).matrix)
-    x = Fraction(3, 2)
-    assert cp.eval_exact(x) == char_value(oracle_grover_matrix(g.n, g.edges), x)
+    # both sides have degree 2m, so 2m + 1 distinct points pin the polynomial
+    u = oracle_grover_matrix(g.n, g.edges)
+    for t in range(2 * g.m + 1):
+        x = Fraction(2 * t - 2 * g.m, 3)
+        assert cp.eval_exact(x) == char_value(u, x)
 
 
 def test_spectral_map_p2():
@@ -244,7 +255,7 @@ def test_konno_sato_identity_property(g):
     assert report.matched and report.max_residual == 0.0
     x = Fraction(3, 2)
     u = oracle_grover_matrix(g.n, g.edges)
-    t = build_transition_matrix(g).matrix.entries
+    t = transition_entries(g)
     lhs = char_value(u, x) * (x * x - 1) ** (g.n - g.m)
     rhs = (2 * x) ** g.n * char_value(t, (x * x + 1) / (2 * x))
     assert lhs == rhs
@@ -256,12 +267,7 @@ def test_transition_rows_are_scaled_matrix(connected_by_n):
             scale, rows = walk._sparse_transition_rows(g)
             assert scale == math.lcm(*g.degree)
             assert all(sum(x for _, x in row) == scale for row in rows)
-            t = build_transition_matrix(g).matrix
-            assert rows == scaled_nonzeros(t.entries, scale), g
-            for u in range(g.n):
-                for v in range(g.n):
-                    want = Fraction(1, g.degree[u]) if v in g.adj[u] else 0
-                    assert t[u, v] == want
+            assert rows == scaled_nonzeros(transition_entries(g), scale), g
 
 
 # the five shapes of the CI arc-cap smoke step
@@ -291,25 +297,33 @@ def test_sparse_rows_follow_the_walk_rules(connected_by_n):
 
 
 def test_charpolys_from_rows_equal_charpoly_exact(connected_by_n):
-    # the cached charpolys run the kernel on integer rows; charpoly_exact
-    # clears the denominators of the Fraction matrices and bounds the
-    # slots by the row sums, also for the arc operator
+    # the cached charpolys against the whole kernel run on the same rows
+    # with the slots bounded by the largest absolute row sum, not by L
     graphs = 0
     for n in range(2, 7):
         for g in connected_by_n[n]:
             graphs += 1
-            t = build_transition_matrix(g).matrix
-            u = build_grover_operator(g).matrix
-            assert walk.transition_charpoly(g) == charpoly_exact(t), g
-            assert walk.arc_charpoly(g) == charpoly_exact(u), g
+            for route, rows_of in (
+                (walk.transition_charpoly, walk._sparse_transition_rows),
+                (walk.arc_charpoly, walk._sparse_arc_rows),
+            ):
+                scale, rows = rows_of(g)
+                bound = max(sum(abs(v) for _, v in row) for row in rows)
+                want = charpoly_from_scaled(charpoly_rows(rows, bound), scale)
+                assert route(g) == want, g
     assert graphs == 142
 
 
 def test_charpolys_build_no_rational_matrix(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("RationalMatrix built")
+    # the kernel reads only the integer sparse rows: one (column, int) pair
+    # per nonzero entry, never a dense row
+    seen = []
 
-    monkeypatch.setattr(walk, "RationalMatrix", refuse)
+    def recording(rows, bound, steps=None):
+        seen.append(rows)
+        return charpoly_rows(rows, bound, steps)
+
+    monkeypatch.setattr(walk, "charpoly_rows", recording)
     walk.transition_charpoly.cache_clear()
     walk.arc_charpoly.cache_clear()
     graphs = (
@@ -321,8 +335,13 @@ def test_charpolys_build_no_rational_matrix(monkeypatch):
     for g in graphs:
         walk.transition_charpoly(g)
         walk.arc_charpoly(g)
-    with pytest.raises(AssertionError):
-        build_transition_matrix(path_graph(3))
+    # four arc runs and the one transition run past one cycle, K_{2,3}
+    assert len(seen) == 5
+    for rows in seen:
+        for row in rows:
+            assert all(type(j) is int and type(v) is int and v for j, v in row)
+            assert [j for j, _ in row] == sorted({j for j, _ in row})
+            assert len(row) < len(rows)
 
 
 def test_spectral_map_matches_fraction_oracle(connected_by_n):
