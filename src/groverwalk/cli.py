@@ -11,12 +11,14 @@ byte-identical output when timing is suppressed.
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error
 (an oversized input included). Every period is certified exactly from the
 arc characteristic polynomial, so no run stops at a size budget.
+
+No command builds a Fraction, and json is imported by the reports that
+print it, so verify and gen load none of fractions, decimal and json.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
@@ -60,7 +62,8 @@ from .walk import spectral_map_check
 # graph file from its length and header by read_graph_file.
 ARC_CAP = 2 * MAX_FILE_EDGES
 
-# Default --max-n of census and verify; each enumerator has its own limit.
+# Default --max-n of census and of the main-theorem suite; each enumerator
+# has its own limit.
 ENUMERATION_CAP = 9
 
 
@@ -79,6 +82,8 @@ def _seconds(started: float) -> str:
 
 
 def _emit(report: dict, args) -> None:
+    import json
+
     if args.json:
         text = json.dumps(report, sort_keys=True, separators=(",", ":"))
     else:
@@ -404,8 +409,27 @@ _SUITES = {
     "main-theorem": _suite_main_theorem,
 }
 
+# The defaults of the verify flags, each under the one suite that reads it.
+_SUITE_DEFAULTS = {
+    "chebyshev": {"k": "3,5,7", "r": "2..6"},
+    "main-theorem": {"max_n": ENUMERATION_CAP},
+}
+
+
+def _suite_flags(args) -> None:
+    """Fill in the defaults of the flags the suite reads; refuse the others."""
+    defaults = _SUITE_DEFAULTS.get(args.suite, {})
+    for name in ("k", "r", "max_n"):
+        if getattr(args, name) is None:
+            setattr(args, name, defaults.get(name))
+        elif name not in defaults:
+            raise GroverWalkError(
+                "suite %s does not read --%s" % (args.suite, name.replace("_", "-"))
+            )
+
 
 def cmd_verify(args) -> int:
+    _suite_flags(args)
     cases = _SUITES[args.suite](args)
     lines = []
     failures = 0
@@ -459,15 +483,19 @@ def _build_parser() -> argparse.ArgumentParser:
     census = sub.add_parser("census", help="survey odd-unicyclic graphs up to --max-n")
     verify = sub.add_parser("verify", help="run a named verification suite")
     verify.add_argument("--suite", required=True, choices=sorted(_SUITES))
-    verify.add_argument("--k", default="3,5,7", help="cycle lengths, e.g. 3,5,7")
-    verify.add_argument("--r", default="2..6", help="tail parameter span, e.g. 2..6")
+    verify.add_argument("--k", help="chebyshev cycle lengths (default 3,5,7)")
+    verify.add_argument("--r", help="chebyshev tail parameter span (default 2..6)")
+    verify.add_argument(
+        "--max-n",
+        type=int,
+        help="main-theorem census size (default %d)" % ENUMERATION_CAP,
+    )
     gen = sub.add_parser("gen", help="write a family graph file")
 
     family_help = "family spec, e.g. cycle:5 or twotail:3,2"
     analyze.add_argument("--family", help=family_help)
     gen.add_argument("--family", required=True, help=family_help)
-    for p in (census, verify):
-        p.add_argument("--max-n", type=int, default=ENUMERATION_CAP)
+    census.add_argument("--max-n", type=int, default=ENUMERATION_CAP)
     for p in (analyze, census):
         p.add_argument("--json", action="store_true", help="compact single-line JSON")
         p.add_argument(

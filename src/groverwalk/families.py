@@ -176,8 +176,14 @@ def _lower_twins(adjbits: list[int]) -> list[int]:
     return twins
 
 
-def _canonical_bits(adjbits: list[int]) -> tuple[int, ...]:
-    """canonical_form of the graph whose adjacency bitmasks are adjbits."""
+def _canonical_bits(
+    adjbits: list[int], lower_twins: list[int] | None = None
+) -> tuple[int, ...]:
+    """canonical_form of the graph whose adjacency bitmasks are adjbits.
+
+    lower_twins, when given, is _lower_twins(adjbits), which the
+    connected enumeration derives from the parent's twins.
+    """
     n = len(adjbits)
     if n == 1:
         return ()
@@ -186,7 +192,8 @@ def _canonical_bits(adjbits: list[int]) -> tuple[int, ...]:
     by_degree: dict[int, list[int]] = {}
     for v in range(n):
         by_degree.setdefault(degree[v], []).append(v)
-    lower_twins = _lower_twins(adjbits)
+    if lower_twins is None:
+        lower_twins = _lower_twins(adjbits)
 
     best: list[int] | None = None
     perm: list[int] = []
@@ -264,6 +271,10 @@ def enumerate_connected(n: int) -> tuple[Graph, ...]:
     the two are isomorphic. Masks run upward for each parent, so the
     first candidate of a class is never skipped, and each class keeps
     the representative that joining every subset gives.
+
+    A candidate's twins follow from the parent's: old vertices v and w
+    stay twins exactly when the mask holds both or neither, and the new
+    vertex is a twin of v exactly when the mask less v is N(v).
     """
     _check_size(n, CONNECTED_CAP, "connected enumeration")
     if n in _CONNECTED_CACHE:
@@ -276,15 +287,24 @@ def enumerate_connected(n: int) -> tuple[Graph, ...]:
         new = n - 1
         for h in smaller:
             base = _adjacency_bits(h)
-            # (bit of v, v's lower twins) for each v that has one
+            # (v, bit of v, v's lower twins) for each v that has one
             lower = _lower_twins(base)
-            twinned = [(1 << v, low) for v, low in enumerate(lower) if low]
+            twinned = [(v, 1 << v, low) for v, low in enumerate(lower) if low]
+            # the new vertex's lower twins by mask: v when the mask less v is N(v)
+            new_twins: dict[int, int] = {}
+            for v, ab in enumerate(base):
+                for m in (ab, ab | 1 << v):
+                    new_twins[m] = new_twins.get(m, 0) | 1 << v
             for mask in range(1, 1 << new):
-                if any(mask & bit and low & ~mask for bit, low in twinned):
+                if any(mask & bit and low & ~mask for _, bit, low in twinned):
                     continue
                 adjbits = [ab | ((mask >> v) & 1) << new for v, ab in enumerate(base)]
                 adjbits.append(mask)
-                key = _canonical_bits(adjbits)
+                twins = lower.copy()
+                for v, bit, low in twinned:
+                    twins[v] = low & mask if mask & bit else low & ~mask
+                twins.append(new_twins.get(mask, 0))
+                key = _canonical_bits(adjbits, twins)
                 if key not in seen:
                     joins = [(v, new) for v in range(new) if (mask >> v) & 1]
                     seen[key] = build_graph(n, list(h.edges) + joins)

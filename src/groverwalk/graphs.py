@@ -18,8 +18,7 @@ from __future__ import annotations
 import functools
 import operator
 from collections import deque
-from fractions import Fraction
-from typing import NamedTuple, Sequence, TextIO
+from typing import TYPE_CHECKING, NamedTuple, Sequence, TextIO
 
 from .exceptions import (
     CapExceededError,
@@ -30,6 +29,9 @@ from .exceptions import (
     LoopEdgeError,
     ParseError,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Edge = tuple[int, int]
 
@@ -356,6 +358,8 @@ def write_graph_file(g: Graph) -> str:
 
 def edge_weight(g: Graph, e: tuple[int, int]) -> Fraction:
     """Reciprocal degree product of the endpoints, as an exact fraction."""
+    from fractions import Fraction
+
     u, v = e
     if not g.has_edge(u, v):
         raise InvalidParameterError("(%d, %d) is not an edge" % (u, v))

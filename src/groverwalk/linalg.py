@@ -9,20 +9,28 @@ walk hands it the rows of the arc operator, for half of its steps, and
 those of the transition matrix of a graph with m > n; a tree or a
 unicyclic graph takes a structural route there. CharPoly holds one form:
 integer coefficients over one positive denominator, with no common
-factor, which the exact divisions read and the reports print from; its
-Fraction coefficients are made only for comparison with a Fraction sum.
+factor, which the exact divisions, the matching identities and the
+reports read. No command route builds a Fraction: the public helpers
+that return one, CharPoly.coeffs, cp[j], eval_exact and is_integer,
+import fractions when they are called, so the module (and the decimal
+module it loads) is left out of every command's start-up.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .exceptions import InvalidParameterError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def is_integer(q: Fraction) -> bool:
     """True when the reduced denominator is 1."""
+    from fractions import Fraction
+
     return Fraction(q).denominator == 1
 
 
@@ -79,9 +87,10 @@ class CharPoly:
     mean equality of polynomials. For a monic polynomial the denominator
     is the lcm of the reduced coefficients' denominators, and the last
     integer coefficient. coeffs and cp[j] build Fraction coefficients on
-    each call, for comparison with Fraction sums; the exact routes and
-    the printed reports read integer_coeffs and denominator. Instances
-    are immutable, since the lru_cache routes in walk share them.
+    each call, for callers that want them; the exact routes, the matching
+    identities and the printed reports read integer_coeffs and
+    denominator. Instances are immutable, since the lru_cache routes in
+    walk share them.
     """
 
     __slots__ = ("integer_coeffs", "denominator")
@@ -130,12 +139,18 @@ class CharPoly:
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
+        from fractions import Fraction
+
         return tuple(Fraction(c, self.denominator) for c in self.integer_coeffs)
 
     def __getitem__(self, j: int) -> Fraction:
+        from fractions import Fraction
+
         return Fraction(self.integer_coeffs[j], self.denominator)
 
     def eval_exact(self, x: Fraction) -> Fraction:
+        from fractions import Fraction
+
         # at x = a/b, b^n D p(x) is an integer sum
         x = Fraction(x)
         a, b, n = x.numerator, x.denominator, self.degree
@@ -148,10 +163,17 @@ class CharPoly:
         With r = a/b in lowest terms, integer_coeffs is divided by the
         primitive factor b*x - a as often as it goes: by synthetic division
         when b = 1, as for the roots +-1 that the spectral map counts, and
-        with _divide_exact otherwise.
+        with _divide_exact otherwise. An int or a Fraction gives a and b
+        as its numerator and denominator; any other value, a float say,
+        is made a Fraction first.
         """
-        r = Fraction(r)
-        a, b = r.numerator, r.denominator
+        try:
+            a, b = r.numerator, r.denominator
+        except AttributeError:
+            from fractions import Fraction
+
+            r = Fraction(r)
+            a, b = r.numerator, r.denominator
         coeffs = self.integer_coeffs
         mult = 0
         while len(coeffs) > 1:

@@ -24,15 +24,18 @@ recurrence's premise are read from the chain lengths. No matching is
 listed: every weighted matching sum is an entry of one integer matching
 polynomial per graph and edge pool, memoised like the transition
 charpoly, which one leaf peel builds in linear time on a forest pool and
-a split at an edge of a cycle reduces to forests otherwise.
+a split at an edge of a cycle reduces to forests otherwise. The
+identities compare integers: each side is cleared of its denominators,
+L^(2t) for a t-matching sum and the CharPoly denominator for a
+coefficient, and the two are cross-multiplied. Only matching_sum, and an
+integrality instance that fails, build a Fraction.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .exceptions import (
     IndexOutOfRangeError,
@@ -47,8 +50,11 @@ from .graphs import (
     UnicycleDecomposition,
     classify,
 )
-from .linalg import CharPoly, _divide_exact, is_integer
+from .linalg import CharPoly, _divide_exact
 from .walk import arc_charpoly, konno_sato_residual, transition_charpoly
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _weight_scale(g: Graph) -> int:
@@ -126,6 +132,12 @@ def _matching_poly(g: Graph, pool: tuple[Edge, ...]) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
+def _matching_count(g: Graph, pool: tuple[Edge, ...], t: int) -> int:
+    """The t-matching sum of pool times L^(2t): entry t of _matching_poly."""
+    coeffs = _matching_poly(g, pool)
+    return coeffs[t] if t < len(coeffs) else 0
+
+
 def matching_sum(g: Graph, t: int, allowed_edges=None) -> Fraction:
     """Sum over t-matchings of the product of reciprocal-degree weights.
 
@@ -134,6 +146,8 @@ def matching_sum(g: Graph, t: int, allowed_edges=None) -> Fraction:
     listed: the sum is entry t of the integer matching polynomial of the
     pool, _matching_poly, over L^(2t), one Fraction.
     """
+    from fractions import Fraction
+
     if t < 0:
         raise InvalidParameterError("matching size must be >= 0, got %d" % t)
     if allowed_edges is None:
@@ -141,14 +155,12 @@ def matching_sum(g: Graph, t: int, allowed_edges=None) -> Fraction:
     else:
         allowed = {(u, v) if u < v else (v, u) for u, v in allowed_edges}
         pool = tuple(e for e in g.edges if e in allowed)
-    coeffs = _matching_poly(g, pool)
-    if t >= len(coeffs):
-        return Fraction(0)
-    return Fraction(coeffs[t], _weight_scale(g) ** (2 * t))
+    return Fraction(_matching_count(g, pool, t), _weight_scale(g) ** (2 * t))
 
 
-def _touching_sum(g: Graph, core: tuple[Edge, ...], t: int) -> Fraction:
-    """Sum over the t-matchings of g that hold a core edge, by the first one.
+def _touching_sum(g: Graph, core: tuple[Edge, ...], t: int) -> int:
+    """Sum over the t-matchings of g that hold a core edge, by the first one,
+    times L^(2t).
 
     A matching whose first core edge is e_i = u_i v_i holds e_i and a
     (t-1)-matching of g less e_1..e_(i-1) and the vertices u_i, v_i, so
@@ -156,7 +168,7 @@ def _touching_sum(g: Graph, core: tuple[Edge, ...], t: int) -> Fraction:
     computed apart from the sum over the other edges.
     """
     if t == 0:
-        return Fraction(0)
+        return 0
     deg = g.degree
     scale = _weight_scale(g)
     total = 0
@@ -165,10 +177,8 @@ def _touching_sum(g: Graph, core: tuple[Edge, ...], t: int) -> Fraction:
         pool = tuple(
             e for e in g.edges if u not in e and v not in e and e not in earlier
         )
-        coeffs = _matching_poly(g, pool)
-        if t - 1 < len(coeffs):
-            total += (scale // deg[u]) * (scale // deg[v]) * coeffs[t - 1]
-    return Fraction(total, scale ** (2 * t))
+        total += (scale // deg[u]) * (scale // deg[v]) * _matching_count(g, pool, t - 1)
+    return total
 
 
 def integrality_filter(cp: CharPoly) -> tuple[int, ...]:
@@ -307,8 +317,9 @@ def cycle_matching_identity_check(
 
     For an odd-unicyclic graph with girth k, the coefficient of x^(n-k-2t)
     must equal (-1)^(t+1) * 2 * prod(1/deg over cycle vertices) times the
-    weighted sum of t-matchings that avoid the cycle entirely. Exact
-    rational comparison on both sides.
+    weighted sum of t-matchings that avoid the cycle entirely. Both sides
+    are cleared of their denominators, the charpoly's and
+    prod(deg) L^(2t), and compared in integers.
     """
     if t < 0:
         raise InvalidParameterError("matching size must be >= 0, got %d" % t)
@@ -320,19 +331,11 @@ def cycle_matching_identity_check(
         )
     cp = transition_charpoly(g)
     cycle_set = set(d.cycle)
-    off_cycle = [
-        e for e in g.edges if e[0] not in cycle_set and e[1] not in cycle_set
-    ]
-    cycle_weight = Fraction(1)
-    for v in d.cycle:
-        cycle_weight /= g.degree[v]
-    rhs = (
-        Fraction((-1) ** (t + 1))
-        * 2
-        * cycle_weight
-        * matching_sum(g, t, off_cycle)
-    )
-    return cp[index] == rhs
+    off_cycle = tuple(e for e in g.edges if cycle_set.isdisjoint(e))
+    cycle_degrees = math.prod(g.degree[v] for v in d.cycle)
+    lhs = cp.integer_coeffs[index] * cycle_degrees * _weight_scale(g) ** (2 * t)
+    rhs = (-1) ** (t + 1) * 2 * _matching_count(g, off_cycle, t) * cp.denominator
+    return lhs == rhs
 
 
 class BranchFrame(NamedTuple):
@@ -406,19 +409,20 @@ def lockstep_chain_length(frame: BranchFrame) -> int:
     return min(len(frame.branch_a), len(frame.branch_b)) - 1
 
 
-def _paired_sum(g: Graph, frame: BranchFrame, i: int, upto: int) -> Fraction:
-    """S(i, upto) of tail_recurrence_check, summed branch by branch.
+def _paired_sum(g: Graph, frame: BranchFrame, i: int, upto: int) -> int:
+    """S(i, upto) of tail_recurrence_check times L^(2i), branch by branch.
 
     Each branch adds the i-matching sum over the outer edges less its own
     edges 2..upto.
     """
-    total = Fraction(0)
+    total = 0
     for chain in (frame.branch_a, frame.branch_b):
         verts = (frame.hub,) + chain
         drop = {
             tuple(sorted(verts[j : j + 2])) for j in range(1, min(upto, len(chain)))
         }
-        total += matching_sum(g, i, [e for e in frame.outer_edges if e not in drop])
+        pool = tuple(e for e in frame.outer_edges if e not in drop)
+        total += _matching_count(g, pool, i)
     return total
 
 
@@ -435,7 +439,9 @@ def tail_recurrence_check(g: Graph, i: int, r: int) -> bool:
     which makes every excluded edge weight exactly 1/4 and pins the edge
     after the last excluded one. Outside that shape, when r >= 2 exceeds
     lockstep_chain_length, the premise fails and ShapeMismatch is raised.
-    i=0 reduces to 2 = 2.
+    i=0 reduces to 2 = 2. With every i-matching sum taken times L^(2i),
+    the identity is compared in integers as
+    4 S(i, r) = 8 (outer sum) - L^2 sum_j S(i-1, j+1).
     """
     if i < 0:
         raise InvalidParameterError("matching size must be >= 0, got %d" % i)
@@ -446,11 +452,10 @@ def tail_recurrence_check(g: Graph, i: int, r: int) -> bool:
         return _paired_sum(g, frame, 0, r) == 2
     if r >= 2 and lockstep_chain_length(frame) < r:
         raise ShapeMismatchError("branch lacks %d degree-2 chain vertices" % r)
-    lhs = _paired_sum(g, frame, i, r)
-    base = matching_sum(g, i, frame.outer_edges)
-    rhs = 2 * base
-    for j in range(2, r + 1):
-        rhs -= Fraction(1, 4) * _paired_sum(g, frame, i - 1, j + 1)
+    lhs = 4 * _paired_sum(g, frame, i, r)
+    rhs = 8 * _matching_count(g, frame.outer_edges, i) - _weight_scale(g) ** 2 * sum(
+        _paired_sum(g, frame, i - 1, j + 1) for j in range(2, r + 1)
+    )
     return lhs == rhs
 
 
@@ -461,7 +466,10 @@ def matching_split_check(g: Graph, t: int) -> bool:
     coefficient of x^(n-2t) up to sign (-1)^t; subtracting the matchings
     that touch the core, summed by their first core edge in
     _touching_sum and never as what the outer sum leaves, must leave
-    exactly the outer-edge total. Exact comparison.
+    exactly the outer-edge total. The sums are taken times L^(2t) and the
+    coefficient as its integer over the charpoly's denominator D, so the
+    comparison is (outer + touching) D = (-1)^t (D cp_(n-2t)) L^(2t), in
+    integers.
     """
     if t < 0:
         raise InvalidParameterError("matching size must be >= 0, got %d" % t)
@@ -471,20 +479,36 @@ def matching_split_check(g: Graph, t: int) -> bool:
             "coefficient index %d out of range" % (g.n - 2 * t)
         )
     cp = transition_charpoly(g)
-    outer_total = matching_sum(g, t, frame.outer_edges)
+    outer_total = _matching_count(g, frame.outer_edges, t)
     touching = _touching_sum(g, frame.core_edges, t)
-    lhs_rho = Fraction((-1) ** t) * cp[g.n - 2 * t]
-    return outer_total == lhs_rho - touching
+    rho = (-1) ** t * cp.integer_coeffs[g.n - 2 * t] * _weight_scale(g) ** (2 * t)
+    return (outer_total + touching) * cp.denominator == rho
+
+
+def _quotient(num: int, den: int) -> int | Fraction:
+    """num / den as an int when den divides num, else as a Fraction."""
+    q, r = divmod(num, den)
+    if not r:
+        return q
+    from fractions import Fraction
+
+    return Fraction(num, den)
 
 
 class IntegralityInstance(NamedTuple):
+    """One step i of the lockstep chains and its two scaled sums.
+
+    Each field is an int when the scaled sum is an integer and a Fraction
+    otherwise, so holds reads the two denominators.
+    """
+
     i: int
-    scaled_outer: Fraction  # 4^i times the outer i-matching sum
-    scaled_paired: Fraction  # 2^(2(i-1)-1) times S(i-1, 2)
+    scaled_outer: int | Fraction  # 4^i times the outer i-matching sum
+    scaled_paired: int | Fraction  # 2^(2(i-1)-1) times S(i-1, 2)
 
     @property
     def holds(self) -> bool:
-        return is_integer(self.scaled_outer) and is_integer(self.scaled_paired)
+        return self.scaled_outer.denominator == 1 and self.scaled_paired.denominator == 1
 
 
 def branch_integrality_instances(g: Graph) -> tuple[IntegralityInstance, ...]:
@@ -492,14 +516,19 @@ def branch_integrality_instances(g: Graph) -> tuple[IntegralityInstance, ...]:
 
     For i = 1..t (t the lockstep degree-2 chain length), checks that
     4^i * (outer i-matching sum) and 2^(2(i-1)-1) * S(i-1, 2) are integers.
+    With the sums taken times L^(2i) and L^(2(i-1)), and 2^(2(i-1)-1) as
+    4^i / 8, each is a divisibility test of integers.
     """
     frame = branch_frame(g)
     t = lockstep_chain_length(frame)
+    scale = _weight_scale(g)
     out = []
     for i in range(1, t + 1):
-        k_scaled = Fraction(4) ** i * matching_sum(g, i, frame.outer_edges)
-        l_scaled = Fraction(2) ** (2 * (i - 1) - 1) * _paired_sum(
-            g, frame, i - 1, 2
+        k_scaled = _quotient(
+            _matching_count(g, frame.outer_edges, i) << 2 * i, scale ** (2 * i)
+        )
+        l_scaled = _quotient(
+            _paired_sum(g, frame, i - 1, 2) << 2 * i, scale ** (2 * i - 2) << 3
         )
         out.append(IntegralityInstance(i, k_scaled, l_scaled))
     return tuple(out)

@@ -94,24 +94,46 @@ def test_identities_suite_builds_each_branch_frame_once(capsys):
     assert periodicity.branch_frame.cache_info().misses == 10
 
 
+_LOADED_BY_COMMANDS = """
+import os, sys
+from groverwalk import cli
+
+def loaded(*names):
+    return " ".join(m for m in names if m in sys.modules)
+
+print("import:" + loaded("dataclasses", "inspect", "fractions", "decimal", "json"))
+for suite in sorted(cli._SUITES):
+    assert cli.main(["verify", "--suite", suite, "--out", os.devnull]) == 0
+    print("verify %s:" % suite + loaded("fractions", "decimal", "json"))
+for argv in (
+    ["gen", "--family", "cycle:5"],
+    ["analyze", "--family", "kbipartite:4,5", "--json", "--no-timing"],
+    ["census", "--max-n", "6", "--json", "--no-timing"],
+):
+    assert cli.main(argv + ["--out", os.devnull]) == 0
+    print("%s:" % argv[0] + loaded("fractions", "decimal"))
+"""
+
+
 def test_cli_import_skips_dataclasses_and_inspect():
     # the records are NamedTuples and CharPoly a slots class, so starting
     # the CLI loads neither module (nor the ast, dis and tokenize behind them).
+    # No command builds a Fraction, so none loads fractions or the decimal
+    # module behind it, and only the JSON reports load json; the verify
+    # suites run first, in the one interpreter, before a report loads it.
     # -S keeps site out: a .pth hook of some installs imports inspect itself
-    code = (
-        "import sys, groverwalk.cli; "
-        "print(' '.join(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
-    )
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", code],
+        [sys.executable, "-S", "-c", _LOADED_BY_COMMANDS],
         capture_output=True,
         text=True,
         env=env,
-        timeout=60,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == ""
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 1 + len(cli._SUITES) + 3, lines
+    assert all(line.endswith(":") for line in lines), lines
 
 
 def test_period_block_holds_verdict_and_period(capsys):
@@ -296,6 +318,8 @@ def test_cli_out_file(tmp_path):
         ("verify", "--suite", "chebyshev", "--k", ""),
         ("verify", "--suite", "chebyshev", "--r", "6..2"),
         ("verify", "--suite", "chebyshev", "--r", "2.."),
+        ("verify", "--suite", "spectral-map", "--max-n", "3"),
+        ("verify", "--suite", "identities", "--k", "99"),
     ],
     ids=[
         "bad-kind",
@@ -314,12 +338,42 @@ def test_cli_out_file(tmp_path):
         "empty-span",
         "reversed-span",
         "open-span",
+        "spectral-map-unread-max-n",
+        "identities-unread-k",
     ],
 )
 def test_cli_exit_two(argv):
     proc = run_cli(*argv)
     assert proc.returncode == 2
     assert proc.stderr.strip()
+
+
+def test_verify_flags_reach_only_the_suite_that_reads_them(monkeypatch, capsys):
+    # --k and --r are read by chebyshev and --max-n by main-theorem, which
+    # alone fill in their defaults; any other suite refuses the flag before
+    # it runs
+    seen = {}
+    for suite in cli._SUITES:
+        monkeypatch.setitem(
+            cli._SUITES, suite, lambda args: seen.update({args.suite: args}) or []
+        )
+    reader = {"--k": "chebyshev", "--r": "chebyshev", "--max-n": "main-theorem"}
+    for suite in sorted(cli._SUITES):
+        assert cli.main(["verify", "--suite", suite]) == 0
+        for flag, value in (("--k", "3"), ("--r", "2..3"), ("--max-n", "5")):
+            if reader[flag] == suite:
+                continue
+            assert cli.main(["verify", "--suite", suite, flag, value]) == 2
+            err = capsys.readouterr().err
+            assert err == "error: suite %s does not read %s\n" % (suite, flag)
+    flags = {suite: (a.k, a.r, a.max_n) for suite, a in seen.items()}
+    assert flags == {
+        "chebyshev": ("3,5,7", "2..6", None),
+        "identities": (None, None, None),
+        "main-theorem": (None, None, cli.ENUMERATION_CAP),
+        "spectral-map": (None, None, None),
+        "table1": (None, None, None),
+    }
 
 
 @pytest.mark.parametrize("command", ["analyze", "gen"])
@@ -557,9 +611,10 @@ def test_cli_verify_table1():
     ids=["k-over-arc-cap", "empty-k", "huge-r"],
 )
 def test_cli_verify_checks_spans_only_for_chebyshev(span, error, monkeypatch, capsys):
-    # table1 reads neither --k nor --r, so their spans cannot stop it
-    assert cli.main(["verify", "--suite", "table1", *span]) == 0
-    assert capsys.readouterr().out.endswith("suite table1: pass\n")
+    # table1 reads neither --k nor --r, so it refuses the flag, whatever the span
+    assert cli.main(["verify", "--suite", "table1", *span]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: suite table1 does not read %s\n" % span[0]
 
     # chebyshev rejects the same span before it builds a graph
     def refuse(k, r):

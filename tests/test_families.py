@@ -231,13 +231,16 @@ def test_enumerate_connected_builds_one_graph_per_class(monkeypatch):
 
 def test_enumerate_connected_skips_twin_swapped_joins(monkeypatch):
     # a join mask is tried only when it holds each chosen vertex's lower
-    # twins; joining every subset, as before, made 759 searches
+    # twins; joining every subset, as before, made 759 searches. Each
+    # search is handed the candidate's twins, derived from its parent's,
+    # and they are what _lower_twins finds on the candidate
     searches = Counter()
     search = families._canonical_bits
 
-    def counting(adjbits):
+    def counting(adjbits, lower_twins):
         searches[len(adjbits)] += 1
-        return search(adjbits)
+        assert lower_twins == families._lower_twins(adjbits), adjbits
+        return search(adjbits, lower_twins)
 
     monkeypatch.setattr(families, "_canonical_bits", counting)
     monkeypatch.setattr(families, "_CONNECTED_CACHE", {})

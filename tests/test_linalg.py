@@ -320,12 +320,16 @@ def test_charpoly_eval_and_multiplicity():
     assert cp.root_multiplicity(Fraction(1)) == 2
     assert cp.root_multiplicity(Fraction(-2)) == 1
     assert cp.root_multiplicity(Fraction(5)) == 0
+    # an int and a float give what the equal Fraction gives
+    for r, want in ((1, 2), (-2, 1), (5, 0)):
+        assert cp.root_multiplicity(r) == cp.root_multiplicity(float(r)) == want
     # (x - 1)(x + 1/2)^2 over the denominator 4
     cp = CharPoly((-1, -3, 0, 4), 4)
     assert cp.eval_exact(Fraction(-1, 2)) == 0
     assert cp.eval_exact(Fraction(2)) == Fraction(25, 4)
     assert cp.root_multiplicity(Fraction(-1, 2)) == 2
     assert cp.root_multiplicity(Fraction(1)) == 1
+    assert cp.root_multiplicity(-0.5) == 2 and cp.root_multiplicity(1) == 1
 
 
 def divided_multiplicity(cp, r):

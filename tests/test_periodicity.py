@@ -525,6 +525,7 @@ def listed_touching_sum(g, core, t):
 
 
 def test_touching_sum_matches_listed_matchings():
+    # the sum comes back as its numerator over L^(2t)
     graphs = [two_tail_graph(k, r) for k in (3, 5) for r in range(1, 6)]
     for g in enumerate_odd_unicyclic(9):
         if degree_condition_filter(classify(g).decomposition, g).kind == (
@@ -534,9 +535,12 @@ def test_touching_sum_matches_listed_matchings():
     assert len(graphs) == 10 + 33
     for g in graphs:
         core = branch_frame(g).core_edges
+        scale = math.lcm(*g.degree)
         for t in range(g.n // 2 + 2):
             got = periodicity._touching_sum(g, core, t)
-            assert got == listed_touching_sum(g, set(core), t), (g, t)
+            assert isinstance(got, int)
+            want = listed_touching_sum(g, set(core), t)
+            assert Fraction(got, scale ** (2 * t)) == want, (g, t)
 
 
 def test_matching_poly_is_cached_per_pool():
@@ -554,9 +558,22 @@ def test_matching_sum_rejects_negative_size():
         matching_sum(cycle_graph(3), -1)
 
 
+def fraction_paired_sum(g, frame, i, upto):
+    # S(i, upto) by the subset scan, in Fractions
+    want = Fraction(0)
+    for chain in (frame.branch_a, frame.branch_b):
+        verts = (frame.hub,) + chain
+        edges = [tuple(sorted(verts[j : j + 2])) for j in range(len(chain))]
+        drop = set(edges[1:upto])
+        allowed = [e for e in frame.outer_edges if e not in drop]
+        want += fraction_matching_sum(g.n, g.edges, i, allowed)
+    return want
+
+
 def test_paired_sum_matches_fraction_oracle():
     # S(i, upto) on every degree-4 split with n <= 8 and the two-tail grid,
-    # past the end of the shorter branch included
+    # past the end of the shorter branch included; the sum comes back as
+    # its numerator over L^(2i)
     graphs = [two_tail_graph(k, r) for k in (3, 5) for r in range(1, 6)]
     for g in enumerate_odd_unicyclic(8):
         d = classify(g).decomposition
@@ -566,32 +583,144 @@ def test_paired_sum_matches_fraction_oracle():
     for g in graphs:
         frame = branch_frame(g)
         chains = (frame.branch_a, frame.branch_b)
+        scale = math.lcm(*g.degree)
         for upto in range(1, max(map(len, chains)) + 2):
             for i in range(g.n // 2 + 1):
-                want = Fraction(0)
-                for chain in chains:
-                    verts = (frame.hub,) + chain
-                    edges = [tuple(sorted(verts[j : j + 2])) for j in range(len(chain))]
-                    drop = set(edges[1:upto])
-                    allowed = [e for e in frame.outer_edges if e not in drop]
-                    want += fraction_matching_sum(g.n, g.edges, i, allowed)
-                assert periodicity._paired_sum(g, frame, i, upto) == want
+                got = periodicity._paired_sum(g, frame, i, upto)
+                assert isinstance(got, int)
+                want = fraction_paired_sum(g, frame, i, upto)
+                assert Fraction(got, scale ** (2 * i)) == want
 
 
 def test_matching_sum_makes_one_fraction(monkeypatch):
+    # matching_sum imports Fraction when it is called, so the constructor
+    # is counted on the class itself, and only around the call
     made = []
+    new = Fraction.__new__
 
-    class Counting(Fraction):
-        def __new__(cls, *args):
-            made.append(args)
-            return Fraction(*args)
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(periodicity, "Fraction", Counting)
     g = two_tail_graph(3, 2)
     for t in range(4):
-        before = len(made)
-        assert matching_sum(g, t) == fraction_matching_sum(g.n, g.edges, t)
-        assert len(made) == before + 1
+        want = fraction_matching_sum(g.n, g.edges, t)
+        with monkeypatch.context() as patch:
+            patch.setattr(Fraction, "__new__", counting)
+            got = matching_sum(g, t)
+        assert len(made) == t + 1
+        assert got == want
+
+
+def fraction_cycle_identity(g, d, t, cp):
+    # cycle_matching_identity_check as a Fraction evaluation
+    weight = Fraction(1)
+    for v in d.cycle:
+        weight /= g.degree[v]
+    off_cycle = [e for e in g.edges if not set(d.cycle) & set(e)]
+    rhs = (-1) ** (t + 1) * 2 * weight * fraction_matching_sum(g.n, g.edges, t, off_cycle)
+    return cp[g.n - d.girth - 2 * t] == rhs
+
+
+def fraction_tail_recurrence(g, frame, i, r):
+    if i == 0:
+        return fraction_paired_sum(g, frame, 0, r) == 2
+    rhs = 2 * fraction_matching_sum(g.n, g.edges, i, frame.outer_edges)
+    for j in range(2, r + 1):
+        rhs -= Fraction(1, 4) * fraction_paired_sum(g, frame, i - 1, j + 1)
+    return fraction_paired_sum(g, frame, i, r) == rhs
+
+
+def fraction_matching_split(g, frame, t, cp):
+    outer = fraction_matching_sum(g.n, g.edges, t, frame.outer_edges)
+    touching = listed_touching_sum(g, set(frame.core_edges), t)
+    return outer == (-1) ** t * cp[g.n - 2 * t] - touching
+
+
+def fraction_integrality(g, frame):
+    out = []
+    for i in range(1, lockstep_chain_length(frame) + 1):
+        outer = Fraction(4) ** i * fraction_matching_sum(g.n, g.edges, i, frame.outer_edges)
+        paired = Fraction(2) ** (2 * i - 3) * fraction_paired_sum(g, frame, i - 1, 2)
+        out.append((i, outer, paired))
+    return out
+
+
+def assert_identities_match_fractions(g):
+    """The four identity checks on g against their Fraction evaluations.
+
+    Returns the number of instances compared, all of which must hold.
+    """
+    d = classify(g).decomposition
+    cp = transition_charpoly(g)
+    count = 0
+    for t in range((g.n - d.girth) // 2 + 1):
+        got = cycle_matching_identity_check(g, d, t)
+        assert got is fraction_cycle_identity(g, d, t, cp) is True, (g, t)
+        count += 1
+    if degree_condition_filter(d, g).kind != "one_degree_four":
+        return count
+    frame = branch_frame(g)
+    for i in range(g.n // 2 + 1):
+        for r in range(1, max(lockstep_chain_length(frame), 1) + 1):
+            got = tail_recurrence_check(g, i, r)
+            assert got is fraction_tail_recurrence(g, frame, i, r) is True, (g, i, r)
+            count += 1
+    for t in range(g.n // 2 + 1):
+        got = matching_split_check(g, t)
+        assert got is fraction_matching_split(g, frame, t, cp) is True, (g, t)
+        count += 1
+    instances = branch_integrality_instances(g)
+    assert [tuple(inst) for inst in instances] == fraction_integrality(g, frame), g
+    for inst in instances:
+        assert inst.holds
+        assert type(inst.scaled_outer) is type(inst.scaled_paired) is int
+        count += 1
+    return count
+
+
+def test_identities_match_fraction_evaluation():
+    # every odd-unicyclic class with n <= 8, then the two-tail grid
+    unicyclic = enumerate_odd_unicyclic(8)
+    assert sum(map(assert_identities_match_fractions, unicyclic)) == 358
+    grid = [two_tail_graph(k, r) for k in (3, 5) for r in range(1, 6)]
+    assert sum(map(assert_identities_match_fractions, grid)) == 252
+
+
+def test_identities_fail_on_a_perturbed_coefficient(monkeypatch):
+    # each charpoly coefficient of twotail:3,2 in turn is moved by 1/D; the
+    # cycle and split checks that read it fail, as the Fraction evaluation
+    # does, and the others still hold
+    g = two_tail_graph(3, 2)
+    d = classify(g).decomposition
+    frame = branch_frame(g)
+    cp = transition_charpoly(g)
+    read = set()
+    for j in range(g.n + 1):
+        ints = list(cp.integer_coeffs)
+        ints[j] += 1
+        bad = CharPoly(tuple(ints), cp.denominator)
+        monkeypatch.setattr(periodicity, "transition_charpoly", lambda h: bad)
+        for t in range((g.n - d.girth) // 2 + 1):
+            got = cycle_matching_identity_check(g, d, t)
+            assert got is fraction_cycle_identity(g, d, t, bad), (j, t)
+            assert got is (j != g.n - d.girth - 2 * t), (j, t)
+            if not got:
+                read.add(j)
+        for t in range(g.n // 2 + 1):
+            got = matching_split_check(g, t)
+            assert got is fraction_matching_split(g, frame, t, bad), (j, t)
+            assert got is (j != g.n - 2 * t), (j, t)
+            if not got:
+                read.add(j)
+    assert read == {0, 1, 2, 3, 4, 5, 7}
+    # a paired sum moved by 1/L^0 makes 2^-1 S(0, 2) = 3/2, which fails
+    paired = periodicity._paired_sum
+    monkeypatch.setattr(
+        periodicity, "_paired_sum", lambda *args: paired(*args) + 1
+    )
+    (inst,) = branch_integrality_instances(g)
+    assert inst == (1, 4, Fraction(3, 2)) and not inst.holds
 
 
 def test_cycle_matching_identity(paw):
