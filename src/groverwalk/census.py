@@ -9,14 +9,16 @@ cyclic sequence of hanging rooted trees; the summary side
 collects the odd-periodic survivors, which at desk scale should be
 exactly the odd cycles. Every record gets an exact verdict: the period
 certificate works on the arc characteristic polynomial and has no size
-budget to run out of.
+budget to run out of. run_census keeps every record; the CLI maps
+analyze_graph over the same stream, families.iter_odd_unicyclic, and
+keeps only what its summary needs.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .families import enumerate_odd_unicyclic
+from .families import iter_odd_unicyclic
 from .graphs import Classification, Graph, classify
 from .linalg import CharPoly
 from .periodicity import (
@@ -84,5 +86,4 @@ def analyze_graph(g: Graph) -> CensusRecord:
 
 def run_census(max_n: int) -> CensusResult:
     """Analyze every odd-unicyclic class with at most max_n vertices."""
-    records = tuple(map(analyze_graph, enumerate_odd_unicyclic(max_n)))
-    return CensusResult(max_n=max_n, records=records)
+    return CensusResult(max_n, tuple(map(analyze_graph, iter_odd_unicyclic(max_n))))

@@ -6,11 +6,15 @@ reports are single JSON documents with deterministic serialization: sorted
 keys, exact rationals as reduced "p/q" strings, floating-point values as
 strings with 15 significant digits, each written where its block is made,
 the rationals from a CharPoly's integers. Identical invocations produce
-byte-identical output when timing is suppressed.
+byte-identical output when timing is suppressed. The census report is
+streamed: each record block is written as soon as it is analysed, and
+only the summary is kept.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error
 (an oversized input included). Every period is certified exactly from the
-arc characteristic polynomial, so no run stops at a size budget.
+arc characteristic polynomial, so no run stops at a size budget. A file
+given to --out is written whole or not at all; stdout may hold a partial
+report when the exit code is 2.
 
 No command builds a Fraction, and json is imported by the reports that
 print it, so verify and gen load none of fractions, decimal and json.
@@ -20,18 +24,20 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
+import stat
 import sys
 import time
 
-from .census import CensusRecord, analyze_graph, run_census
+from .census import CensusRecord, analyze_graph
 from .exceptions import CapExceededError, GroverWalkError, ResidualExceededError
 from .families import (
     FamilySpec,
     complete_bipartite,
     cycle_graph,
     enumerate_connected,
-    enumerate_odd_unicyclic,
     family_arcs,
+    iter_odd_unicyclic,
     make_family,
     parse_family,
     path_graph,
@@ -81,22 +87,45 @@ def _seconds(started: float) -> str:
     return format(time.perf_counter() - started, ".15g")
 
 
-def _emit(report: dict, args) -> None:
+def _dumps(value, args, level: int = 0) -> str:
+    """value as JSON with sorted keys, compact under --json, else indented.
+
+    Each newline of the indented form also gets the indentation of
+    nesting level, so a block serialized on its own reads as it would
+    inside the whole document. JSON strings escape their newlines, so
+    only the layout's newlines are touched.
+    """
     import json
 
     if args.json:
-        text = json.dumps(report, sort_keys=True, separators=(",", ":"))
-    else:
-        text = json.dumps(report, sort_keys=True, indent=2)
-    _write_text(text + "\n", args.out)
+        return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    text = json.dumps(value, sort_keys=True, indent=2)
+    return text.replace("\n", "\n" + "  " * level) if level else text
+
+
+def _write_out(out: str | None, body) -> None:
+    """Call body(write) with a write function for the file out, or stdout.
+
+    The file is written whole or not at all: when body raises, a regular
+    file opened for it is removed before the error goes on. Stdout keeps
+    what was written.
+    """
+    if not out:
+        body(sys.stdout.write)
+        return
+    handle = open(out, "w", encoding="utf-8")
+    regular = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
+    try:
+        with handle:
+            body(handle.write)
+    except BaseException:
+        if regular:
+            os.remove(out)
+        raise
 
 
 def _write_text(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_out(out, lambda write: write(text))
 
 
 # ---------------------------------------------------------------------------
@@ -180,36 +209,50 @@ def cmd_analyze(args) -> int:
     report["spectral_map"] = spectral
     if not args.no_timing:
         report["timing"] = {"seconds": _seconds(started)}
-    _emit(report, args)
+    _write_text(_dumps(report, args) + "\n", args.out)
     return 0
 
 
 def cmd_census(args) -> int:
     started = time.perf_counter()
-    # past the enumeration's limit it raises and we exit 2
-    result = run_census(args.max_n)
-    odd = result.odd_periodic()
-    report = {
-        "max_n": result.max_n,
-        "records": [_record_block(r) for r in result.records],
-        "summary": {
-            "total_records": len(result.records),
-            "odd_periodic": [
-                {
-                    "n": r.graph.n,
-                    "period": r.period_report.period,
-                    "edges": [list(e) for e in r.graph.edges],
-                }
-                for r in odd
-            ],
-            # the certificate has no budget; the key stays for readers
-            "budget_hits": 0,
-        },
-    }
-    if not args.no_timing:
-        report["timing"] = {"seconds": _seconds(started)}
-    _emit(report, args)
+    max_n = _parse_max_n(args.max_n)
+    # past the enumeration's limit this raises, before --out is opened
+    records = map(analyze_graph, iter_odd_unicyclic(max_n))
+    _write_out(args.out, lambda write: _write_census(write, args, max_n, records, started))
     return 0
+
+
+def _write_census(write, args, max_n: int, records, started: float) -> None:
+    """Write the census report, each record block as soon as it is made.
+
+    The bytes are those of _dumps on the whole report: the keys come in
+    the sorted order max_n, records, summary, timing, and each block is
+    indented to its nesting level. Only the record count and the
+    odd-periodic summary entries are kept.
+    """
+
+    def brk(level: int) -> str:  # the line break before an item at level
+        return "" if args.json else "\n" + "  " * level
+
+    colon = ":" if args.json else ": "
+    write('{%s"max_n"%s%d,%s"records"%s[' % (brk(1), colon, max_n, brk(1), colon))
+    count = 0
+    odd = []
+    for record in records:
+        write(("," if count else "") + brk(2) + _dumps(_record_block(record), args, 2))
+        count += 1
+        if record.odd_periodic:
+            g = record.graph
+            period = record.period_report.period
+            odd.append({"n": g.n, "period": period, "edges": [list(e) for e in g.edges]})
+    write((brk(1) if count else "") + "]")
+    # the certificate has no budget; the key stays for readers
+    tail = {"summary": {"total_records": count, "odd_periodic": odd, "budget_hits": 0}}
+    if not args.no_timing:
+        tail["timing"] = {"seconds": _seconds(started)}
+    for key in sorted(tail):
+        write(',%s"%s"%s%s' % (brk(1), key, colon, _dumps(tail[key], args, 1)))
+    write(brk(0) + "}\n")
 
 
 def cmd_gen(args) -> int:
@@ -282,7 +325,7 @@ def _suite_spectral_map(args) -> list:
 
 
 def _cycle_matching_instances():
-    for g in enumerate_odd_unicyclic(8):
+    for g in iter_odd_unicyclic(8):
         d = classify(g).decomposition
         for t in range((g.n - d.girth) // 2 + 1):
             yield (
@@ -369,9 +412,14 @@ def _suite_main_theorem(args) -> list:
         raise GroverWalkError(
             "main-theorem needs --max-n >= 3, got %d" % args.max_n
         )
+    # the census stream, of which only the odd-periodic records are kept
+    count = 0
+    odd = []
+    for record in map(analyze_graph, iter_odd_unicyclic(args.max_n)):
+        count += 1
+        if record.odd_periodic:
+            odd.append(record)
     cases = []
-    result = run_census(args.max_n)
-    odd = result.odd_periodic()
     for record in odd:
         ok = record.is_cycle and record.period_report.period == record.graph.n
         cases.append(
@@ -393,7 +441,7 @@ def _suite_main_theorem(args) -> list:
     stray = [r for r in odd if not r.is_cycle]
     cases.append(
         (
-            "no odd-periodic non-cycle among %d records" % len(result.records),
+            "no odd-periodic non-cycle among %d records" % count,
             not stray,
             "offenders %s" % [r.graph.edges for r in stray],
         )
@@ -412,7 +460,7 @@ _SUITES = {
 # The defaults of the verify flags, each under the one suite that reads it.
 _SUITE_DEFAULTS = {
     "chebyshev": {"k": "3,5,7", "r": "2..6"},
-    "main-theorem": {"max_n": ENUMERATION_CAP},
+    "main-theorem": {"max_n": str(ENUMERATION_CAP)},
 }
 
 
@@ -426,6 +474,8 @@ def _suite_flags(args) -> None:
             raise GroverWalkError(
                 "suite %s does not read --%s" % (args.suite, name.replace("_", "-"))
             )
+    if args.max_n is not None:
+        args.max_n = _parse_max_n(args.max_n)
 
 
 def cmd_verify(args) -> int:
@@ -452,20 +502,35 @@ def _parse_span(text: str) -> tuple[range | list[int], int]:
     reversed span, a non-integer and an integer of 2^63 or more are
     rejected, with at most 60 characters of the text quoted.
     """
-    try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            span = range(int(lo), int(hi) + 1)
-        else:
-            span = [int(part) for part in text.split(",") if part]
-    except ValueError:
-        raise ValueError("non-integer value in %s" % _quote(text)) from None
+    if ".." in text:
+        lo, hi = text.split("..", 1)
+        span = range(_parse_int(lo, text), _parse_int(hi, text) + 1)
+    else:
+        span = [_parse_int(part, text) for part in text.split(",") if part]
     if not span:
         raise ValueError("%s holds no values" % _quote(text))
-    low, top = (span[0], span[-1]) if isinstance(span, range) else (min(span), max(span))
-    if max(-low, top) >= _MAX_INPUT_INT:
+    return span, span[-1] if isinstance(span, range) else max(span)
+
+
+def _parse_int(part: str, text: str) -> int:
+    """int(part), refused when it is not an integer or is 2^63 or more in
+    absolute value; the error quotes at most 60 characters of text.
+    """
+    try:
+        value = int(part)
+    except ValueError:
+        raise ValueError("non-integer value in %s" % _quote(text)) from None
+    if abs(value) >= _MAX_INPUT_INT:
         raise ValueError("value out of range in %s" % _quote(text))
-    return span, top
+    return value
+
+
+def _parse_max_n(text: str) -> int:
+    """The --max-n of census and main-theorem, parsed as a span value is."""
+    try:
+        return _parse_int(text, text)
+    except ValueError as err:
+        raise GroverWalkError("bad --max-n: %s" % err) from None
 
 
 # ---------------------------------------------------------------------------
@@ -486,16 +551,14 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--k", help="chebyshev cycle lengths (default 3,5,7)")
     verify.add_argument("--r", help="chebyshev tail parameter span (default 2..6)")
     verify.add_argument(
-        "--max-n",
-        type=int,
-        help="main-theorem census size (default %d)" % ENUMERATION_CAP,
+        "--max-n", help="main-theorem census size (default %d)" % ENUMERATION_CAP
     )
     gen = sub.add_parser("gen", help="write a family graph file")
 
     family_help = "family spec, e.g. cycle:5 or twotail:3,2"
     analyze.add_argument("--family", help=family_help)
     gen.add_argument("--family", required=True, help=family_help)
-    census.add_argument("--max-n", type=int, default=ENUMERATION_CAP)
+    census.add_argument("--max-n", default=str(ENUMERATION_CAP))
     for p in (analyze, census):
         p.add_argument("--json", action="store_true", help="compact single-line JSON")
         p.add_argument(

@@ -22,7 +22,7 @@ graphs. A larger n raises CapExceededError before anything is built.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .exceptions import CapExceededError, InvalidParameterError
 from .graphs import _QUOTE_CHARS, Graph, _quote, build_graph
@@ -376,8 +376,8 @@ def _cyclic_codes(k: int, n: int, first: list[int], size: list[int]):
     yield from fill(0, n)
 
 
-def enumerate_odd_unicyclic(n_max: int) -> tuple[Graph, ...]:
-    """All connected graphs with |E| = |V| <= n_max whose cycle is odd.
+def iter_odd_unicyclic(n_max: int) -> Iterator[Graph]:
+    """All connected graphs with |E| = |V| <= n_max whose cycle is odd, streamed.
 
     Built structurally, one graph per class: an odd-unicyclic graph is an
     odd cycle with a rooted tree hanging from each cycle vertex, and two
@@ -387,11 +387,15 @@ def enumerate_odd_unicyclic(n_max: int) -> tuple[Graph, ...]:
     least of its 2k images. Cycle vertices are 0..k-1 in order, so the
     bare cycle is cycle_graph(k); each tree's vertices follow in preorder,
     trees in cycle order. Ordered by vertex count, girth, then the
-    sequence of tree numbers. n_max is at most HARD_CAP.
+    sequence of tree numbers. n_max is at most HARD_CAP, checked here,
+    before the generator is returned; the generator keeps no graph it
+    has yielded, so a consumer that drops each class holds one at a time.
     """
     _check_size(n_max, HARD_CAP, "odd unicyclic enumeration")
-    if n_max in _ODD_UNICYCLIC_CACHE:
-        return _ODD_UNICYCLIC_CACHE[n_max]
+    return _odd_unicyclic_classes(n_max)
+
+
+def _odd_unicyclic_classes(n_max: int) -> Iterator[Graph]:
     children, first = _rooted_trees(max(n_max - 2, 1))
     size = [s for s in range(1, len(first) - 1) for _ in range(first[s], first[s + 1])]
 
@@ -401,7 +405,6 @@ def enumerate_odd_unicyclic(n_max: int) -> tuple[Graph, ...]:
             free = hang(c, free, edges, free + 1)
         return free
 
-    ordered: list[Graph] = []
     for n in range(3, n_max + 1):
         for k in range(3, n + 1, 2):
             for code in _cyclic_codes(k, n, first, size):
@@ -409,7 +412,12 @@ def enumerate_odd_unicyclic(n_max: int) -> tuple[Graph, ...]:
                 free = k
                 for i, t in enumerate(code):
                     free = hang(t, i, edges, free)
-                ordered.append(build_graph(n, edges))
-    reps = tuple(ordered)
-    _ODD_UNICYCLIC_CACHE[n_max] = reps
-    return reps
+                yield build_graph(n, edges)
+
+
+def enumerate_odd_unicyclic(n_max: int) -> tuple[Graph, ...]:
+    """iter_odd_unicyclic(n_max) as a tuple, cached per n_max."""
+    classes = iter_odd_unicyclic(n_max)
+    if n_max not in _ODD_UNICYCLIC_CACHE:
+        _ODD_UNICYCLIC_CACHE[n_max] = tuple(classes)
+    return _ODD_UNICYCLIC_CACHE[n_max]

@@ -210,7 +210,14 @@ def _two_colorable(g: Graph) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=256)
+# Entries of each graph-keyed cache: peel_leaves, walk.transition_charpoly,
+# walk.arc_charpoly and periodicity.branch_frame. No command goes back to
+# more than 10 graphs (the identities grid), so 16 keeps every hit, while a
+# census or a grid keeps at most 16 of its graphs alive.
+GRAPH_CACHE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def peel_leaves(g: Graph) -> tuple[tuple[Edge, ...], tuple[int, ...]]:
     """Remove degree-one vertices until none is left, then walk what remains.
 

@@ -45,6 +45,7 @@ from .exceptions import (
 )
 from .families import two_tail_graph
 from .graphs import (
+    GRAPH_CACHE_SIZE,
     Edge,
     Graph,
     UnicycleDecomposition,
@@ -366,7 +367,7 @@ def _chain_from(g: Graph, hub: int, first: int) -> tuple[int, ...]:
     return tuple(chain)
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def branch_frame(g: Graph) -> BranchFrame:
     """Build the degree-4 split, or raise ShapeMismatch if it does not exist.
 

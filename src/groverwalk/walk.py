@@ -26,7 +26,7 @@ import math
 from typing import NamedTuple
 
 from .exceptions import InvalidParameterError, ResidualExceededError
-from .graphs import Graph, peel_leaves
+from .graphs import GRAPH_CACHE_SIZE, Graph, peel_leaves
 from .linalg import CharPoly, charpoly_from_scaled, charpoly_rows, is_scaled_orthogonal
 
 
@@ -137,7 +137,7 @@ def _structural_det(g: Graph) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def transition_charpoly(g: Graph) -> CharPoly:
     """Exact characteristic polynomial of the transition matrix.
 
@@ -154,7 +154,7 @@ def transition_charpoly(g: Graph) -> CharPoly:
     return charpoly_from_scaled(charpoly_rows(rows, scale), scale)
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def arc_charpoly(g: Graph) -> CharPoly:
     """Exact characteristic polynomial of the arc operator U.
 
@@ -171,8 +171,7 @@ def arc_charpoly(g: Graph) -> CharPoly:
     checked; a nonzero one raises ResidualExceededError, and so does a
     failed orthogonality check. This is the one place the arc rows are
     built and checked. Cached so that find_period and spectral_map_check
-    share one 2m x 2m charpoly per graph; the cache stays small because no
-    caller returns to a graph after its analysis.
+    share one 2m x 2m charpoly per graph.
     """
     scale, sparse = _sparse_arc_rows(g)
     if not is_scaled_orthogonal(scale, sparse):

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -6,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,13 @@ from groverwalk import cli, periodicity
 from groverwalk.linalg import CharPoly
 from groverwalk.census import analyze_graph, run_census
 from groverwalk.exceptions import ResidualExceededError
-from groverwalk.graphs import MAX_FILE_CHARS, classify, peel_leaves, write_graph_file
+from groverwalk.graphs import (
+    MAX_FILE_CHARS,
+    Graph,
+    classify,
+    peel_leaves,
+    write_graph_file,
+)
 from groverwalk.periodicity import PeriodReport
 from groverwalk.walk import transition_charpoly
 
@@ -92,6 +100,110 @@ def test_identities_suite_builds_each_branch_frame_once(capsys):
     assert cli.main(["verify", "--suite", "identities"]) == 0
     assert capsys.readouterr().out.endswith("suite identities: pass\n")
     assert periodicity.branch_frame.cache_info().misses == 10
+
+
+# ---------------------------------------------------------------------------
+# The streamed census and the bounded graph caches.
+
+_GRAPH_CACHES = {
+    "transition_charpoly": transition_charpoly,
+    "peel_leaves": peel_leaves,
+    "branch_frame": periodicity.branch_frame,
+    "_matching_poly": periodicity._matching_poly,
+}
+
+
+@pytest.mark.parametrize(
+    "argv, misses",
+    [
+        (
+            ["verify", "--suite", "identities"],
+            {"transition_charpoly": 102, "peel_leaves": 102, "branch_frame": 10,
+             "_matching_poly": 187},
+        ),
+        (
+            ["census", "--max-n", "8", "--json", "--no-timing"],
+            {"transition_charpoly": 92, "peel_leaves": 92},
+        ),
+        (
+            ["verify", "--suite", "main-theorem"],
+            {"transition_charpoly": 247, "peel_leaves": 247},
+        ),
+    ],
+    ids=["identities", "census-8", "main-theorem"],
+)
+def test_graph_caches_miss_once_per_artifact(argv, misses):
+    # the bounded caches still hold every graph a command goes back to:
+    # each artifact is built once, as with the unbounded caches before
+    for cache in _GRAPH_CACHES.values():
+        cache.cache_clear()
+    assert cli.main(argv + ["--out", os.devnull]) == 0
+    got = {name: cache.cache_info().misses for name, cache in _GRAPH_CACHES.items()}
+    assert got == dict(dict.fromkeys(_GRAPH_CACHES, 0), **misses)
+
+
+def _live_graphs() -> int:
+    gc.collect()
+    return sum(isinstance(obj, Graph) for obj in gc.get_objects())
+
+
+def test_chebyshev_grid_frees_its_graphs():
+    # a grid does not return to its graphs, so once the caches are full
+    # a run leaves no more Graph objects alive than it found
+    argv = ["verify", "--suite", "chebyshev", "--out", os.devnull]
+    assert cli.main(argv + ["--k", "11,13", "--r", "2..10"]) == 0  # 18 graphs
+    before = _live_graphs()
+    assert cli.main(argv + ["--k", "3,5,7,9", "--r", "2..16"]) == 0  # 60 graphs
+    assert _live_graphs() == before
+
+
+def test_census_is_written_as_it_is_analysed(monkeypatch):
+    # each record block is out before the next class is analysed
+    out = io.StringIO()
+    sizes = []
+
+    def analyze(g):
+        sizes.append(len(out.getvalue()))
+        return analyze_graph(g)
+
+    monkeypatch.setattr(cli, "analyze_graph", analyze)
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["census", "--max-n", "6", "--json", "--no-timing"]) == 0
+    assert len(sizes) == 14
+    assert all(a < b for a, b in zip(sizes, sizes[1:]))
+
+
+@pytest.mark.parametrize("form", [["--json"], []], ids=["compact", "indented"])
+@pytest.mark.parametrize("max_n", ["2", "3", "6"])
+def test_census_stream_is_the_whole_report_dump(form, max_n, capsys):
+    # the streamed bytes are json.dumps of the whole report, timing included;
+    # --max-n 2 gives the empty record list
+    assert cli.main(["census", "--max-n", max_n, *form]) == 0
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert list(report) == ["max_n", "records", "summary", "timing"]
+    if form:
+        whole = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    else:
+        whole = json.dumps(report, sort_keys=True, indent=2)
+    assert out == whole + "\n"
+    assert len(report["records"]) == {"2": 0, "3": 1, "6": 14}[max_n]
+
+
+def test_census_peak_memory_is_bounded(tmp_path):
+    # the census keeps no record once its block is written; building the
+    # whole report first reached a 46 MiB peak here
+    target = str(tmp_path / "census12.json")
+    argv = ["census", "--max-n", "12", "--json", "--no-timing", "--out", target]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+    digest = hashlib.sha256(Path(target).read_bytes()).hexdigest()
+    assert digest == "77e32c264960699ffe44e628f777d32fc92b2f9ccd96af056c18188f93c573a6"
 
 
 _LOADED_BY_COMMANDS = """
@@ -297,6 +409,31 @@ def test_cli_out_file(tmp_path):
     assert proc.stdout == ""
     report = json.loads(target.read_text())
     assert report["period"]["period"] == 4
+
+
+def test_census_out_file_is_whole_or_absent(tmp_path, monkeypatch, capsys):
+    # over the cap nothing is opened; a failure after the first record
+    # removes the partial file, while stdout keeps what it was sent
+    target = tmp_path / "census.json"
+    argv = ["census", "--max-n", "6", "--json", "--no-timing"]
+    assert cli.main(["census", "--max-n", "13", "--out", str(target)]) == 2
+    assert not target.exists()
+    assert "exceeds the limit 12" in capsys.readouterr().err
+    calls = []
+
+    def analyze(g):
+        calls.append(g)
+        if len(calls) == 5:
+            raise ResidualExceededError("forced failure on the fifth class")
+        return analyze_graph(g)
+
+    monkeypatch.setattr(cli, "analyze_graph", analyze)
+    assert cli.main(argv + ["--out", str(target)]) == 2
+    assert not target.exists()
+    assert capsys.readouterr().err == "error: forced failure on the fifth class\n"
+    calls.clear()
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().out.startswith('{"max_n":6,"records":[{')
 
 
 @pytest.mark.parametrize(
@@ -594,6 +731,28 @@ def test_cli_fuzzed_chebyshev_span_exits_cleanly(flag, text):
     assert_clean_exit(*run_main(["verify", "--suite", "chebyshev", "%s=%s" % (flag, text)]))
 
 
+def _runs_census(text: str) -> bool:
+    try:
+        return 1 <= int(text) <= 12
+    except ValueError:
+        return False
+
+
+# texts for --max-n, none of which runs a census: a valid value is at most 12
+_max_n_texts = st.one_of(
+    st.text(),
+    _numbers.map(str),
+    st.integers(1, 5000).map(lambda digits: "9" * digits),
+).filter(lambda text: not _runs_census(text))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(text=_max_n_texts)
+def test_cli_fuzzed_max_n_exits_cleanly(text):
+    for argv in (["census"], ["verify", "--suite", "main-theorem"]):
+        assert_clean_exit(*run_main(argv + ["--max-n=" + text]))
+
+
 def test_cli_verify_table1():
     proc = run_cli("verify", "--suite", "table1")
     assert proc.returncode == 0
@@ -660,7 +819,7 @@ def test_cli_main_theorem_below_smallest_cycle(max_n, monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("ran the census")
 
-    monkeypatch.setattr(cli, "run_census", refuse)
+    monkeypatch.setattr(cli, "iter_odd_unicyclic", refuse)
     assert cli.main(["verify", "--suite", "main-theorem", "--max-n", max_n]) == 2
     err = capsys.readouterr().err
     assert "--max-n >= 3" in err and max_n in err
