@@ -11,10 +11,11 @@ streamed: each record block is written as soon as it is analysed, and
 only the summary is kept.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error
-(an oversized input included). Every period is certified exactly from the
-arc characteristic polynomial, so no run stops at a size budget. A file
-given to --out is written whole or not at all; stdout may hold a partial
-report when the exit code is 2.
+(an oversized input included), 141 (128 + SIGPIPE, nothing on stderr)
+when the reader of stdout closes it early. Every period is certified
+exactly from the arc characteristic polynomial, so no run stops at a
+size budget. A file given to --out is written whole or not at all;
+stdout may hold a partial report when the exit code is 2.
 
 No command builds a Fraction, and json is imported by the reports that
 print it, so verify and gen load none of fractions, decimal and json.
@@ -579,7 +580,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe may show only here
+        return status
+    except BrokenPipeError:
+        # the reader left: end quietly with 128 + SIGPIPE; stdout goes to
+        # devnull so that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (GroverWalkError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2

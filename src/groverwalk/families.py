@@ -250,9 +250,6 @@ def _check_size(n: int, limit: int, what: str) -> None:
         raise CapExceededError("%s size %d exceeds the limit %d" % (what, n, limit))
 
 
-_CONNECTED_CACHE: dict[int, tuple[Graph, ...]] = {}
-
-
 def enumerate_connected(n: int) -> tuple[Graph, ...]:
     """All connected graphs on n vertices, one per isomorphism class.
 
@@ -260,9 +257,9 @@ def enumerate_connected(n: int) -> tuple[Graph, ...]:
     every non-empty subset of old vertices; every connected graph has a
     non-cut vertex, so each class is reached. Duplicates fall to the
     canonical form, taken on adjacency bitmasks, so a Graph is built only
-    for the first candidate of each class. Results are cached per n and
-    returned sorted by edge count then canonical form. n is at most
-    CONNECTED_CAP.
+    for the first candidate of each class. Each level is sorted by edge
+    count then canonical form and kept only until the next is built. n is
+    at most CONNECTED_CAP.
 
     A join mask is tried only when it holds the lower twins (see
     canonical_form) of each vertex it holds. If it holds v and not a twin
@@ -277,15 +274,11 @@ def enumerate_connected(n: int) -> tuple[Graph, ...]:
     vertex is a twin of v exactly when the mask less v is N(v).
     """
     _check_size(n, CONNECTED_CAP, "connected enumeration")
-    if n in _CONNECTED_CACHE:
-        return _CONNECTED_CACHE[n]
-    if n == 1:
-        reps = (build_graph(1, []),)
-    else:
-        smaller = enumerate_connected(n - 1)
+    reps = (build_graph(1, []),)
+    for size in range(2, n + 1):
         seen: dict[tuple[int, ...], Graph] = {}
-        new = n - 1
-        for h in smaller:
+        new = size - 1
+        for h in reps:
             base = _adjacency_bits(h)
             # (v, bit of v, v's lower twins) for each v that has one
             lower = _lower_twins(base)
@@ -307,15 +300,11 @@ def enumerate_connected(n: int) -> tuple[Graph, ...]:
                 key = _canonical_bits(adjbits, twins)
                 if key not in seen:
                     joins = [(v, new) for v in range(new) if (mask >> v) & 1]
-                    seen[key] = build_graph(n, list(h.edges) + joins)
+                    seen[key] = build_graph(size, list(h.edges) + joins)
         reps = tuple(
             g for _, g in sorted(seen.items(), key=lambda kv: (kv[1].m, kv[0]))
         )
-    _CONNECTED_CACHE[n] = reps
     return reps
-
-
-_ODD_UNICYCLIC_CACHE: dict[int, tuple[Graph, ...]] = {}
 
 
 def _rooted_trees(max_size: int) -> tuple[list[tuple[int, ...]], list[int]]:
@@ -416,8 +405,5 @@ def _odd_unicyclic_classes(n_max: int) -> Iterator[Graph]:
 
 
 def enumerate_odd_unicyclic(n_max: int) -> tuple[Graph, ...]:
-    """iter_odd_unicyclic(n_max) as a tuple, cached per n_max."""
-    classes = iter_odd_unicyclic(n_max)
-    if n_max not in _ODD_UNICYCLIC_CACHE:
-        _ODD_UNICYCLIC_CACHE[n_max] = tuple(classes)
-    return _ODD_UNICYCLIC_CACHE[n_max]
+    """iter_odd_unicyclic(n_max) as a tuple."""
+    return tuple(iter_odd_unicyclic(n_max))

@@ -8,9 +8,9 @@ An arc is an ordered traversal of an edge. Arcs are totally ordered by
 (min endpoint, max endpoint, direction flag), so edge i contributes arcs
 2*i (low to high) and 2*i + 1 (high to low).
 
-A graph with m <= n is peeled leaf by leaf once: peel_leaves is memoised,
-so classify (through unicycle_decomposition) and the structural
-characteristic polynomial in walk read the same removals and cycle.
+A graph with m <= n is peeled leaf by leaf once: peel_leaves is memoised
+on the graph (_memoised), so classify and the structural charpoly in walk
+read the same removals and cycle. Nothing is kept between graphs.
 """
 
 from __future__ import annotations
@@ -60,6 +60,41 @@ class Arc(NamedTuple):
         return Arc(self.terminus, self.origin)
 
 
+def _two_colour(adj: Sequence[frozenset[int]]) -> tuple[int, bool]:
+    """Breadth-first 2-colouring from vertex 0: how many vertices it
+    reaches, and whether no edge among them joins two of one colour."""
+    colour = [-1] * len(adj)
+    colour[0] = 0
+    queue = deque([0])
+    reached, proper = 1, True
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if colour[v] < 0:
+                colour[v] = 1 - colour[u]
+                reached += 1
+                queue.append(v)
+            elif colour[v] == colour[u]:
+                proper = False
+    return reached, proper
+
+
+def _memoised(fn):
+    """fn(g, *args), computed once per Graph object g and args: the value is
+    kept in g._memo under (fn, args) and freed with g. A miss runs the
+    wrapper's __wrapped__; fn never returns None."""
+
+    @functools.wraps(fn)
+    def memoised(g, *args):
+        key = (fn, args)
+        value = g._memo.get(key)
+        if value is None:
+            value = g._memo[key] = memoised.__wrapped__(g, *args)
+        return value
+
+    return memoised
+
+
 def _vertex_id(value, what: str) -> int:
     """value as an int through operator.index; bools and ints pass."""
     try:
@@ -71,7 +106,7 @@ def _vertex_id(value, what: str) -> int:
 class Graph:
     """Simple connected graph with a fixed canonical edge order."""
 
-    __slots__ = ("n", "edges", "adj", "degree")
+    __slots__ = ("n", "edges", "adj", "degree", "_memo")
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int]]):
         n = _vertex_id(n, "vertex count")
@@ -112,21 +147,12 @@ class Graph:
             adj[v].add(u)
         self.adj = tuple(frozenset(s) for s in adj)
         self.degree = tuple(len(s) for s in adj)
-        self._check_connected()
-
-    def _check_connected(self) -> None:
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            u = queue.popleft()
-            for v in self.adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        if len(seen) != self.n:
+        self._memo = {}  # the values of the _memoised functions of this graph
+        reached, _ = _two_colour(self.adj)
+        if reached != n:
             raise DisconnectedError(
                 "graph is not connected (%d of %d vertices reachable from 0)"
-                % (len(seen), self.n)
+                % (reached, n)
             )
 
     @property
@@ -154,6 +180,10 @@ class Graph:
 
     def __hash__(self) -> int:
         return hash((self.n, self.edges))
+
+    def __reduce__(self):
+        # a copy is rebuilt from the edges, with an empty memo
+        return Graph, (self.n, self.edges)
 
     def __repr__(self) -> str:
         return "Graph(n=%d, edges=%r)" % (self.n, list(self.edges))
@@ -195,29 +225,7 @@ class Classification(NamedTuple):
     decomposition: UnicycleDecomposition | None = None
 
 
-def _two_colorable(g: Graph) -> bool:
-    color = [-1] * g.n
-    color[0] = 0
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for v in g.adj[u]:
-            if color[v] == -1:
-                color[v] = 1 - color[u]
-                queue.append(v)
-            elif color[v] == color[u]:
-                return False
-    return True
-
-
-# Entries of each graph-keyed cache: peel_leaves, walk.transition_charpoly,
-# walk.arc_charpoly and periodicity.branch_frame. No command goes back to
-# more than 10 graphs (the identities grid), so 16 keeps every hit, while a
-# census or a grid keeps at most 16 of its graphs alive.
-GRAPH_CACHE_SIZE = 16
-
-
-@functools.lru_cache(maxsize=GRAPH_CACHE_SIZE)
+@_memoised
 def peel_leaves(g: Graph) -> tuple[tuple[Edge, ...], tuple[int, ...]]:
     """Remove degree-one vertices until none is left, then walk what remains.
 
@@ -226,7 +234,7 @@ def peel_leaves(g: Graph) -> tuple[tuple[Edge, ...], tuple[int, ...]]:
     cycle that is left: it starts at its smallest vertex id and proceeds
     toward that vertex's smaller-id cycle neighbour. A tree peels down to
     one vertex, the neighbour of the last removal, and leaves no cycle.
-    Cached, like walk.transition_charpoly; the result is immutable.
+    Memoised on g, like walk.transition_charpoly; the result is immutable.
     """
     if g.m > g.n:
         raise InvalidParameterError(
@@ -282,7 +290,7 @@ def classify(g: Graph) -> Classification:
         if dec.girth % 2 == 0:
             return Classification("bipartite")
         return Classification("odd_unicycle", dec)
-    if _two_colorable(g):
+    if _two_colour(g.adj)[1]:
         return Classification("bipartite")
     return Classification("other")
 

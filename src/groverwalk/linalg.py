@@ -34,6 +34,20 @@ def is_integer(q: Fraction) -> bool:
     return Fraction(q).denominator == 1
 
 
+def _signed_digits(value: int, s: int) -> tuple[int, ...]:
+    """The base-2^s digits of value, low to high, each read as signed in
+    [-2^(s-1), 2^(s-1)): the coefficients of a polynomial held as its value
+    at x = 2^s, up to its top nonzero one, once the caller has proved that
+    each lies in that range."""
+    half, mask = 1 << (s - 1), (1 << s) - 1
+    digits = []
+    while value:
+        c = ((value + half) & mask) - half  # the low slot as a signed digit
+        digits.append(c)
+        value = (value - c) >> s
+    return tuple(digits)
+
+
 def _divide_exact(a: list[int], b: tuple[int, ...]) -> list[int] | None:
     """Exact quotient a / b in integers, or None when b does not divide a.
 
@@ -89,8 +103,8 @@ class CharPoly:
     integer coefficient. coeffs and cp[j] build Fraction coefficients on
     each call, for callers that want them; the exact routes, the matching
     identities and the printed reports read integer_coeffs and
-    denominator. Instances are immutable, since the lru_cache routes in
-    walk share them.
+    denominator. Instances are immutable, since the charpolys that walk
+    memoises on a graph are shared by every reader of that graph.
     """
 
     __slots__ = ("integer_coeffs", "denominator")

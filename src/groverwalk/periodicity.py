@@ -44,14 +44,8 @@ from .exceptions import (
     ShapeMismatchError,
 )
 from .families import two_tail_graph
-from .graphs import (
-    GRAPH_CACHE_SIZE,
-    Edge,
-    Graph,
-    UnicycleDecomposition,
-    classify,
-)
-from .linalg import CharPoly, _divide_exact
+from .graphs import Edge, Graph, UnicycleDecomposition, _memoised, classify
+from .linalg import CharPoly, _divide_exact, _signed_digits
 from .walk import arc_charpoly, konno_sato_residual, transition_charpoly
 
 if TYPE_CHECKING:
@@ -108,29 +102,23 @@ def _pool_poly(pool: tuple[Edge, ...], weight: dict, s: int) -> int:
     return _pool_poly(rest, weight, s) + (weight[e] * _pool_poly(apart, weight, s) << s)
 
 
-@functools.lru_cache(maxsize=64)
+@_memoised
 def _matching_poly(g: Graph, pool: tuple[Edge, ...]) -> tuple[int, ...]:
     """Entry t is the sum over t-matchings of pool of prod (L/deg u)(L/deg v).
 
     pool is a sorted tuple of edges of g and L = _weight_scale(g), so the
     t-matching sum is entry t over L^(2t); entries past the largest
     matching are 0 and left off. Each polynomial is held as its value at
-    x = 2^s, one Python int, as in walk._structural_det. Its
-    coefficients are nonnegative and sum to at most prod (1 + w_e) over
-    the pool, which is below 2^s, so they are read back as unsigned
-    s-bit digits. Cached, like walk.transition_charpoly: every t of an
-    identity reads the same pool.
+    x = 2^s, one Python int, as in walk._structural_det. Its coefficients
+    are nonnegative and sum to at most prod (1 + w_e) over the pool, at
+    most 2^(s-2), so linalg._signed_digits reads them back unchanged.
+    Memoised on g per pool: every t of an identity reads the same pool.
     """
     deg = g.degree
     scale = _weight_scale(g)
     weight = {e: (scale // deg[e[0]]) * (scale // deg[e[1]]) for e in pool}
-    s = 1 + sum((1 + w).bit_length() for w in weight.values())
-    packed, mask = _pool_poly(pool, weight, s), (1 << s) - 1
-    coeffs = []
-    while packed:
-        coeffs.append(packed & mask)
-        packed >>= s
-    return tuple(coeffs)
+    s = 2 + sum((1 + w).bit_length() for w in weight.values())
+    return _signed_digits(_pool_poly(pool, weight, s), s)
 
 
 def _matching_count(g: Graph, pool: tuple[Edge, ...], t: int) -> int:
@@ -367,12 +355,12 @@ def _chain_from(g: Graph, hub: int, first: int) -> tuple[int, ...]:
     return tuple(chain)
 
 
-@functools.lru_cache(maxsize=GRAPH_CACHE_SIZE)
+@_memoised
 def branch_frame(g: Graph) -> BranchFrame:
     """Build the degree-4 split, or raise ShapeMismatch if it does not exist.
 
-    Cached, like graphs.peel_leaves, because every identity instance on a
-    graph reads the same frame; the frame is immutable.
+    Memoised on g, like graphs.peel_leaves, because every identity
+    instance on a graph reads the same frame; the frame is immutable.
     """
     cls = classify(g)
     if cls.kind != "odd_unicycle":

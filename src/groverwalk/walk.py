@@ -21,13 +21,13 @@ and the spectral map compares them in integers.
 
 from __future__ import annotations
 
-import functools
 import math
 from typing import NamedTuple
 
 from .exceptions import InvalidParameterError, ResidualExceededError
-from .graphs import GRAPH_CACHE_SIZE, Graph, peel_leaves
+from .graphs import Graph, _memoised, peel_leaves
 from .linalg import CharPoly, charpoly_from_scaled, charpoly_rows, is_scaled_orthogonal
+from .linalg import _signed_digits
 
 
 def _require_walkable(g: Graph) -> None:
@@ -106,9 +106,9 @@ def _structural_det(g: Graph) -> tuple[int, ...]:
 
     Every polynomial is held as its value at x = 2^s, one Python int, so
     that a product of polynomials is one integer product; evaluation is a
-    ring map, so the value of det M comes out exact. Its coefficients are
-    read back as signed s-bit digits, which is unique while each is below
-    2^(s-1) in absolute value. Their absolute sum is at most the permanent
+    ring map, so the value of det M comes out exact. linalg._signed_digits
+    reads its coefficients back, uniquely while each is below 2^(s-1) in
+    absolute value. Their absolute sum is at most the permanent
     of D + A, which is at most prod(2 deg), the product of its row sums;
     s = bitlen(prod deg) + n + 2 keeps that below 2^(s-2).
     """
@@ -128,24 +128,18 @@ def _structural_det(g: Graph) -> tuple[int, ...]:
             - b[0] * b[-1] * _continuant(a[1:-1], b[1:-1])
             - 2 * math.prod(b)
         )
-    half, mask = 1 << (s - 1), (1 << s) - 1
-    coeffs = []
-    for _ in range(g.n + 1):
-        c = ((det + half) & mask) - half  # the low slot as a signed digit
-        coeffs.append(c)
-        det = (det - c) >> s
-    return tuple(coeffs)
+    return _signed_digits(det, s)  # n + 1 digits: the top one is prod(deg)
 
 
-@functools.lru_cache(maxsize=GRAPH_CACHE_SIZE)
+@_memoised
 def transition_charpoly(g: Graph) -> CharPoly:
     """Exact characteristic polynomial of the transition matrix.
 
     When m <= n (a tree or a unicyclic graph), it is det(xD - A) from
     _structural_det over the product of the degrees, as
     det(xI - T) = det(D^-1 (xD - A)). Otherwise the kernel runs on the
-    rows of L*T, which sum to L, so L is its bound. Cached, because every
-    layer reads it; a CharPoly is immutable.
+    rows of L*T, which sum to L, so L is its bound. Memoised on g,
+    because every layer reads it; a CharPoly is immutable.
     """
     if g.m <= g.n:
         _require_walkable(g)
@@ -154,7 +148,7 @@ def transition_charpoly(g: Graph) -> CharPoly:
     return charpoly_from_scaled(charpoly_rows(rows, scale), scale)
 
 
-@functools.lru_cache(maxsize=GRAPH_CACHE_SIZE)
+@_memoised
 def arc_charpoly(g: Graph) -> CharPoly:
     """Exact characteristic polynomial of the arc operator U.
 
@@ -170,8 +164,8 @@ def arc_charpoly(g: Graph) -> CharPoly:
     det U = -1 the middle coefficient q_(N/2) must be 0, which is
     checked; a nonzero one raises ResidualExceededError, and so does a
     failed orthogonality check. This is the one place the arc rows are
-    built and checked. Cached so that find_period and spectral_map_check
-    share one 2m x 2m charpoly per graph.
+    built and checked. Memoised on g, so that find_period and
+    spectral_map_check share one 2m x 2m charpoly per graph.
     """
     scale, sparse = _sparse_arc_rows(g)
     if not is_scaled_orthogonal(scale, sparse):

@@ -1,9 +1,13 @@
+from collections import Counter
+
 import pytest
 
 from groverwalk.families import (
+    HARD_CAP,
     complete_bipartite,
     cycle_graph,
     enumerate_connected,
+    enumerate_odd_unicyclic,
     path_graph,
     two_tail_graph,
 )
@@ -31,7 +35,43 @@ def named_graphs():
     return graphs
 
 
+@pytest.fixture
+def count_runs(monkeypatch):
+    """count_runs(*memoised) counts the runs of each memoised function's
+    undecorated body (its __wrapped__), by name, to the end of the test."""
+    runs = Counter()
+
+    def start(*memoised):
+        for fn in memoised:
+
+            def counted(*args, _body=fn.__wrapped__, _name=fn.__name__):
+                runs[_name] += 1
+                return _body(*args)
+
+            monkeypatch.setattr(fn, "__wrapped__", counted)
+        return runs
+
+    return start
+
+
+# The enumerations keep nothing between calls, so the tests that share one
+# read it from a session fixture and it is built once. Graphs built here live
+# for the whole session, and so do the artifacts memoised on them.
+
+
 @pytest.fixture(scope="session")
 def connected_by_n():
-    """Connected isomorphism-class representatives, n = 1..6."""
-    return {n: enumerate_connected(n) for n in range(1, 7)}
+    """Connected isomorphism-class representatives, n = 1..7."""
+    return {n: enumerate_connected(n) for n in range(1, 8)}
+
+
+@pytest.fixture(scope="session")
+def odd_unicyclic_up_to():
+    """odd_unicyclic_up_to(n) is enumerate_odd_unicyclic(n), for n <= HARD_CAP,
+    read from one enumeration to the cap."""
+    classes = enumerate_odd_unicyclic(HARD_CAP)
+
+    def up_to(n: int) -> tuple:
+        return tuple(g for g in classes if g.n <= n)
+
+    return up_to

@@ -139,7 +139,7 @@ def test_04_two_tails_never_odd_periodic():
     ), bad
 
 
-def test_05_charpoly_oracle_and_edge_sum():
+def test_05_charpoly_oracle_and_edge_sum(connected_by_n):
     rng = random.Random(987654321)
     points = [Fraction(0), Fraction(1), Fraction(-1), Fraction(2, 3), Fraction(-5)]
     bad = 0
@@ -158,7 +158,7 @@ def test_05_charpoly_oracle_and_edge_sum():
 
     graphs = 0
     for n in range(2, 8):
-        for g in enumerate_connected(n):
+        for g in connected_by_n[n]:
             graphs += 1
             cp = transition_charpoly(g)
             total = sum((edge_weight(g, e) for e in g.edges), Fraction(0))

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -25,21 +26,26 @@ from groverwalk.graphs import (
     peel_leaves,
     write_graph_file,
 )
+from groverwalk.families import enumerate_connected, two_tail_graph
 from groverwalk.periodicity import PeriodReport
-from groverwalk.walk import transition_charpoly
+from groverwalk.walk import arc_charpoly, spectral_map_check, transition_charpoly
 
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(*argv, **kwargs):
+def _child_env() -> dict:
     # the child needs src on its path even when only pytest's config adds it
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def run_cli(*argv, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "groverwalk", *argv],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=_child_env(),
         **kwargs,
     )
 
@@ -84,42 +90,42 @@ def test_census_record_consistency():
             assert rep.failing_indices == ()
 
 
-def test_census_peels_each_record_once():
+def test_census_peels_each_record_once(count_runs):
     # classify and the structural charpoly share one leaf peel per graph
-    peel_leaves.cache_clear()
-    transition_charpoly.cache_clear()
+    runs = count_runs(peel_leaves)
     records = run_census(9).records
     assert len(records) == 247
-    assert peel_leaves.cache_info().misses == 247
+    assert runs == {"peel_leaves": 247}
 
 
-def test_identities_suite_builds_each_branch_frame_once(capsys):
+def test_identities_suite_builds_each_branch_frame_once(capsys, count_runs):
     # the 10 two-tail graphs of the suite each get one frame, however many
     # identity instances read it
-    periodicity.branch_frame.cache_clear()
+    runs = count_runs(periodicity.branch_frame)
     assert cli.main(["verify", "--suite", "identities"]) == 0
     assert capsys.readouterr().out.endswith("suite identities: pass\n")
-    assert periodicity.branch_frame.cache_info().misses == 10
+    assert runs == {"branch_frame": 10}
 
 
 # ---------------------------------------------------------------------------
-# The streamed census and the bounded graph caches.
+# The streamed census and the per-graph memo.
 
-_GRAPH_CACHES = {
-    "transition_charpoly": transition_charpoly,
-    "peel_leaves": peel_leaves,
-    "branch_frame": periodicity.branch_frame,
-    "_matching_poly": periodicity._matching_poly,
-}
+_MEMOISED = (
+    transition_charpoly,
+    peel_leaves,
+    periodicity.branch_frame,
+    periodicity._matching_poly,
+)
 
 
 @pytest.mark.parametrize(
-    "argv, misses",
+    "argv, want",
     [
         (
             ["verify", "--suite", "identities"],
+            # 175 distinct pools; a cache of the last 64 pools ran 187
             {"transition_charpoly": 102, "peel_leaves": 102, "branch_frame": 10,
-             "_matching_poly": 187},
+             "_matching_poly": 175},
         ),
         (
             ["census", "--max-n", "8", "--json", "--no-timing"],
@@ -132,14 +138,11 @@ _GRAPH_CACHES = {
     ],
     ids=["identities", "census-8", "main-theorem"],
 )
-def test_graph_caches_miss_once_per_artifact(argv, misses):
-    # the bounded caches still hold every graph a command goes back to:
-    # each artifact is built once, as with the unbounded caches before
-    for cache in _GRAPH_CACHES.values():
-        cache.cache_clear()
+def test_graph_caches_miss_once_per_artifact(argv, want, count_runs):
+    # each artifact is computed once per graph a command builds
+    runs = count_runs(*_MEMOISED)
     assert cli.main(argv + ["--out", os.devnull]) == 0
-    got = {name: cache.cache_info().misses for name, cache in _GRAPH_CACHES.items()}
-    assert got == dict(dict.fromkeys(_GRAPH_CACHES, 0), **misses)
+    assert runs == want
 
 
 def _live_graphs() -> int:
@@ -148,13 +151,68 @@ def _live_graphs() -> int:
 
 
 def test_chebyshev_grid_frees_its_graphs():
-    # a grid does not return to its graphs, so once the caches are full
-    # a run leaves no more Graph objects alive than it found
+    # nothing is kept between graphs, so a run leaves no more Graph objects
+    # alive than it found
     argv = ["verify", "--suite", "chebyshev", "--out", os.devnull]
-    assert cli.main(argv + ["--k", "11,13", "--r", "2..10"]) == 0  # 18 graphs
     before = _live_graphs()
     assert cli.main(argv + ["--k", "3,5,7,9", "--r", "2..16"]) == 0  # 60 graphs
     assert _live_graphs() == before
+
+
+def test_enumerations_keep_no_graph_alive():
+    before = _live_graphs()
+    reps = enumerate_connected(6)
+    assert _live_graphs() == before + len(reps) == before + 112
+    del reps
+    assert _live_graphs() == before
+    argv = ["verify", "--suite", "spectral-map", "--out", os.devnull]
+    assert cli.main(argv) == 0  # 142 graphs, n <= 6
+    assert _live_graphs() == before
+
+
+def _read_artifacts(g: Graph) -> None:
+    """Every memoised function of the two-tail graph g, each read twice."""
+    for _ in range(2):
+        analyze_graph(g)
+        spectral_map_check(g)
+        periodicity.matching_split_check(g, 2)
+
+
+def test_equal_graphs_built_apart_compute_their_own_artifacts(count_runs):
+    # the memo lives on the Graph object, not on its value: an equal graph
+    # built apart computes its artifacts again, each once
+    runs = count_runs(*_MEMOISED, arc_charpoly)
+    a, b = two_tail_graph(3, 2), two_tail_graph(3, 2)
+    assert a == b and a is not b
+    _read_artifacts(a)
+    once = dict(runs)
+    pools = once["_matching_poly"]
+    assert pools > 1  # one run per pool
+    assert once == {
+        "transition_charpoly": 1,
+        "arc_charpoly": 1,
+        "peel_leaves": 1,
+        "branch_frame": 1,
+        "_matching_poly": pools,
+    }
+    _read_artifacts(b)
+    _read_artifacts(a)
+    assert runs == {name: 2 * count for name, count in once.items()}
+
+
+def test_graph_artifacts_are_freed_with_it():
+    def live() -> list[int]:
+        gc.collect()
+        kinds = Counter(map(type, gc.get_objects()))
+        return [kinds[Graph], kinds[CharPoly], kinds[periodicity.BranchFrame]]
+
+    before = live()
+    g = two_tail_graph(3, 2)
+    _read_artifacts(g)
+    # the graph, and in its memo the two charpolys and the frame
+    assert live() == [n + d for n, d in zip(before, (1, 2, 1))]
+    del g
+    assert live() == before
 
 
 def test_census_is_written_as_it_is_analysed(monkeypatch):
@@ -483,6 +541,23 @@ def test_cli_exit_two(argv):
     proc = run_cli(*argv)
     assert proc.returncode == 2
     assert proc.stderr.strip()
+
+
+def test_cli_closed_stdout_ends_quietly():
+    # the reader of a 321 kB census leaves after 100 bytes, so later writes
+    # meet a closed pipe: the run stops with the status of a process stopped
+    # by SIGPIPE, 128 + 13, and writes nothing to stderr
+    child = subprocess.Popen(
+        [sys.executable, "-m", "groverwalk", "census", "--max-n", "9"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+    )
+    assert child.stdout.read(100).startswith(b'{\n  "max_n": 9,')
+    child.stdout.close()
+    assert child.wait(timeout=120) == 141
+    assert child.stderr.read() == b""
+    child.stderr.close()
 
 
 def test_verify_flags_reach_only_the_suite_that_reads_them(monkeypatch, capsys):

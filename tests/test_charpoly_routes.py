@@ -14,7 +14,6 @@ from groverwalk.exceptions import ResidualExceededError
 from groverwalk.families import (
     complete_bipartite,
     enumerate_connected,
-    enumerate_odd_unicyclic,
     make_family,
     parse_family,
     two_tail_graph,
@@ -45,7 +44,7 @@ def no_kernel(monkeypatch):
 
 
 def structural_transition(g):
-    # the cache is bypassed, so the route runs under the fixture's refusal
+    # the memo is bypassed, so the route runs under the fixture's refusal
     return walk.transition_charpoly.__wrapped__(g)
 
 
@@ -72,16 +71,16 @@ def half_run_arc(g, steps):
 # cp_T: leaf peeling and the cycle closure.
 
 
-def test_transition_route_on_small_graphs(no_kernel):
-    graphs = [g for n in range(2, 8) for g in enumerate_connected(n) if g.m <= g.n]
+def test_transition_route_on_small_graphs(no_kernel, connected_by_n):
+    graphs = [g for n in range(2, 8) for g in connected_by_n[n] if g.m <= g.n]
     # 24 trees and 54 unicyclic graphs, even cycles included
     assert len(graphs) == 78
     for g in graphs:
         assert structural_transition(g) == kernel_transition(g), g
 
 
-def test_transition_route_on_odd_unicyclic_classes(no_kernel):
-    classes = enumerate_odd_unicyclic(12)
+def test_transition_route_on_odd_unicyclic_classes(no_kernel, odd_unicyclic_up_to):
+    classes = odd_unicyclic_up_to(12)
     assert len(classes) == 4795
     for g in classes:
         assert structural_transition(g) == kernel_transition(g), g

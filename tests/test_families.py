@@ -183,9 +183,9 @@ def test_canonical_form_separates_nonisomorphic():
     assert len(forms) == len(set(forms))
 
 
-def test_enumerate_connected_counts():
+def test_enumerate_connected_counts(connected_by_n):
     # OEIS A001349
-    got = [len(enumerate_connected(n)) for n in range(1, 8)]
+    got = [len(connected_by_n[n]) for n in range(1, 8)]
     assert got == [1, 1, 2, 6, 21, 112, 853]
 
 
@@ -209,13 +209,14 @@ CONNECTED_EDGE_DIGESTS = {
 }
 
 
-def test_enumerate_connected_order_is_pinned():
+def test_enumerate_connected_order_is_pinned(connected_by_n):
     for n, digest in CONNECTED_EDGE_DIGESTS.items():
-        edges = repr([g.edges for g in enumerate_connected(n)]).encode()
+        edges = repr([g.edges for g in connected_by_n[n]]).encode()
         assert hashlib.sha256(edges).hexdigest() == digest, n
 
 
-def test_enumerate_connected_builds_one_graph_per_class(monkeypatch):
+def test_enumerate_connected_builds_one_graph_per_class(monkeypatch, connected_by_n):
+    # each level is built once, from the one below it
     built = Counter()
 
     def counting(n, edges):
@@ -223,9 +224,8 @@ def test_enumerate_connected_builds_one_graph_per_class(monkeypatch):
         return build_graph(n, edges)
 
     monkeypatch.setattr(families, "build_graph", counting)
-    monkeypatch.setattr(families, "_CONNECTED_CACHE", {})
-    reps = {n: enumerate_connected(n) for n in range(1, 7)}
-    assert built == {n: len(reps[n]) for n in reps}
+    enumerate_connected(6)
+    assert built == {n: len(connected_by_n[n]) for n in range(1, 7)}
     assert sum(built.values()) == 143
 
 
@@ -243,16 +243,14 @@ def test_enumerate_connected_skips_twin_swapped_joins(monkeypatch):
         return search(adjbits, lower_twins)
 
     monkeypatch.setattr(families, "_canonical_bits", counting)
-    monkeypatch.setattr(families, "_CONNECTED_CACHE", {})
-    for n in range(1, 7):
-        enumerate_connected(n)
+    enumerate_connected(6)
     assert searches == {2: 1, 3: 2, 4: 8, 5: 53, 6: 417}
     assert sum(searches.values()) == 481
 
 
-def test_enumerate_connected_pairwise_noniso():
+def test_enumerate_connected_pairwise_noniso(connected_by_n):
     for n in range(4, 8):
-        forms = [canonical_form(g) for g in enumerate_connected(n)]
+        forms = [canonical_form(g) for g in connected_by_n[n]]
         assert len(forms) == len(set(forms))
 
 
@@ -314,15 +312,15 @@ def test_enumerate_odd_unicyclic_matches_pendant_extensions():
         assert prefix == tuple(g for g in reps if g.n <= n)
 
 
-def test_enumerate_odd_unicyclic_counts_to_hard_cap():
-    reps = enumerate_odd_unicyclic(HARD_CAP)
+def test_enumerate_odd_unicyclic_counts_to_hard_cap(odd_unicyclic_up_to):
+    reps = odd_unicyclic_up_to(HARD_CAP)
     per_n = Counter(g.n for g in reps)
     assert [per_n[n] for n in range(3, 13)] == ODD_UNICYCLIC_PER_N
     assert len(reps) == 4795
 
 
-def test_enumerate_odd_unicyclic_order_and_shape():
-    reps = enumerate_odd_unicyclic(HARD_CAP)
+def test_enumerate_odd_unicyclic_order_and_shape(odd_unicyclic_up_to):
+    reps = odd_unicyclic_up_to(HARD_CAP)
     keys = []
     for g in reps:
         cls = classify(g)
@@ -351,8 +349,7 @@ def test_enumerate_odd_unicyclic_labels():
 
 @functools.cache
 def _forms_on(n: int) -> frozenset:
-    reps = enumerate_odd_unicyclic(HARD_CAP)
-    return frozenset(canonical_form(g) for g in reps if g.n == n)
+    return frozenset(canonical_form(g) for g in enumerate_odd_unicyclic(n) if g.n == n)
 
 
 @st.composite

@@ -23,7 +23,6 @@ from groverwalk.exceptions import (
 from groverwalk.families import (
     cycle_graph,
     enumerate_connected,
-    enumerate_odd_unicyclic,
     path_graph,
 )
 from groverwalk.graphs import (
@@ -163,21 +162,21 @@ def test_unique_cycle_against_exhaustive_search():
     assert seen > 0
 
 
-def test_unicycle_decomposition_matches_oracle():
+def test_unicycle_decomposition_matches_oracle(connected_by_n, odd_unicyclic_up_to):
     # every connected m = n graph with n <= 7, even cycles included, and
     # every odd-unicyclic class with n <= 10
-    graphs = [g for n in range(3, 8) for g in enumerate_connected(n) if g.m == g.n]
-    graphs += enumerate_odd_unicyclic(10)
+    graphs = [g for n in range(3, 8) for g in connected_by_n[n] if g.m == g.n]
+    graphs += odd_unicyclic_up_to(10)
     for g in graphs:
         d = unicycle_decomposition(g)
         assert (d.cycle, d.forest_edges) == oracle_unicycle_decomposition(g.n, g.edges)
         assert d.girth == len(d.cycle)
 
 
-def test_classify_matches_two_colouring_oracle():
+def test_classify_matches_two_colouring_oracle(connected_by_n):
     kinds = set()
     for n in range(1, 8):
-        for g in enumerate_connected(n):
+        for g in connected_by_n[n]:
             kind = classify(g).kind
             assert kind == two_colouring_kind(g.n, g.edges), g
             kinds.add(kind)

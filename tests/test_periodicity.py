@@ -16,7 +16,6 @@ from groverwalk.exceptions import (
 from groverwalk.families import (
     complete_bipartite,
     cycle_graph,
-    enumerate_connected,
     enumerate_odd_unicyclic,
     path_graph,
     two_tail_graph,
@@ -101,13 +100,13 @@ def test_integrality_filter_values():
     assert integrality_filter(cp) == ()
 
 
-def test_integrality_filter_matches_fraction_oracle():
+def test_integrality_filter_matches_fraction_oracle(connected_by_n, odd_unicyclic_up_to):
     # the modulus test on the integer form against the Fraction definition,
     # on every odd-unicyclic class with n <= 10 and every connected graph
     # with 2 <= n <= 7
-    graphs = list(enumerate_odd_unicyclic(10))
+    graphs = list(odd_unicyclic_up_to(10))
     assert len(graphs) == 650
-    graphs += [g for n in range(2, 8) for g in enumerate_connected(n)]
+    graphs += [g for n in range(2, 8) for g in connected_by_n[n]]
     refuted = 0
     for g in graphs:
         cp = transition_charpoly(g)
@@ -125,17 +124,18 @@ def test_exact_routes_build_no_fraction_coefficients(monkeypatch, paw):
 
     monkeypatch.setattr(CharPoly, "coeffs", property(refuse))
     monkeypatch.setattr(CharPoly, "__getitem__", refuse)
-    walk.transition_charpoly.cache_clear()
-    walk.arc_charpoly.cache_clear()
+    # fresh graphs, so that every charpoly is computed under the refusal
+    table = [build_graph(g.n, g.edges) for _, g, _ in PERIOD_TABLE]
     two_tails = [two_tail_graph(k, r) for k, r in ((3, 4), (5, 2), (7, 1), (9, 3))]
-    for g in [g for _, g, _ in PERIOD_TABLE] + two_tails:
+    for g in table + two_tails:
         report = find_period(g)
         assert report.verdict == "periodic", g
         assert spectral_map_check(g).matched
     for k, r in ((3, 2), (5, 4), (9, 3)):
         chebyshev_eigen_check(k, r)
     # a refuted graph goes through the filter alone
-    assert find_period(paw).verdict == "refuted_by_integrality"
+    fresh_paw = build_graph(paw.n, paw.edges)
+    assert find_period(fresh_paw).verdict == "refuted_by_integrality"
 
 
 def test_period_is_relabel_invariant():
@@ -248,10 +248,10 @@ def test_find_period_rejects_swapped_factor(monkeypatch):
         find_period(g)
 
 
-def test_find_period_matches_psi_route():
+def test_find_period_matches_psi_route(connected_by_n):
     # the removed vertex-side route: Psi_d factors of 2^n cp(y/2), with 2
     # added when m > n, on all 995 connected graphs with 2 <= n <= 7
-    graphs = [g for n in range(2, 8) for g in enumerate_connected(n)]
+    graphs = [g for n in range(2, 8) for g in connected_by_n[n]]
     assert len(graphs) == 995
     for g in graphs:
         want = psi_period(transition_charpoly(g).coeffs, g.m)
@@ -392,12 +392,12 @@ def test_certificate_rejects_non_orthogonal_rows(monkeypatch, g, p):
         bad_row = sorted((j, x) for j, x in bad.items() if x)
         sparse = (scale, [bad_row, *rows[1:]])
         monkeypatch.setattr(walk, "_sparse_arc_rows", lambda h: sparse)
-        # the cache is bypassed, so the edited rows are the ones checked
+        # the memo is bypassed, so the edited rows are the ones checked
         with pytest.raises(ResidualExceededError, match="A A\\^T"):
             walk.arc_charpoly.__wrapped__(g)
-        walk.arc_charpoly.cache_clear()
+        # and a fresh graph, with an empty memo, builds them too
         with pytest.raises(ResidualExceededError):
-            find_period(g)
+            find_period(build_graph(g.n, g.edges))
 
 
 @pytest.mark.parametrize(
@@ -408,7 +408,7 @@ def test_find_period_at_arc_cap(k, r, want):
     assert find_period(two_tail_graph(k, r)).period == want
 
 
-def test_analyze_builds_arc_charpoly_once(monkeypatch, capsys):
+def test_analyze_builds_arc_charpoly_once(monkeypatch, capsys, count_runs):
     kernel = walk.charpoly_rows
     sizes = []
 
@@ -430,12 +430,13 @@ def test_analyze_builds_arc_charpoly_once(monkeypatch, capsys):
                     return _fn(*args)
 
                 monkeypatch.setattr(module, name, counted)
-    walk.arc_charpoly.cache_clear()
+    runs = count_runs(walk.arc_charpoly)
     g = two_tail_graph(5, 2)
     assert cli.main(["analyze", "--family", "twotail:5,2", "--json", "--no-timing"]) == 0
     assert json.loads(capsys.readouterr().out)["period"]["period"] == 360
     assert sizes.count(2 * g.m) == 1
     assert calls == {"_sparse_arc_rows": 1, "is_scaled_orthogonal": 1}
+    assert runs == {"arc_charpoly": 1}
 
 
 def test_degree_condition():
@@ -476,11 +477,11 @@ def assert_matching_sums_match_oracle(g, allowed=None):
         assert got == want, (g, t, allowed)
 
 
-def test_matching_sums_match_fraction_oracle():
+def test_matching_sums_match_fraction_oracle(connected_by_n, odd_unicyclic_up_to):
     # the matching polynomial, leaf peel and edge split, against
     # the subset scan: every odd-unicyclic class with n <= 10 with the pools
     # the identity checks pass, and every connected graph with n <= 7
-    unicyclic = enumerate_odd_unicyclic(10)
+    unicyclic = odd_unicyclic_up_to(10)
     assert len(unicyclic) == 650
     for g in unicyclic:
         d = classify(g).decomposition
@@ -491,7 +492,7 @@ def test_matching_sums_match_fraction_oracle():
         assert_matching_sums_match_oracle(g, g.edges[::2])
         if degree_condition_filter(d, g).kind == "one_degree_four":
             assert_matching_sums_match_oracle(g, branch_frame(g).outer_edges)
-    connected = [g for n in range(1, 8) for g in enumerate_connected(n)]
+    connected = [g for n in range(1, 8) for g in connected_by_n[n]]
     assert len(connected) == 996
     for g in connected:
         assert_matching_sums_match_oracle(g)
@@ -543,14 +544,14 @@ def test_touching_sum_matches_listed_matchings():
             assert Fraction(got, scale ** (2 * t)) == want, (g, t)
 
 
-def test_matching_poly_is_cached_per_pool():
+def test_matching_poly_is_cached_per_pool(count_runs):
+    # one run per pool, however many matching sizes read it
     g = two_tail_graph(5, 4)
-    periodicity._matching_poly.cache_clear()
+    runs = count_runs(periodicity._matching_poly)
     for t in range(g.n // 2 + 1):
         matching_sum(g, t)
         matching_sum(g, t, reversed(branch_frame(g).outer_edges))
-    info = periodicity._matching_poly.cache_info()
-    assert (info.misses, info.hits) == (2, 2 * (g.n // 2 + 1) - 2)
+    assert runs == {"_matching_poly": 2}
 
 
 def test_matching_sum_rejects_negative_size():

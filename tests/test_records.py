@@ -2,7 +2,7 @@ import pickle
 
 import pytest
 
-from groverwalk import graphs, periodicity, walk
+from groverwalk import walk
 from groverwalk.census import CensusResult, analyze_graph
 from groverwalk.families import parse_family, two_tail_graph
 from groverwalk.graphs import classify
@@ -16,16 +16,9 @@ from groverwalk.periodicity import (
 )
 
 
-def _clear_caches():
-    graphs.peel_leaves.cache_clear()
-    walk.transition_charpoly.cache_clear()
-    walk.arc_charpoly.cache_clear()
-    periodicity.branch_frame.cache_clear()
-
-
 def _records() -> list:
-    """One value of each record type and CharPoly, built from scratch."""
-    _clear_caches()
+    """One value of each record type and CharPoly, built from scratch: a
+    fresh graph starts with an empty memo."""
     g = two_tail_graph(3, 2)
     cls = classify(g)
     record = analyze_graph(g)

@@ -324,8 +324,6 @@ def test_charpolys_build_no_rational_matrix(monkeypatch):
         return charpoly_rows(rows, bound, steps)
 
     monkeypatch.setattr(walk, "charpoly_rows", recording)
-    walk.transition_charpoly.cache_clear()
-    walk.arc_charpoly.cache_clear()
     graphs = (
         path_graph(2),
         cycle_graph(5),
