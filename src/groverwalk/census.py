@@ -60,13 +60,6 @@ class CensusResult(NamedTuple):
     def odd_periodic(self) -> tuple[CensusRecord, ...]:
         return tuple(r for r in self.records if r.odd_periodic)
 
-    def budget_hits(self) -> tuple[CensusRecord, ...]:
-        """Always (): the period certificate has no size budget to exceed.
-
-        Kept because the acceptance criteria read it.
-        """
-        return ()
-
 
 def analyze_graph(g: Graph) -> CensusRecord:
     """Classify g, filter its cycle degrees and decide its period exactly."""

@@ -45,11 +45,11 @@ from .families import (
     two_tail_graph,
 )
 from .graphs import (
-    _MAX_INPUT_INT,
     MAX_FILE_EDGES,
     Classification,
     Graph,
     _quote,
+    _read_int,
     classify,
     read_graph_file,
     write_graph_file,
@@ -514,16 +514,14 @@ def _parse_span(text: str) -> tuple[range | list[int], int]:
 
 
 def _parse_int(part: str, text: str) -> int:
-    """int(part), refused when it is not an integer or is 2^63 or more in
-    absolute value; the error quotes at most 60 characters of text.
-    """
+    """part read by graphs._read_int; an error quotes at most 60 characters
+    of text."""
     try:
-        value = int(part)
+        return _read_int(part)
     except ValueError:
         raise ValueError("non-integer value in %s" % _quote(text)) from None
-    if abs(value) >= _MAX_INPUT_INT:
-        raise ValueError("value out of range in %s" % _quote(text))
-    return value
+    except OverflowError:
+        raise ValueError("value out of range in %s" % _quote(text)) from None
 
 
 def _parse_max_n(text: str) -> int:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple
 
 from .exceptions import CapExceededError, InvalidParameterError
-from .graphs import _QUOTE_CHARS, Graph, _quote, build_graph
+from .graphs import _QUOTE_CHARS, Graph, _quote, _read_int, build_graph
 
 CONNECTED_CAP = 8
 HARD_CAP = 12
@@ -48,9 +48,12 @@ def parse_family(text: str) -> FamilySpec:
     if not sep or not rest:
         raise InvalidParameterError("family string %s needs kind:params" % _quote(text))
     try:
-        params = tuple(int(p) for p in rest.split(","))
+        params = tuple(_read_int(p) for p in rest.split(","))
     except ValueError:
         msg = "non-integer parameter in %s" % _quote(text)
+        raise InvalidParameterError(msg) from None
+    except OverflowError:
+        msg = "parameter out of range in %s" % _quote(text)
         raise InvalidParameterError(msg) from None
     return FamilySpec(kind=kind.strip().lower(), params=params)
 

@@ -2,11 +2,7 @@
 
 Vertices are 0..n-1. Edges are stored as sorted pairs (u, v) with u < v, and
 the edge list itself is kept sorted, which fixes a canonical order for
-everything downstream (arcs, file output).
-
-An arc is an ordered traversal of an edge. Arcs are totally ordered by
-(min endpoint, max endpoint, direction flag), so edge i contributes arcs
-2*i (low to high) and 2*i + 1 (high to low).
+everything downstream (the arcs of walk, file output).
 
 A graph with m <= n is peeled leaf by leaf once: peel_leaves is memoised
 on the graph (_memoised), so classify and the structural charpoly in walk
@@ -47,17 +43,22 @@ MAX_FILE_CHARS = 1 << 16
 # Most characters of a malformed line that a ParseError quotes.
 _QUOTE_CHARS = 60
 
-# Integers read from a graph file or a span lie below this in absolute value,
-# far beyond any valid input, so that an error naming one stays short.
-_MAX_INPUT_INT = 1 << 63
 
-
-class Arc(NamedTuple):
-    origin: int
-    terminus: int
-
-    def reverse(self) -> "Arc":
-        return Arc(self.terminus, self.origin)
+def _read_int(token: str) -> int:
+    """One reader for the integers of a graph file, a family string and a
+    CLI value: an optional sign and ASCII digits, once stripped. Anything
+    else raises ValueError, "1_0" and "\u0663" too, which int() reads as 10
+    and 3. At 2^63 or more in absolute value, far beyond any valid input,
+    OverflowError keeps the error short; int() never reads past 19 digits.
+    """
+    text = token.strip()
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError("not an integer")
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > 19 or int(digits) >= 1 << 63:
+        raise OverflowError("integer out of range")
+    return -int(digits) if text[0] == "-" else int(digits)
 
 
 def _two_colour(adj: Sequence[frozenset[int]]) -> tuple[int, bool]:
@@ -159,16 +160,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def arcs(self) -> tuple[Arc, ...]:
-        out: list[Arc] = []
-        for u, v in self.edges:
-            out.append(Arc(u, v))
-            out.append(Arc(v, u))
-        return tuple(out)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adj[u]
-
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """New graph with vertex i renamed perm[i]."""
         return Graph(self.n, [(perm[u], perm[v]) for u, v in self.edges])
@@ -201,7 +192,7 @@ def build_graph(n: int, edges: Sequence[tuple[int, int]]) -> Graph:
 
 
 class UnicycleDecomposition(NamedTuple):
-    """The unique cycle of a unicyclic graph plus the off-cycle edges.
+    """The unique cycle of a unicyclic graph and its length.
 
     The cycle starts at its smallest vertex id and proceeds toward that
     vertex's smaller-id cycle neighbour, which makes the tuple canonical.
@@ -209,7 +200,6 @@ class UnicycleDecomposition(NamedTuple):
 
     cycle: tuple[int, ...]
     girth: int
-    forest_edges: tuple[Edge, ...]
 
     def cycle_edges(self) -> tuple[Edge, ...]:
         k = len(self.cycle)
@@ -266,14 +256,13 @@ def peel_leaves(g: Graph) -> tuple[tuple[Edge, ...], tuple[int, ...]]:
 
 
 def unicycle_decomposition(g: Graph) -> UnicycleDecomposition:
-    """The cycle of a unicyclic graph, as peel_leaves finds it, and the peeled edges."""
+    """The cycle of a unicyclic graph, as peel_leaves finds it."""
     if g.m != g.n:
         raise InvalidParameterError(
             "a unicyclic graph has m = n, got m=%d n=%d" % (g.m, g.n)
         )
-    removals, cycle = peel_leaves(g)
-    forest = tuple(sorted((u, v) if u < v else (v, u) for u, v in removals))
-    return UnicycleDecomposition(cycle=cycle, girth=len(cycle), forest_edges=forest)
+    cycle = peel_leaves(g)[1]
+    return UnicycleDecomposition(cycle=cycle, girth=len(cycle))
 
 
 def classify(g: Graph) -> Classification:
@@ -316,7 +305,7 @@ def read_graph_file(source: str | TextIO) -> Graph:
     pairs. '#' starts a comment, blank lines are skipped, tokens are
     whitespace separated. A header declaring more than MAX_FILE_EDGES
     edges raises CapExceededError before any later line is parsed.
-    Malformed input, an integer of 2^63 or more included, raises
+    Malformed input, a token that _read_int refuses included, raises
     ParseError with the line number and at most 60 characters of the
     line; graph validation errors propagate from build_graph.
     """
@@ -342,11 +331,11 @@ def read_graph_file(source: str | TextIO) -> Graph:
         if len(parts) != 2:
             raise ParseError("expected two integers, got %s" % _quote(raw), lineno)
         try:
-            a, b = int(parts[0]), int(parts[1])
+            a, b = _read_int(parts[0]), _read_int(parts[1])
         except ValueError:
             raise ParseError("non-integer token in %s" % _quote(raw), lineno) from None
-        if max(abs(a), abs(b)) >= _MAX_INPUT_INT:
-            raise ParseError("integer out of range in %s" % _quote(raw), lineno)
+        except OverflowError:
+            raise ParseError("integer out of range in %s" % _quote(raw), lineno) from None
         if header is None:
             if b > MAX_FILE_EDGES:
                 msg = "header m=%d gives %d arcs; at most %d are accepted"
@@ -376,6 +365,6 @@ def edge_weight(g: Graph, e: tuple[int, int]) -> Fraction:
     from fractions import Fraction
 
     u, v = e
-    if not g.has_edge(u, v):
+    if v not in g.adj[u]:
         raise InvalidParameterError("(%d, %d) is not an edge" % (u, v))
     return Fraction(1, g.degree[u]) * Fraction(1, g.degree[v])

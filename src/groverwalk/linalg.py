@@ -10,10 +10,10 @@ those of the transition matrix of a graph with m > n; a tree or a
 unicyclic graph takes a structural route there. CharPoly holds one form:
 integer coefficients over one positive denominator, with no common
 factor, which the exact divisions, the matching identities and the
-reports read. No command route builds a Fraction: the public helpers
-that return one, CharPoly.coeffs, cp[j], eval_exact and is_integer,
-import fractions when they are called, so the module (and the decimal
-module it loads) is left out of every command's start-up.
+reports read. No command route builds a Fraction: the CharPoly helpers
+that return one, coeffs, cp[j] and eval_exact, import fractions when
+they are called, so the module (and the decimal module it loads) is left
+out of every command's start-up.
 """
 
 from __future__ import annotations
@@ -25,13 +25,6 @@ from .exceptions import InvalidParameterError
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-
-def is_integer(q: Fraction) -> bool:
-    """True when the reduced denominator is 1."""
-    from fractions import Fraction
-
-    return Fraction(q).denominator == 1
 
 
 def _signed_digits(value: int, s: int) -> tuple[int, ...]:
@@ -171,23 +164,15 @@ class CharPoly:
         total = sum(c * a**j * b ** (n - j) for j, c in enumerate(self.integer_coeffs))
         return Fraction(total, b**n * self.denominator)
 
-    def root_multiplicity(self, r: Fraction) -> int:
+    def root_multiplicity(self, r: int | Fraction) -> int:
         """Exact multiplicity of the rational root r (0 if not a root).
 
         With r = a/b in lowest terms, integer_coeffs is divided by the
         primitive factor b*x - a as often as it goes: by synthetic division
         when b = 1, as for the roots +-1 that the spectral map counts, and
-        with _divide_exact otherwise. An int or a Fraction gives a and b
-        as its numerator and denominator; any other value, a float say,
-        is made a Fraction first.
+        with _divide_exact otherwise.
         """
-        try:
-            a, b = r.numerator, r.denominator
-        except AttributeError:
-            from fractions import Fraction
-
-            r = Fraction(r)
-            a, b = r.numerator, r.denominator
+        a, b = r.numerator, r.denominator
         coeffs = self.integer_coeffs
         mult = 0
         while len(coeffs) > 1:

@@ -555,7 +555,7 @@ class ChebyshevReport(NamedTuple):
     tail_edges: int
 
 
-def chebyshev_eigen_check(k: int, r: int, tol: float = 1e-10) -> ChebyshevReport:
+def chebyshev_eigen_check(k: int, r: int) -> ChebyshevReport:
     """Verify the closed-form tail eigenvectors on the two-tailed graph.
 
     The graph is the odd cycle C_k with two pendant paths of m = r-1 edges
@@ -567,9 +567,9 @@ def chebyshev_eigen_check(k: int, r: int, tol: float = 1e-10) -> ChebyshevReport
     identities modulo T_m, whose roots are simple: T_m divides the
     transition charpoly, and at every vertex v the eigen-residual
     sum_(u~v) f_u(x) - deg(v) x f_v(x) vanishes modulo T_m. Raises
-    ResidualExceeded naming the failed divisibility or the first offending
-    vertex. The reported eigenvalues are the closed-form cosines and
-    max_residual is 0.0; tol is accepted for compatibility and unused.
+    ResidualExceededError naming the failed divisibility or the first
+    offending vertex. The reported eigenvalues are the closed-form
+    cosines and max_residual is 0.0.
     """
     if r < 2:
         raise InvalidParameterError("need r >= 2, got %d" % r)

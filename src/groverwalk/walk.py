@@ -40,8 +40,8 @@ def _require_walkable(g: Graph) -> None:
 def _sparse_arc_rows(g: Graph) -> tuple[int, list[list[tuple[int, int]]]]:
     """L, the lcm of the degrees, and the nonzero entries of A = L*U by row.
 
-    Row e lists (f, A[e][f]) by ascending f, rows and columns in g.arcs()
-    order, where edge i gives arcs 2i (low to high) and 2i + 1. Entry
+    Row e lists (f, A[e][f]) by ascending f, where edge i, (u, v) in
+    g.edges, gives arcs 2i from u to v and 2i + 1 from v to u. Entry
     (e, f) is nonzero only when f feeds into e (t(f) = o(e)): it is
     2L/deg(o(e)), less L when e is the reversal of f. That reversal entry
     is 0 at a vertex of degree 2, and is left out. Built from the
@@ -246,15 +246,14 @@ class SpectralMapReport(NamedTuple):
     minus_one_extra: int
 
 
-def spectral_map_check(g: Graph, tol: float = 1e-8) -> SpectralMapReport:
+def spectral_map_check(g: Graph) -> SpectralMapReport:
     """Verify Spec(U) against the image of Spec(T) plus {+1, -1} absorbers.
 
     Checks the Konno-Sato identity exactly, with konno_sato_residual. Each
     vertex eigenvalue lambda maps to the roots of x^2 - 2 lambda x + 1,
     that is exp(+-i arccos lambda), and the identity accounts for the rest
     of the arc spectrum at +-1. The counts come from exact root
-    multiplicities on the integer coefficients of the two charpolys; tol
-    is accepted for compatibility and unused.
+    multiplicities on the integer coefficients of the two charpolys.
     """
     cp_t = transition_charpoly(g)
     p_u = arc_charpoly(g)

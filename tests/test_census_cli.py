@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -77,7 +78,6 @@ def test_census_to_five():
     assert [r.graph.n for r in odd] == [3, 5]
     assert all(r.is_cycle for r in odd)
     assert [r.period_report.period for r in odd] == [3, 5]
-    assert result.budget_hits() == ()
 
 
 def test_census_record_consistency():
@@ -828,6 +828,73 @@ def test_cli_fuzzed_max_n_exits_cleanly(text):
         assert_clean_exit(*run_main(argv + ["--max-n=" + text]))
 
 
+# the zero digits of scripts whose digits int() reads as it reads 0-9:
+# Arabic-Indic, Extended Arabic-Indic, Devanagari and fullwidth
+_FOREIGN_ZEROS = (0x0660, 0x06F0, 0x0966, 0xFF10)
+
+
+def _lenient(value: int, style) -> str:
+    """value, 0..99, spelled as int() reads it and no input parser does:
+    two digits with "_" between them, or two digits of another script."""
+    digits = "%02d" % value
+    if style == "_":
+        text = digits[0] + "_" + digits[1]
+    else:
+        text = "".join(chr(style + int(d)) for d in digits)
+    assert int(text) == value
+    return text
+
+
+_styles = st.sampled_from(("_",) + _FOREIGN_ZEROS)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(at=st.integers(0, 7), style=_styles)
+def test_cli_fuzzed_lenient_graph_file_token_exits_2(at, style, tmp_path_factory):
+    # the triangle, with one token respelled
+    tokens = "3 3 0 1 1 2 0 2".split()
+    tokens[at] = _lenient(int(tokens[at]), style)
+    path = tmp_path_factory.mktemp("lenient") / "input.graph"
+    path.write_text("%s %s\n%s %s\n%s %s\n%s %s\n" % tuple(tokens), encoding="utf-8")
+    code, err = run_main(["analyze", str(path), "--json", "--no-timing"])
+    assert code == 2 and "non-integer token" in err, (tokens, err)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    template=st.sampled_from(["cycle:%s", "path:%s", "twotail:3,%s", "kbipartite:%s,2"]),
+    value=st.integers(3, 9),
+    style=_styles,
+)
+def test_cli_fuzzed_lenient_family_parameter_exits_2(template, value, style):
+    family = template % _lenient(value, style)
+    for command in ("analyze", "gen"):
+        code, err = run_main([command, "--family=" + family])
+        assert code == 2 and "non-integer parameter" in err, (family, err)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(
+    flag=st.sampled_from(["--k", "--r"]),
+    template=st.sampled_from(["%s", "3,%s", "2..%s"]),
+    value=st.integers(3, 5),
+    style=_styles,
+)
+def test_cli_fuzzed_lenient_chebyshev_span_exits_2(flag, template, value, style):
+    span = template % _lenient(value, style)
+    code, err = run_main(["verify", "--suite", "chebyshev", "%s=%s" % (flag, span)])
+    assert code == 2 and "non-integer value" in err, (flag, span, err)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(value=st.integers(3, 7), style=_styles)
+def test_cli_fuzzed_lenient_max_n_exits_2(value, style):
+    text = _lenient(value, style)
+    for argv in (["census"], ["verify", "--suite", "main-theorem"]):
+        code, err = run_main(argv + ["--max-n=" + text])
+        assert code == 2 and "non-integer value" in err, (argv, text, err)
+
+
 def test_cli_verify_table1():
     proc = run_cli("verify", "--suite", "table1")
     assert proc.returncode == 0
@@ -913,15 +980,22 @@ def test_cli_verify_chebyshev_span():
     assert "suite chebyshev: pass" in proc.stdout
 
 
-def test_console_script_available():
+def test_console_script_available(capsys):
     exe = shutil.which("groverwalk")
     if exe is None:
-        pytest.skip("console script not on PATH in this environment")
-    proc = subprocess.run(
-        [exe, "gen", "--family", "cycle:3"], capture_output=True, text=True
-    )
-    assert proc.returncode == 0
-    assert proc.stdout.startswith("3 3")
+        # not installed: the entry point it would be installed from, matched
+        # as text because Python 3.10 has no tomllib
+        text = (Path(SRC).parent / "pyproject.toml").read_text(encoding="utf-8")
+        script = r'^\[project\.scripts\]\ngroverwalk = "groverwalk\.cli:main"$'
+        assert re.search(script, text, re.MULTILINE), "no groverwalk script"
+    else:
+        proc = subprocess.run(
+            [exe, "gen", "--family", "cycle:3"], capture_output=True, text=True
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("3 3")
+    assert cli.main(["gen", "--family", "cycle:3"]) == 0
+    assert capsys.readouterr().out.startswith("3 3\n")
 
 
 # sha256 of the stdout of each run, recorded once and identical under

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groverwalk import cli
+from groverwalk import cli, walk
 from groverwalk.exceptions import (
     CapExceededError,
     DisconnectedError,
@@ -27,7 +27,6 @@ from groverwalk.families import (
 )
 from groverwalk.graphs import (
     MAX_FILE_CHARS,
-    Arc,
     build_graph,
     classify,
     edge_weight,
@@ -49,23 +48,19 @@ def test_build_p2():
     g = build_graph(2, [(0, 1)])
     assert g.n == 2
     assert g.m == 1
-    assert len(g.arcs()) == 2
+    assert g.edges == ((0, 1),)
 
 
 def test_build_c3_arcs():
     g = build_graph(3, [(0, 1), (1, 2), (2, 0)])
-    assert len(g.arcs()) == 6
-    # canonical arc order: edge (u,v) with u < v contributes (u,v) then (v,u)
-    assert g.arcs()[0] == Arc(0, 1)
-    assert g.arcs()[1] == Arc(1, 0)
-    assert g.arcs()[2] == Arc(0, 2)
-
-
-def test_arc_reversal_involution():
-    g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    for a in g.arcs():
-        assert a.reverse().reverse() == a
-        assert a.reverse() in g.arcs()
+    assert g.edges == ((0, 1), (0, 2), (1, 2))
+    # canonical arc order: edge i = (u, v) with u < v gives arc 2i from u to
+    # v, then arc 2i + 1 from v to u, so the arcs are 0>1, 1>0, 0>2, 2>0,
+    # 1>2, 2>1. On a cycle the one arc feeding arc e ends at its origin and
+    # is not its reversal: 2>0 feeds 0>1, 2>1 feeds 1>0, and so on.
+    scale, rows = walk._sparse_arc_rows(g)
+    assert scale == 2
+    assert rows == [[(3, 2)], [(5, 2)], [(1, 2)], [(4, 2)], [(0, 2)], [(2, 2)]]
 
 
 def test_degree_sum():
@@ -125,7 +120,7 @@ def test_classify_odd_unicycle(paw):
     cls = classify(paw)
     assert cls.kind == "odd_unicycle"
     assert cls.decomposition.girth == 3
-    assert cls.decomposition.forest_edges == ((0, 3),)
+    assert cls.decomposition.cycle == (0, 1, 2)
 
 
 def test_classify_c5_is_its_own_cycle():
@@ -169,7 +164,9 @@ def test_unicycle_decomposition_matches_oracle(connected_by_n, odd_unicyclic_up_
     graphs += odd_unicyclic_up_to(10)
     for g in graphs:
         d = unicycle_decomposition(g)
-        assert (d.cycle, d.forest_edges) == oracle_unicycle_decomposition(g.n, g.edges)
+        removals = peel_leaves(g)[0]
+        forest = tuple(sorted((min(e), max(e)) for e in removals))
+        assert (d.cycle, forest) == oracle_unicycle_decomposition(g.n, g.edges)
         assert d.girth == len(d.cycle)
 
 

@@ -67,7 +67,10 @@ def test_star_rows():
     g = complete_bipartite(1, 3)
     scale, rows = walk._sparse_arc_rows(g)
     assert scale == 3
-    hub_rows = [i for i, a in enumerate(g.arcs()) if a.origin == 0]
+    # arc 2i starts at the low end of edge i, arc 2i + 1 at its high end
+    origins = [end for edge in g.edges for end in edge]
+    hub_rows = [i for i, origin in enumerate(origins) if origin == 0]
+    assert hub_rows == [0, 2, 4]
     for i in hub_rows:
         nonzero = sorted(Fraction(v, scale) for _, v in rows[i])
         assert nonzero == [Fraction(-1, 3), Fraction(2, 3), Fraction(2, 3)]
