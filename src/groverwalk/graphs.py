@@ -4,14 +4,15 @@ Vertices are 0..n-1. Edges are stored as sorted pairs (u, v) with u < v, and
 the edge list itself is kept sorted, which fixes a canonical order for
 everything downstream (the arcs of walk, file output).
 
-A graph with m <= n is peeled leaf by leaf once: peel_leaves is memoised
-on the graph (_memoised), so classify and the structural charpoly in walk
-read the same removals and cycle. Nothing is kept between graphs.
+peel_leaves is the one leaf peel, of any pool of edges. The peel of the
+whole graph is memoised on it (_whole_peel), so classify and the
+structural charpoly in walk share it. Nothing is kept between graphs.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from collections import deque
 from typing import TYPE_CHECKING, NamedTuple, Sequence, TextIO
@@ -160,6 +161,12 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
+    @property
+    def degree_lcm(self) -> int:
+        """L, the lcm of the degrees (1 for the single vertex): the walk
+        matrices are L*U and L*T, and edge uv weighs (L/deg u)(L/deg v) / L^2."""
+        return math.lcm(*self.degree) or 1
+
     def relabel(self, perm: Sequence[int]) -> "Graph":
         """New graph with vertex i renamed perm[i]."""
         return Graph(self.n, [(perm[u], perm[v]) for u, v in self.edges])
@@ -201,58 +208,61 @@ class UnicycleDecomposition(NamedTuple):
     cycle: tuple[int, ...]
     girth: int
 
-    def cycle_edges(self) -> tuple[Edge, ...]:
-        k = len(self.cycle)
-        out = []
-        for i in range(k):
-            u, v = self.cycle[i], self.cycle[(i + 1) % k]
-            out.append((u, v) if u < v else (v, u))
-        return tuple(sorted(out))
-
 
 class Classification(NamedTuple):
     kind: str  # "tree" | "bipartite" | "odd_unicycle" | "other"
     decomposition: UnicycleDecomposition | None = None
 
 
-@_memoised
-def peel_leaves(g: Graph) -> tuple[tuple[Edge, ...], tuple[int, ...]]:
-    """Remove degree-one vertices until none is left, then walk what remains.
-
-    g must be connected with m <= n. Returns the removals, each a
-    (leaf, neighbour) pair taken off with its last edge, in order, and the
-    cycle that is left: it starts at its smallest vertex id and proceeds
-    toward that vertex's smaller-id cycle neighbour. A tree peels down to
-    one vertex, the neighbour of the last removal, and leaves no cycle.
-    Memoised on g, like walk.transition_charpoly; the result is immutable.
+def peel_leaves(n: int, pool: Sequence[Edge]) -> tuple[tuple, tuple, tuple, tuple]:
+    """The one leaf peel: remove degree-one vertices from the graph of pool,
+    on 0..n-1, until none is left, in time linear in n + len(pool). The
+    result holds the removals, each a (leaf, neighbour) pair taken off with
+    its last edge, in order; the roots, the vertices of pool left with no
+    edge and never peeled, one per tree; the cycle, when what is left is
+    one cycle, from its smallest vertex toward its smaller cycle neighbour,
+    else (); and the core, the edges of pool left, in order.
     """
-    if g.m > g.n:
-        raise InvalidParameterError(
-            "leaf peeling needs m <= n, got m=%d n=%d" % (g.m, g.n)
-        )
-    left = list(g.degree)  # degree among the vertices not yet peeled
-    removals: list[Edge] = []
-    leaves = [v for v in range(g.n) if left[v] == 1]
+    left = [0] * n  # degree among the vertices not yet peeled
+    link = [0] * n  # the xor of those neighbours: the last one, at degree 1
+    for u, v in pool:
+        left[u] += 1
+        left[v] += 1
+        link[u] ^= v
+        link[v] ^= u
+    removals, roots = [], []
+    leaves = [v for e in pool for v in e if left[v] == 1]  # each once: one edge
     while leaves:
         u = leaves.pop()
         if left[u] != 1:
-            continue  # the last vertex of a tree, left with degree 0
+            roots.append(u)  # the last vertex of a tree, left with degree 0
+            continue
         left[u] = 0
-        v = next(w for w in g.adj[u] if left[w])
+        v = link[u]
         removals.append((u, v))
         left[v] -= 1
+        link[v] ^= u
         if left[v] == 1:
             leaves.append(v)
-    rest = [w for w in range(g.n) if left[w]]
-    if not rest:
-        return tuple(removals), ()
-    start = rest[0]
-    cycle = [start, min(w for w in g.adj[start] if left[w])]
-    while True:
-        nxt = next(w for w in g.adj[cycle[-1]] if left[w] and w != cycle[-2])
-        if nxt == start:
-            return tuple(removals), tuple(cycle)
-        cycle.append(nxt)
+    core = tuple(e for e in pool if left[e[0]] and left[e[1]])
+    rest, cycle = set().union(*core), []
+    if core and len(rest) == len(core):
+        # as many edges as vertices, each of degree 2: every part is a cycle,
+        # and the walk from one neighbour of start reads the next off a link
+        start = min(rest)
+        x, y = next(e for e in core if start in e)
+        cycle, cur = [start], min(x ^ y ^ start, link[start] ^ x ^ y ^ start)
+        while cur != start:
+            cycle.append(cur)
+            cur = link[cur] ^ cycle[-2]
+    cycle = tuple(cycle) if len(cycle) == len(rest) else ()
+    return tuple(removals), tuple(roots), cycle, core
+
+
+@_memoised
+def _whole_peel(g: Graph) -> tuple[tuple, tuple, tuple, tuple]:
+    """peel_leaves of all of g, memoised on g for classify and walk."""
+    return peel_leaves(g.n, g.edges)
 
 
 def unicycle_decomposition(g: Graph) -> UnicycleDecomposition:
@@ -261,7 +271,7 @@ def unicycle_decomposition(g: Graph) -> UnicycleDecomposition:
         raise InvalidParameterError(
             "a unicyclic graph has m = n, got m=%d n=%d" % (g.m, g.n)
         )
-    cycle = peel_leaves(g)[1]
+    cycle = _whole_peel(g)[2]
     return UnicycleDecomposition(cycle=cycle, girth=len(cycle))
 
 

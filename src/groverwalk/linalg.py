@@ -6,8 +6,10 @@ matrix B = L*M held as sparse rows of (column, value) pairs, the working
 matrix packed one Python int per row; charpoly_from_scaled divides L back
 out. It can stop after its first steps, which give the top coefficients.
 walk hands it the rows of the arc operator, for half of its steps, and
-those of the transition matrix of a graph with m > n; a tree or a
-unicyclic graph takes a structural route there. CharPoly holds one form:
+those of the transition matrix of a graph with m > n. The other route,
+for a tree or a unicyclic graph, and the matching sums of periodicity
+are one weighted matching polynomial, _packed_matching_poly, held as an
+int at x = 2^s and read back by _signed_digits. CharPoly holds one form:
 integer coefficients over one positive denominator, with no common
 factor, which the exact divisions, the matching identities and the
 reports read. No command route builds a Fraction: the CharPoly helpers
@@ -22,6 +24,7 @@ import math
 from typing import TYPE_CHECKING
 
 from .exceptions import InvalidParameterError
+from .graphs import peel_leaves
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -35,10 +38,66 @@ def _signed_digits(value: int, s: int) -> tuple[int, ...]:
     half, mask = 1 << (s - 1), (1 << s) - 1
     digits = []
     while value:
-        c = ((value + half) & mask) - half  # the low slot as a signed digit
+        c = value & mask
+        value >>= s
+        if c >= half:  # a negative digit, which borrowed one from the rest
+            c -= mask + 1
+            value += 1
         digits.append(c)
-        value = (value - c) >> s
     return tuple(digits)
+
+
+def _packed_matching_poly(a: list[int], w, peel, cycle_weight: int = 0) -> int:
+    """mu(P; a, w): the sum over the matchings M of the pool P of
+    prod_(e in M) w_e times prod a_v over the vertices of P that M leaves
+    free, plus cycle_weight mu(P - C) when the peel leaves one cycle C. a
+    is by vertex, w one int for every edge or a dict on the edges (u, v),
+    u < v, and peel is graphs.peel_leaves(len(a), P).
+
+    Each vertex keeps (T_v, F_v), from (a_v, 1): mu of what it has absorbed
+    and the part that leaves it free; folding leaf u into v gives
+    (T_v T_u + w_uv F_u F_v, F_v T_u), and each root closes a tree, a
+    factor T_v. Schwenk's edge formula (A. J. Schwenk, LNM 406, 1974)
+    splits what is left at an edge e = uv:
+
+        mu(P) = mu(P - e) + w_e F_u F_v mu(P - u - v) + cycle_weight prod_C F_c,
+
+    one cycle at c_(k-1) c_0 into two paths that merge folds, and a denser
+    core at its first edge, recurring with a_v = T_v and w_e F_u F_v; a
+    cycle weight there raises InvalidParameterError.
+    """
+    removals, roots, cycle, core = peel
+    n, each = len(a), isinstance(w, dict)
+
+    def merge(pairs, t, f):  # fold each leaf u into v, in order
+        for u, v in pairs:
+            weight = w[(u, v) if u < v else (v, u)] if each else w
+            t[v], f[v] = t[v] * t[u] + weight * f[u] * f[v], f[v] * t[u]
+        return t
+
+    f = [1] * n
+    t = merge(removals, list(a), f)
+    trees = math.prod(map(t.__getitem__, roots)) if roots else 1
+    if not core:
+        return trees
+    u, v = (cycle[-1], cycle[0]) if cycle else core[0]
+    cut = (w[(u, v) if u < v else (v, u)] if each else w) * f[u] * f[v]
+    if cycle:  # the paths c_0 ... c_(k-1) and c_1 ... c_(k-2)
+        ring = cycle_weight * math.prod(map(f.__getitem__, cycle))
+        without = merge(zip(cycle, cycle[1:]), t[:], f[:])[u]
+        inner = cycle[1:-1]
+        if len(inner) > 1:
+            merge(zip(inner, inner[1:]), t, f)
+        return trees * (without + cut * t[inner[-1]] + ring)
+    if cycle_weight:
+        raise InvalidParameterError("a cycle weight needs at most one cycle")
+    core_w = {e: (w[e] if each else w) * f[e[0]] * f[e[1]] for e in core}
+    apart = tuple(e for e in core if u not in e and v not in e)
+    alone = set().union(*core).difference((u, v), *apart)  # reached only from u, v
+    cut *= math.prod([t[x] for x in alone])
+    closed = _packed_matching_poly(t, core_w, peel_leaves(n, core[1:]))
+    closed += cut * _packed_matching_poly(t, core_w, peel_leaves(n, apart))
+    return trees * closed
 
 
 def _divide_exact(a: list[int], b: tuple[int, ...]) -> list[int] | None:

@@ -23,8 +23,7 @@ walks each branch chain once per graph; the lockstep length and the tail
 recurrence's premise are read from the chain lengths. No matching is
 listed: every weighted matching sum is an entry of one integer matching
 polynomial per graph and edge pool, memoised like the transition
-charpoly, which one leaf peel builds in linear time on a forest pool and
-a split at an edge of a cycle reduces to forests otherwise. The
+charpoly and computed by the same function of linalg. The
 identities compare integers: each side is cleared of its denominators,
 L^(2t) for a t-matching sum and the CharPoly denominator for a
 coefficient, and the two are cross-multiplied. Only matching_sum, and an
@@ -44,81 +43,31 @@ from .exceptions import (
     ShapeMismatchError,
 )
 from .families import two_tail_graph
-from .graphs import Edge, Graph, UnicycleDecomposition, _memoised, classify
-from .linalg import CharPoly, _divide_exact, _signed_digits
+from .graphs import Edge, Graph, UnicycleDecomposition, _memoised, classify, peel_leaves
+from .linalg import CharPoly, _divide_exact, _packed_matching_poly, _signed_digits
 from .walk import arc_charpoly, konno_sato_residual, transition_charpoly
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
 
-def _weight_scale(g: Graph) -> int:
-    """L, the lcm of the nonzero degrees: edge uv weighs (L/deg u)(L/deg v) / L^2."""
-    return math.lcm(*(d for d in g.degree if d))
-
-
-def _pool_poly(pool: tuple[Edge, ...], weight: dict, s: int) -> int:
-    """The packed matching polynomial of a pool of edges, by leaf peels.
-
-    Each vertex keeps (T_v, F_v), from (1, 1): the weighted matchings of
-    the subtree v has absorbed so far, and those that leave v free.
-    Peeling leaf v into its neighbour u either leaves the edge uv out or
-    takes it with both ends free, so
-    (T_u, F_u) <- (T_u T_v + w x F_u F_v, F_u T_v), the merge shape of
-    walk._structural_det. A vertex left with no neighbour closes its
-    tree, and a forest's polynomial is the product of those T, in one
-    pass. When edges are left with no leaf, the pool has a cycle, and one
-    edge e = uv that is left splits the matchings into those without e
-    and those with it, m(P) = m(P - e) + w_e x m(P - u - v); a unicyclic
-    pool takes two more peels.
-    """
-    adj: dict[int, set[int]] = {}
-    for u, v in pool:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    t = dict.fromkeys(adj, 1)
-    f = dict.fromkeys(adj, 1)
-    leaves = [v for v, nbrs in adj.items() if len(nbrs) == 1]
-    total = 1
-    while leaves:
-        v = leaves.pop()
-        if not adj[v]:
-            continue  # a tree's last vertex, already counted
-        u = adj[v].pop()
-        adj[u].discard(v)
-        w = weight[(u, v) if u < v else (v, u)]
-        t[u], f[u] = t[u] * t[v] + (w * f[u] * f[v] << s), f[u] * t[v]
-        if len(adj[u]) == 1:
-            leaves.append(u)
-        elif not adj[u]:
-            total *= t[u]
-    u = next((v for v, nbrs in adj.items() if nbrs), None)
-    if u is None:
-        return total
-    v = min(adj[u])
-    e = (u, v) if u < v else (v, u)
-    rest = tuple(x for x in pool if x != e)
-    apart = tuple(x for x in pool if u not in x and v not in x)
-    return _pool_poly(rest, weight, s) + (weight[e] * _pool_poly(apart, weight, s) << s)
-
-
 @_memoised
 def _matching_poly(g: Graph, pool: tuple[Edge, ...]) -> tuple[int, ...]:
     """Entry t is the sum over t-matchings of pool of prod (L/deg u)(L/deg v).
 
-    pool is a sorted tuple of edges of g and L = _weight_scale(g), so the
+    pool is a sorted tuple of edges of g and L = g.degree_lcm, so the
     t-matching sum is entry t over L^(2t); entries past the largest
-    matching are 0 and left off. Each polynomial is held as its value at
-    x = 2^s, one Python int, as in walk._structural_det. Its coefficients
-    are nonnegative and sum to at most prod (1 + w_e) over the pool, at
+    matching are 0 and left off. It is linalg._packed_matching_poly on the
+    pool's peel with a_v = 1 and w_e = (L/deg u)(L/deg v) x, at x = 2^s.
+    The coefficients are nonnegative and sum to at most prod (1 + w_e), at
     most 2^(s-2), so linalg._signed_digits reads them back unchanged.
     Memoised on g per pool: every t of an identity reads the same pool.
     """
-    deg = g.degree
-    scale = _weight_scale(g)
-    weight = {e: (scale // deg[e[0]]) * (scale // deg[e[1]]) for e in pool}
-    s = 2 + sum((1 + w).bit_length() for w in weight.values())
-    return _signed_digits(_pool_poly(pool, weight, s), s)
+    deg, scale = g.degree, g.degree_lcm
+    weight = [(scale // deg[u]) * (scale // deg[v]) for u, v in pool]
+    s = 2 + sum((1 + w).bit_length() for w in weight)
+    packed, peel = {e: w << s for e, w in zip(pool, weight)}, peel_leaves(g.n, pool)
+    return _signed_digits(_packed_matching_poly([1] * g.n, packed, peel), s)
 
 
 def _matching_count(g: Graph, pool: tuple[Edge, ...], t: int) -> int:
@@ -144,7 +93,7 @@ def matching_sum(g: Graph, t: int, allowed_edges=None) -> Fraction:
     else:
         allowed = {(u, v) if u < v else (v, u) for u, v in allowed_edges}
         pool = tuple(e for e in g.edges if e in allowed)
-    return Fraction(_matching_count(g, pool, t), _weight_scale(g) ** (2 * t))
+    return Fraction(_matching_count(g, pool, t), g.degree_lcm ** (2 * t))
 
 
 def _touching_sum(g: Graph, core: tuple[Edge, ...], t: int) -> int:
@@ -158,8 +107,7 @@ def _touching_sum(g: Graph, core: tuple[Edge, ...], t: int) -> int:
     """
     if t == 0:
         return 0
-    deg = g.degree
-    scale = _weight_scale(g)
+    deg, scale = g.degree, g.degree_lcm
     total = 0
     for i, (u, v) in enumerate(core):
         earlier = core[:i]
@@ -322,7 +270,7 @@ def cycle_matching_identity_check(
     cycle_set = set(d.cycle)
     off_cycle = tuple(e for e in g.edges if cycle_set.isdisjoint(e))
     cycle_degrees = math.prod(g.degree[v] for v in d.cycle)
-    lhs = cp.integer_coeffs[index] * cycle_degrees * _weight_scale(g) ** (2 * t)
+    lhs = cp.integer_coeffs[index] * cycle_degrees * g.degree_lcm ** (2 * t)
     rhs = (-1) ** (t + 1) * 2 * _matching_count(g, off_cycle, t) * cp.denominator
     return lhs == rhs
 
@@ -377,7 +325,8 @@ def branch_frame(g: Graph) -> BranchFrame:
     heads = sorted(x for x in g.adj[hub] if x not in cycle_set)
     assert len(heads) == 2
     first_edges = [tuple(sorted((hub, h))) for h in heads]
-    core = tuple(sorted(set(d.cycle_edges()) | set(first_edges)))
+    ring = zip(d.cycle, d.cycle[1:] + d.cycle[:1])
+    core = tuple(sorted({tuple(sorted(e)) for e in ring}.union(first_edges)))
     core_set = set(core)
     outer = tuple(e for e in g.edges if e not in core_set)
     return BranchFrame(
@@ -442,7 +391,7 @@ def tail_recurrence_check(g: Graph, i: int, r: int) -> bool:
     if r >= 2 and lockstep_chain_length(frame) < r:
         raise ShapeMismatchError("branch lacks %d degree-2 chain vertices" % r)
     lhs = 4 * _paired_sum(g, frame, i, r)
-    rhs = 8 * _matching_count(g, frame.outer_edges, i) - _weight_scale(g) ** 2 * sum(
+    rhs = 8 * _matching_count(g, frame.outer_edges, i) - g.degree_lcm ** 2 * sum(
         _paired_sum(g, frame, i - 1, j + 1) for j in range(2, r + 1)
     )
     return lhs == rhs
@@ -470,7 +419,7 @@ def matching_split_check(g: Graph, t: int) -> bool:
     cp = transition_charpoly(g)
     outer_total = _matching_count(g, frame.outer_edges, t)
     touching = _touching_sum(g, frame.core_edges, t)
-    rho = (-1) ** t * cp.integer_coeffs[g.n - 2 * t] * _weight_scale(g) ** (2 * t)
+    rho = (-1) ** t * cp.integer_coeffs[g.n - 2 * t] * g.degree_lcm ** (2 * t)
     return (outer_total + touching) * cp.denominator == rho
 
 
@@ -510,7 +459,7 @@ def branch_integrality_instances(g: Graph) -> tuple[IntegralityInstance, ...]:
     """
     frame = branch_frame(g)
     t = lockstep_chain_length(frame)
-    scale = _weight_scale(g)
+    scale = g.degree_lcm
     out = []
     for i in range(1, t + 1):
         k_scaled = _quotient(

@@ -8,15 +8,15 @@ is the image of the vertex spectrum under x -> exp(+-i arccos x), with any
 leftover eigenvalues sitting at +1 or -1.
 
 Both matrices exist only as the integer sparse rows of A = L*U and L*T,
-L the lcm of the degrees, which the charpoly routes read. Each
-characteristic polynomial takes the shortest exact route the walk's
-structure allows. On a tree or a unicyclic graph the transition charpoly
-is det(xD - A) / prod(deg), built by peeling leaves and closing the one
-cycle; on a denser graph it comes from the linalg kernel. The arc
-operator is orthogonal, so its charpoly is palindromic up to the sign
-det U, and the kernel runs only the first half of its steps. Both come
-out as one linalg.CharPoly, integer coefficients over one denominator,
-and the spectral map compares them in integers.
+L = g.degree_lcm, which the kernel reads. Each characteristic polynomial
+takes the shortest exact route the walk's structure allows. On a tree
+or a unicyclic graph the transition charpoly is det(xD - A) / prod(deg),
+which Sachs' expansion makes one weighted matching polynomial of linalg;
+on a denser graph it comes from the kernel. The arc operator is
+orthogonal, so its charpoly is palindromic up to the sign det U, and the
+kernel runs only the first half of its steps. Both come out as one
+linalg.CharPoly, integer coefficients over one denominator, and the
+spectral map compares them in integers.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ import math
 from typing import NamedTuple
 
 from .exceptions import InvalidParameterError, ResidualExceededError
-from .graphs import Graph, _memoised, peel_leaves
+from .graphs import Graph, _memoised, _whole_peel
 from .linalg import CharPoly, charpoly_from_scaled, charpoly_rows, is_scaled_orthogonal
-from .linalg import _signed_digits
+from .linalg import _packed_matching_poly, _signed_digits
 
 
 def _require_walkable(g: Graph) -> None:
@@ -48,7 +48,7 @@ def _sparse_arc_rows(g: Graph) -> tuple[int, list[list[tuple[int, int]]]]:
     adjacency alone, so a row costs the degree of its origin.
     """
     _require_walkable(g)
-    scale = math.lcm(*g.degree)
+    scale = g.degree_lcm
     into: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]  # (f, o(f)) by t(f)
     for i, (u, v) in enumerate(g.edges):
         into[v].append((2 * i, u))
@@ -67,85 +67,37 @@ def _sparse_transition_rows(g: Graph) -> tuple[int, list[list[tuple[int, int]]]]
     """L, the lcm of the degrees, and row u of L*T as (v, L/deg(u)) pairs,
     one per neighbour v of u in ascending order."""
     _require_walkable(g)
-    scale = math.lcm(*g.degree)
+    scale = g.degree_lcm
     return scale, [
         [(v, scale // d) for v in sorted(nbrs)] for nbrs, d in zip(g.adj, g.degree)
     ]
-
-
-def _continuant(a: list[int], b: list[int]) -> int:
-    """det M on a path of peeled vertices, each vertex i given by (a_i, b_i).
-
-    F_j = a_j F_(j-1) - b_j b_(j-1) F_(j-2) with F_(-1) = 1: either vertex
-    j stands alone, or it pairs with vertex j - 1 across their edge, and
-    removing j - 1 leaves its trees, whose determinant is b_(j-1).
-    """
-    f_prev, f = 1, a[0]
-    for j in range(1, len(a)):
-        f_prev, f = f, a[j] * f - b[j] * b[j - 1] * f_prev
-    return f
-
-
-def _structural_det(g: Graph) -> tuple[int, ...]:
-    """det(xD - A) of a connected graph with m <= n, low to high.
-
-    The leaves come off in the order graphs.peel_leaves gives. Each
-    vertex v keeps (P_v, Q_v): det M on the subtree v has absorbed so far,
-    and the same without v, from (x deg v, 1). Merging a peeled leaf u
-    into its neighbour v joins two blocks across the edge uv, whose
-    entries are -1, so (P_v, Q_v) <- (P_v P_u - Q_v Q_u, Q_v P_u). A tree
-    ends at one vertex, whose P is det M. A unicyclic graph ends at its
-    cycle c_0..c_(k-1), with a_i = P and b_i = Q on c_i, and Schwenk's
-    edge formula on the edge c_(k-1) c_0 closes it:
-
-        det M = F(0..k-1) - b_0 b_(k-1) F(1..k-2) - 2 prod b_i,
-
-    the terms without that edge, with it as a transposition, and with it
-    in one of the two directed k-cycles, each of sign (-1)^(k-1) and
-    weight (-1)^k times the trees hanging off the cycle.
-
-    Every polynomial is held as its value at x = 2^s, one Python int, so
-    that a product of polynomials is one integer product; evaluation is a
-    ring map, so the value of det M comes out exact. linalg._signed_digits
-    reads its coefficients back, uniquely while each is below 2^(s-1) in
-    absolute value. Their absolute sum is at most the permanent
-    of D + A, which is at most prod(2 deg), the product of its row sums;
-    s = bitlen(prod deg) + n + 2 keeps that below 2^(s-2).
-    """
-    s = math.prod(g.degree).bit_length() + g.n + 2
-    p = [d << s for d in g.degree]
-    q = [1] * g.n
-    removals, cycle = peel_leaves(g)
-    for u, v in removals:
-        p[v], q[v] = p[v] * p[u] - q[v] * q[u], q[v] * p[u]
-    if not cycle:
-        det = p[removals[-1][1]]  # a tree: the last vertex merged into is the root
-    else:
-        a = [p[c] for c in cycle]
-        b = [q[c] for c in cycle]
-        det = (
-            _continuant(a, b)
-            - b[0] * b[-1] * _continuant(a[1:-1], b[1:-1])
-            - 2 * math.prod(b)
-        )
-    return _signed_digits(det, s)  # n + 1 digits: the top one is prod(deg)
 
 
 @_memoised
 def transition_charpoly(g: Graph) -> CharPoly:
     """Exact characteristic polynomial of the transition matrix.
 
-    When m <= n (a tree or a unicyclic graph), it is det(xD - A) from
-    _structural_det over the product of the degrees, as
-    det(xI - T) = det(D^-1 (xD - A)). Otherwise the kernel runs on the
-    rows of L*T, which sum to L, so L is its bound. Memoised on g,
-    because every layer reads it; a CharPoly is immutable.
+    When m <= n (a tree or a unicyclic graph), it is det(xD - A) over the
+    product of the degrees, as det(xI - T) = det(D^-1 (xD - A)). Sachs'
+    expansion (H. Sachs, Publ. Math. Debrecen 11, 1964) makes that
+    mu(G) - 2 mu(G - C) for a_v = x deg v, w_e = -1 and C the cycle (an
+    edge is a transposition on two entries -1, the cycle has sign
+    (-1)^(k-1) on k entries -1 in either direction): one
+    linalg._packed_matching_poly on the peel classify reads, at x = 2^s.
+    The absolute coefficients sum to at most the permanent of D + A, at
+    most prod(2 deg), and s = bitlen(prod deg) + n + 2 keeps that below
+    2^(s-2) for linalg._signed_digits. Otherwise the kernel runs on the
+    rows of L*T, which sum to L, its bound. Memoised on g, because every
+    layer reads it; a CharPoly is immutable.
     """
-    if g.m <= g.n:
-        _require_walkable(g)
-        return CharPoly(_structural_det(g), math.prod(g.degree))
-    scale, rows = _sparse_transition_rows(g)
-    return charpoly_from_scaled(charpoly_rows(rows, scale), scale)
+    if g.m > g.n:
+        scale, rows = _sparse_transition_rows(g)
+        return charpoly_from_scaled(charpoly_rows(rows, scale), scale)
+    _require_walkable(g)
+    scale = math.prod(g.degree)
+    s = scale.bit_length() + g.n + 2
+    det = _packed_matching_poly([d << s for d in g.degree], -1, _whole_peel(g), -2)
+    return CharPoly(_signed_digits(det, s), scale)  # the top digit is prod(deg)
 
 
 @_memoised

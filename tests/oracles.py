@@ -6,7 +6,8 @@ instead of recursive enumeration, permutation minima instead of pruned
 search, a floating-point Jacobi eigensolver instead of exact polynomial
 identities, the vertex-side Psi_d factorization instead of the arc-side
 Phi_d one, Fraction sums, Horner deflation and the Fraction integrality
-filter instead of integer coefficients over one denominator,
+filter instead of integer coefficients over one denominator, listed
+matchings and cycles instead of a leaf peel and Schwenk's edge formula,
 pendant extensions deduplicated by canonical form instead of odd cycles
 with rooted trees, a BFS leaf queue instead of the package's leaf stack,
 2-colouring instead of the parity of the girth. Agreement between the two
@@ -92,6 +93,38 @@ def fraction_matching_sum(n: int, edges, t: int, allowed_edges=None) -> Fraction
         for u, v in matching:
             prod *= Fraction(1, deg[u]) * Fraction(1, deg[v])
         total += prod
+    return total
+
+
+def brute_matching_poly(edges, a, w, cycle_weight: int = 0) -> int:
+    """The weighted matching polynomial of a pool of edges, by listing.
+
+    Every set M of pairwise disjoint edges, from brute_matchings, adds
+    prod w[e] over M times prod a[v] over the vertices of the pool that M
+    leaves unmatched. When brute_cycles finds exactly one cycle C,
+    cycle_weight times the same sum over the pool less C's vertices is
+    added; a nonzero cycle_weight on a pool with more cycles raises
+    ValueError. a is indexed by vertex and w by the edge tuples as given;
+    any integers serve.
+    """
+
+    def listed(pool, vertices) -> int:
+        total = 0
+        for t in range(len(vertices) // 2 + 1):
+            for matching in brute_matchings(pool, t):
+                matched = {v for e in matching for v in e}
+                free = math.prod(a[v] for v in vertices if v not in matched)
+                total += math.prod(w[e] for e in matching) * free
+        return total
+
+    vertices = sorted({v for e in edges for v in e})
+    total = listed(list(edges), vertices)
+    cycles = brute_cycles(max(vertices, default=0) + 1, edges) if cycle_weight else ()
+    if len(cycles) > 1:
+        raise ValueError("a cycle weight on %d cycles" % len(cycles))
+    for cycle in cycles:
+        rest = [e for e in edges if cycle.isdisjoint(e)]
+        total += cycle_weight * listed(rest, [v for v in vertices if v not in cycle])
     return total
 
 

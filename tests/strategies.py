@@ -67,3 +67,55 @@ def twin_rich_graphs(draw, max_n: int = 7):
         removed = {(2 * i, 2 * i + 1) for i in range(draw(st.integers(0, n // 2)))}
         edges = [(u, v) for v in range(n) for u in range(v) if (u, v) not in removed]
     return _relabelled(draw, n, edges)
+
+
+def _pool(draw, n: int, edges: list) -> tuple:
+    """edges grown to n vertices: each vertex past those that edges use is
+    left untouched or hangs on an earlier one; then relabelled, as a sorted
+    tuple of pairs (u, v), u < v."""
+    start = 1 + max((v for e in edges for v in e), default=-1)
+    for v in range(max(start, 1), n):
+        how = draw(st.sampled_from(["untouched", "hang", "hang", "hang"]))
+        if how == "hang":
+            edges.append((draw(st.integers(0, v - 1)), v))
+    perm = draw(st.permutations(range(n)))
+    return tuple(sorted(tuple(sorted((perm[u], perm[v]))) for u, v in edges))
+
+
+def _ring(first: int, k: int) -> list:
+    return [(first + i, first + (i + 1) % k) for i in range(k)]
+
+
+@st.composite
+def forest_pools(draw, max_n: int = 10):
+    """(n, pool): a forest on 0..n-1, some vertices untouched."""
+    n = draw(st.integers(1, max_n))
+    return n, _pool(draw, n, [])
+
+
+@st.composite
+def unicyclic_pools(draw, max_n: int = 10):
+    """(n, pool): one cycle of any length with trees, more trees and
+    untouched vertices beside it."""
+    n = draw(st.integers(3, max_n))
+    return n, _pool(draw, n, _ring(0, draw(st.integers(3, n))))
+
+
+@st.composite
+def multicyclic_pools(draw, max_n: int = 10):
+    """(n, pool): two or more cycles, disjoint, sharing a chord, or sharing
+    a path, with trees, and sometimes more edges, beside them."""
+    n = draw(st.integers(4, max_n))
+    k = draw(st.integers(3, n - 1))
+    kind = draw(st.sampled_from(["disjoint", "chord", "theta"]))
+    if kind == "disjoint" and n - k >= 3:
+        edges = _ring(0, k) + _ring(k, draw(st.integers(3, n - k)))
+    elif kind == "chord" and k >= 4:
+        edges = _ring(0, k) + [(0, draw(st.integers(2, k - 2)))]
+    else:  # vertex k joins two cycle vertices: a theta
+        edges = _ring(0, k) + [(0, k), (draw(st.integers(1, k - 1)), k)]
+    pool = set(_pool(draw, n, edges))
+    spare = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in pool]
+    if spare:
+        pool |= draw(st.sets(st.sampled_from(spare), max_size=2))
+    return n, tuple(sorted(pool))

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groverwalk import cli, periodicity
+from groverwalk import cli, graphs, linalg, periodicity
 from groverwalk.linalg import CharPoly
 from groverwalk.census import analyze_graph, run_census
 from groverwalk.exceptions import ResidualExceededError
@@ -24,7 +24,6 @@ from groverwalk.graphs import (
     MAX_FILE_CHARS,
     Graph,
     classify,
-    peel_leaves,
     write_graph_file,
 )
 from groverwalk.families import enumerate_connected, two_tail_graph
@@ -90,12 +89,21 @@ def test_census_record_consistency():
             assert rep.failing_indices == ()
 
 
-def test_census_peels_each_record_once(count_runs):
-    # classify and the structural charpoly share one leaf peel per graph
-    runs = count_runs(peel_leaves)
+def test_census_peels_each_record_once(count_runs, monkeypatch):
+    # classify and the structural charpoly share one leaf peel per graph: the
+    # memoised whole-graph peel runs once, and so does the one peel loop
+    runs = count_runs(graphs._whole_peel)
+    loop = graphs.peel_leaves
+
+    def counted(*args):
+        runs["peel_leaves"] += 1
+        return loop(*args)
+
+    for module in (graphs, linalg, periodicity):
+        monkeypatch.setattr(module, "peel_leaves", counted)
     records = run_census(9).records
     assert len(records) == 247
-    assert runs == {"peel_leaves": 247}
+    assert runs == {"_whole_peel": 247, "peel_leaves": 247}
 
 
 def test_identities_suite_builds_each_branch_frame_once(capsys, count_runs):
@@ -112,7 +120,7 @@ def test_identities_suite_builds_each_branch_frame_once(capsys, count_runs):
 
 _MEMOISED = (
     transition_charpoly,
-    peel_leaves,
+    graphs._whole_peel,
     periodicity.branch_frame,
     periodicity._matching_poly,
 )
@@ -124,16 +132,16 @@ _MEMOISED = (
         (
             ["verify", "--suite", "identities"],
             # 175 distinct pools; a cache of the last 64 pools ran 187
-            {"transition_charpoly": 102, "peel_leaves": 102, "branch_frame": 10,
+            {"transition_charpoly": 102, "_whole_peel": 102, "branch_frame": 10,
              "_matching_poly": 175},
         ),
         (
             ["census", "--max-n", "8", "--json", "--no-timing"],
-            {"transition_charpoly": 92, "peel_leaves": 92},
+            {"transition_charpoly": 92, "_whole_peel": 92},
         ),
         (
             ["verify", "--suite", "main-theorem"],
-            {"transition_charpoly": 247, "peel_leaves": 247},
+            {"transition_charpoly": 247, "_whole_peel": 247},
         ),
     ],
     ids=["identities", "census-8", "main-theorem"],
@@ -191,7 +199,7 @@ def test_equal_graphs_built_apart_compute_their_own_artifacts(count_runs):
     assert once == {
         "transition_charpoly": 1,
         "arc_charpoly": 1,
-        "peel_leaves": 1,
+        "_whole_peel": 1,
         "branch_frame": 1,
         "_matching_poly": pools,
     }

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groverwalk import cli, walk
+from groverwalk import cli, linalg, walk
 from groverwalk.exceptions import (
     CapExceededError,
     DisconnectedError,
@@ -164,7 +164,7 @@ def test_unicycle_decomposition_matches_oracle(connected_by_n, odd_unicyclic_up_
     graphs += odd_unicyclic_up_to(10)
     for g in graphs:
         d = unicycle_decomposition(g)
-        removals = peel_leaves(g)[0]
+        removals = peel_leaves(g.n, g.edges)[0]
         forest = tuple(sorted((min(e), max(e)) for e in removals))
         assert (d.cycle, forest) == oracle_unicycle_decomposition(g.n, g.edges)
         assert d.girth == len(d.cycle)
@@ -181,20 +181,40 @@ def test_classify_matches_two_colouring_oracle(connected_by_n):
 
 
 def test_peel_leaves_removes_each_tree_edge_once():
-    # a tree peels to its last vertex, the neighbour of the last removal
+    # a tree peels to its last vertex, its root and the neighbour of the last
+    # removal, and leaves no core
     g = build_graph(5, [(0, 1), (1, 2), (1, 3), (3, 4)])
-    removals, cycle = peel_leaves(g)
-    assert cycle == ()
+    removals, roots, cycle, core = peel_leaves(g.n, g.edges)
+    assert (cycle, core) == ((), ())
     assert sorted(tuple(sorted(e)) for e in removals) == list(g.edges)
     peeled = [u for u, _ in removals]
-    assert len(set(peeled)) == 4 and removals[-1][1] not in peeled
-    assert peel_leaves(build_graph(1, [])) == ((), ())
+    assert len(set(peeled)) == 4 and roots == (removals[-1][1],)
+    assert roots[0] not in peeled
+    # a pool is peeled on its own: each tree has one root, a vertex that the
+    # pool does not touch is none, and a cycle keeps its hanging trees' edges
+    # out of the core
+    assert peel_leaves(6, [(0, 1), (1, 2), (4, 5)]) == (
+        ((5, 4), (2, 1), (1, 0)), (4, 0), (), ()
+    )
+    triangle = [(0, 1), (1, 2), (0, 2), (2, 3), (4, 5)]
+    assert peel_leaves(7, triangle) == (
+        ((5, 4), (3, 2)), (4,), (0, 1, 2), ((0, 1), (1, 2), (0, 2))
+    )
+    assert peel_leaves(1, ()) == ((), (), (), ())
 
 
 def test_peel_leaves_needs_at_most_one_cycle():
+    # the peel names a cycle only when what is left is one cycle, and the
+    # cycle-weighted closing refuses any other core
     k4 = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    assert peel_leaves(k4.n, k4.edges) == ((), (), (), k4.edges)
+    two = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]
+    removals, roots, cycle, core = peel_leaves(6, two)
+    assert (removals, roots, cycle, len(core)) == ((), (), (), 7)
     with pytest.raises(InvalidParameterError):
-        peel_leaves(k4)
+        linalg._packed_matching_poly([1] * 4, -1, peel_leaves(4, k4.edges), -2)
+    with pytest.raises(InvalidParameterError):
+        unicycle_decomposition(k4)
     with pytest.raises(InvalidParameterError):
         unicycle_decomposition(path_graph(4))
 

@@ -9,16 +9,19 @@ from hypothesis import strategies as st
 from groverwalk.exceptions import InvalidParameterError
 from groverwalk import linalg
 from groverwalk.families import cycle_graph, enumerate_connected
+from groverwalk.graphs import peel_leaves
 from groverwalk.linalg import (
     CharPoly,
     charpoly_from_scaled,
     charpoly_rows,
     _divide_exact,
+    _packed_matching_poly,
     is_scaled_orthogonal,
 )
 from groverwalk.walk import arc_charpoly, transition_charpoly
 
-from oracles import char_value, jacobi_eigen, symmetrized_adjacency
+from oracles import brute_matching_poly, char_value, jacobi_eigen, symmetrized_adjacency
+from strategies import forest_pools, multicyclic_pools, unicyclic_pools
 
 
 def symmetrized(g):
@@ -463,3 +466,52 @@ def test_eigen_residuals():
         for i in range(size):
             image = sum(sym[i][j] * vec[j] for j in range(size))
             assert abs(image - lam * vec[i]) <= 1e-10 * max(scale, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# The packed weighted matching polynomial against listed matchings.
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(data=st.data(), s=st.integers(2, 40))
+def test_signed_digits_read_back_packed_coefficients(data, s):
+    # signed digits in [-2^(s-1), 2^(s-1)), the top one nonzero, packed at
+    # x = 2^s: negative values and negative top digits included
+    half = 1 << (s - 1)
+    digits = data.draw(st.lists(st.integers(-half, half - 1), max_size=12))
+    while digits and not digits[-1]:
+        digits.pop()
+    value = sum(c << (s * i) for i, c in enumerate(digits))
+    assert linalg._signed_digits(value, s) == tuple(digits)
+
+
+@pytest.mark.parametrize(
+    "pools, closing",
+    [(forest_pools(), "trees"), (unicyclic_pools(), "cycle"), (multicyclic_pools(), "split")],
+    ids=["forest", "one-cycle", "two-cycles"],
+)
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(data=st.data())
+def test_packed_matching_poly_matches_listed_matchings(pools, closing, data):
+    # any integer vertex, edge and cycle weights, one int for every edge or
+    # one per edge, on each of the three ways the peel leaves a pool
+    n, pool = data.draw(pools)
+    peel = peel_leaves(n, pool)
+    removals, roots, cycle, core = peel
+    assert closing == ("cycle" if cycle else "split" if core else "trees")
+    a = data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+    if data.draw(st.booleans()):
+        w = {e: data.draw(st.integers(-9, 9)) for e in pool}
+        each = w
+    else:
+        w = data.draw(st.integers(-9, 9))
+        each = dict.fromkeys(pool, w)
+    cycle_weight = data.draw(st.integers(-9, 9))
+    if closing == "split" and cycle_weight:
+        with pytest.raises(InvalidParameterError):
+            _packed_matching_poly(a, w, peel, cycle_weight)
+        with pytest.raises(ValueError):
+            brute_matching_poly(pool, a, each, cycle_weight)
+        cycle_weight = 0
+    want = brute_matching_poly(pool, a, each, cycle_weight)
+    assert _packed_matching_poly(a, w, peel, cycle_weight) == want
