@@ -15,9 +15,11 @@ automorphism that fixes every other vertex; the canonical search places
 only the least of a set of unplaced twins, and the connected enumeration
 skips each join that such a swap maps onto a smaller one.
 
-Each enumerator has one fixed size limit: CONNECTED_CAP = 8, the last
-connected level that takes seconds, and HARD_CAP = 12 for odd-unicyclic
-graphs. A larger n raises CapExceededError before anything is built.
+Both enumerators stream one Graph per class and keep none; the connected
+one keeps a level as adjacency bitmasks. Each has one fixed size limit:
+CONNECTED_CAP = 8, the last connected level that takes seconds, and
+HARD_CAP = 12 for odd-unicyclic graphs. A larger n raises
+CapExceededError before anything is built.
 """
 
 from __future__ import annotations
@@ -155,12 +157,7 @@ def canonical_form(g: Graph) -> tuple[int, ...]:
     encoding is still found below w (or below w's least unplaced twin,
     which the same swaps reach).
     """
-    return _canonical_bits(_adjacency_bits(g))
-
-
-def _adjacency_bits(g: Graph) -> list[int]:
-    """Bit v of entry u is set when u and v are adjacent."""
-    return [sum(1 << v for v in nbrs) for nbrs in g.adj]
+    return _canonical_bits([sum(1 << v for v in nbrs) for nbrs in g.adj])
 
 
 def _lower_twins(adjbits: list[int]) -> list[int]:
@@ -253,16 +250,29 @@ def _check_size(n: int, limit: int, what: str) -> None:
         raise CapExceededError("%s size %d exceeds the limit %d" % (what, n, limit))
 
 
-def enumerate_connected(n: int) -> tuple[Graph, ...]:
-    """All connected graphs on n vertices, one per isomorphism class.
+def iter_connected(n_max: int) -> Iterator[Graph]:
+    """All connected graphs with at most n_max vertices, one per class, streamed.
 
-    Level n graphs come from level n-1 graphs by joining a fresh vertex to
-    every non-empty subset of old vertices; every connected graph has a
-    non-cut vertex, so each class is reached. Duplicates fall to the
-    canonical form, taken on adjacency bitmasks, so a Graph is built only
-    for the first candidate of each class. Each level is sorted by edge
-    count then canonical form and kept only until the next is built. n is
-    at most CONNECTED_CAP.
+    Ordered by vertex count, edge count, then canonical form. n_max is at
+    most CONNECTED_CAP, checked here, before the generator is returned;
+    the generator keeps no graph it has yielded.
+    """
+    _check_size(n_max, CONNECTED_CAP, "connected enumeration")
+    return _connected_classes(n_max)
+
+
+def enumerate_connected(n: int) -> tuple[Graph, ...]:
+    """Level n of iter_connected(n) as a tuple: the connected graphs on n
+    vertices, one per class."""
+    return tuple(g for g in iter_connected(n) if g.n == n)
+
+
+def _connected_classes(n_max: int) -> Iterator[Graph]:
+    """Level n comes from level n-1 by joining a fresh vertex to every
+    non-empty subset of old vertices; every connected graph has a non-cut
+    vertex, so each class is reached. Duplicates fall to the canonical
+    form, taken on adjacency bitmasks; a level is kept only as its
+    representatives' bitmasks, and a Graph is built only to hand one out.
 
     A join mask is tried only when it holds the lower twins (see
     canonical_form) of each vertex it holds. If it holds v and not a twin
@@ -276,13 +286,12 @@ def enumerate_connected(n: int) -> tuple[Graph, ...]:
     stay twins exactly when the mask holds both or neither, and the new
     vertex is a twin of v exactly when the mask less v is N(v).
     """
-    _check_size(n, CONNECTED_CAP, "connected enumeration")
-    reps = (build_graph(1, []),)
-    for size in range(2, n + 1):
-        seen: dict[tuple[int, ...], Graph] = {}
+    yield build_graph(1, [])
+    level = [[0]]
+    for size in range(2, n_max + 1):
+        seen: dict[tuple[int, ...], list[int]] = {}
         new = size - 1
-        for h in reps:
-            base = _adjacency_bits(h)
+        for base in level:
             # (v, bit of v, v's lower twins) for each v that has one
             lower = _lower_twins(base)
             twinned = [(v, 1 << v, low) for v, low in enumerate(lower) if low]
@@ -302,12 +311,15 @@ def enumerate_connected(n: int) -> tuple[Graph, ...]:
                 twins.append(new_twins.get(mask, 0))
                 key = _canonical_bits(adjbits, twins)
                 if key not in seen:
-                    joins = [(v, new) for v in range(new) if (mask >> v) & 1]
-                    seen[key] = build_graph(size, list(h.edges) + joins)
-        reps = tuple(
-            g for _, g in sorted(seen.items(), key=lambda kv: (kv[1].m, kv[0]))
-        )
-    return reps
+                    seen[key] = adjbits
+        # a canonical form holds each edge once, so its bit count is the edge count
+        order = sorted(seen, key=lambda form: (sum(map(int.bit_count, form)), form))
+        level = [seen[key] for key in order]
+        del seen, order  # only the bitmasks are kept while the level is handed out
+        for adjbits in level:
+            yield build_graph(
+                size, [(u, v) for v in range(size) for u in range(v) if adjbits[v] >> u & 1]
+            )
 
 
 def _rooted_trees(max_size: int) -> tuple[list[tuple[int, ...]], list[int]]:

@@ -6,8 +6,8 @@ from groverwalk.families import (
     HARD_CAP,
     complete_bipartite,
     cycle_graph,
-    enumerate_connected,
     enumerate_odd_unicyclic,
+    iter_connected,
     path_graph,
     two_tail_graph,
 )
@@ -61,8 +61,12 @@ def count_runs(monkeypatch):
 
 @pytest.fixture(scope="session")
 def connected_by_n():
-    """Connected isomorphism-class representatives, n = 1..7."""
-    return {n: enumerate_connected(n) for n in range(1, 8)}
+    """Connected isomorphism-class representatives, n = 1..7, read from one
+    iter_connected(7) pass."""
+    by_n = {n: [] for n in range(1, 8)}
+    for g in iter_connected(7):
+        by_n[g.n].append(g)
+    return {n: tuple(level) for n, level in by_n.items()}
 
 
 @pytest.fixture(scope="session")

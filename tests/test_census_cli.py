@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groverwalk import cli, graphs, linalg, periodicity
+from groverwalk import cli, families, graphs, linalg, periodicity
 from groverwalk.linalg import CharPoly
 from groverwalk.census import analyze_graph, run_census
 from groverwalk.exceptions import ResidualExceededError
@@ -26,7 +26,7 @@ from groverwalk.graphs import (
     classify,
     write_graph_file,
 )
-from groverwalk.families import enumerate_connected, two_tail_graph
+from groverwalk.families import enumerate_connected, iter_connected, two_tail_graph
 from groverwalk.periodicity import PeriodReport
 from groverwalk.walk import arc_charpoly, spectral_map_check, transition_charpoly
 
@@ -176,6 +176,38 @@ def test_enumerations_keep_no_graph_alive():
     argv = ["verify", "--suite", "spectral-map", "--out", os.devnull]
     assert cli.main(argv) == 0  # 142 graphs, n <= 6
     assert _live_graphs() == before
+
+
+def test_connected_stream_holds_one_graph_at_a_time():
+    # the stream keeps no Graph it has handed out, so a consumer that drops
+    # each class has one alive at a time, with its memoised artifacts
+    before = _live_graphs()
+    count = 0
+    for g in iter_connected(5):
+        if g.n > 1:  # the lone vertex has no walk
+            spectral_map_check(g)
+        count += 1
+        assert _live_graphs() == before + 1
+        del g
+        assert _live_graphs() == before
+    assert count == 31
+    assert _live_graphs() == before
+
+
+def test_spectral_map_builds_each_level_once(monkeypatch):
+    # one iter_connected(6) pass: each candidate join is searched once
+    searches = Counter()
+    search = families._canonical_bits
+
+    def counting(adjbits, lower_twins):
+        searches[len(adjbits)] += 1
+        return search(adjbits, lower_twins)
+
+    monkeypatch.setattr(families, "_canonical_bits", counting)
+    argv = ["verify", "--suite", "spectral-map", "--out", os.devnull]
+    assert cli.main(argv) == 0
+    assert searches == {2: 1, 3: 2, 4: 8, 5: 53, 6: 417}
+    assert sum(searches.values()) == 481
 
 
 def _read_artifacts(g: Graph) -> None:

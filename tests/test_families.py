@@ -19,6 +19,7 @@ from groverwalk.families import (
     enumerate_connected,
     enumerate_odd_unicyclic,
     family_arcs,
+    iter_connected,
     make_family,
     parse_family,
     path_graph,
@@ -152,7 +153,7 @@ def _candidates(n: int):
     n - 1 vertices with a new vertex joined to each non-empty subset."""
     new = n - 1
     for h in enumerate_connected(new):
-        base = families._adjacency_bits(h)
+        base = [sum(1 << v for v in nbrs) for nbrs in h.adj]
         for mask in range(1, 1 << new):
             adjbits = [ab | ((mask >> v) & 1) << new for v, ab in enumerate(base)]
             yield adjbits + [mask]
@@ -215,8 +216,23 @@ def test_enumerate_connected_order_is_pinned(connected_by_n):
         assert hashlib.sha256(edges).hexdigest() == digest, n
 
 
+def test_iter_connected_streams_the_pinned_levels():
+    # the stream is the pinned levels n = 1..7 in turn, and
+    # enumerate_connected(n) is its level n
+    got = [g.edges for g in iter_connected(7)]
+    start = 0
+    for n, digest in CONNECTED_EDGE_DIGESTS.items():
+        level = [g.edges for g in enumerate_connected(n)]
+        assert got[start : start + len(level)] == level, n
+        assert hashlib.sha256(repr(level).encode()).hexdigest() == digest, n
+        start += len(level)
+    assert start == len(got) == 996
+
+
 def test_enumerate_connected_builds_one_graph_per_class(monkeypatch, connected_by_n):
-    # each level is built once, from the one below it
+    # each level is built once, from the one below it, and kept as bitmasks;
+    # the stream builds a Graph only to hand a class out, and
+    # enumerate_connected, its last level, builds the same
     built = Counter()
 
     def counting(n, edges):
@@ -224,9 +240,14 @@ def test_enumerate_connected_builds_one_graph_per_class(monkeypatch, connected_b
         return build_graph(n, edges)
 
     monkeypatch.setattr(families, "build_graph", counting)
-    enumerate_connected(6)
-    assert built == {n: len(connected_by_n[n]) for n in range(1, 7)}
+    want = {n: len(connected_by_n[n]) for n in range(1, 7)}
+    for _ in iter_connected(6):
+        pass
+    assert built == want
     assert sum(built.values()) == 143
+    built.clear()
+    assert len(enumerate_connected(6)) == 112
+    assert built == want
 
 
 def test_enumerate_connected_skips_twin_swapped_joins(monkeypatch):
@@ -288,11 +309,13 @@ def test_enumeration_caps(monkeypatch):
         raise AssertionError("a graph was built")
 
     monkeypatch.setattr(families, "build_graph", refuse)
-    with pytest.raises(CapExceededError, match="size 9 exceeds the limit 8"):
-        enumerate_connected(CONNECTED_CAP + 1)
+    # the streams check it when called, before the generator is returned
+    for enumerate_up_to in (enumerate_connected, iter_connected):
+        with pytest.raises(CapExceededError, match="size 9 exceeds the limit 8"):
+            enumerate_up_to(CONNECTED_CAP + 1)
     with pytest.raises(CapExceededError, match="size 13 exceeds the limit 12"):
         enumerate_odd_unicyclic(HARD_CAP + 1)
-    for enumerate_up_to in (enumerate_connected, enumerate_odd_unicyclic):
+    for enumerate_up_to in (enumerate_connected, iter_connected, enumerate_odd_unicyclic):
         with pytest.raises(InvalidParameterError):
             enumerate_up_to(0)
     monkeypatch.undo()
