@@ -1,12 +1,14 @@
-"""Exact characteristic polynomials from integer sparse rows.
+"""Exact characteristic polynomials from integer matrices.
 
 Nothing is ever rounded. The one matrix route to a characteristic
-polynomial is a Faddeev-LeVerrier kernel, charpoly_rows, on an integer
-matrix B = L*M held as sparse rows of (column, value) pairs, the working
-matrix packed one Python int per row; charpoly_from_scaled divides L back
-out. It can stop after its first steps, which give the top coefficients.
-walk hands it the rows of the arc operator, for half of its steps, and
-those of the transition matrix of a graph with m > n. The other route,
+polynomial is a Faddeev-LeVerrier loop, faddeev_leverrier, on an integer
+matrix B = L*M, the working matrix packed one Python int per row, that
+asks its caller for each product B M_k; charpoly_from_scaled divides L
+back out. It can stop after its first steps, which give the top
+coefficients. charpoly_rows runs it on sparse rows of (column, value)
+pairs, as walk does for the transition matrix of a graph with m > n;
+walk runs the arc operator on its coin factorization, for half of the
+steps. The other route,
 for a tree or a unicyclic graph, and the matching sums of periodicity
 are one weighted matching polynomial, _packed_matching_poly, held as an
 int at x = 2^s and read back by _signed_digits. CharPoly holds one form:
@@ -246,31 +248,43 @@ class CharPoly:
 def is_scaled_orthogonal(scale: int, rows: list[list[tuple[int, int]]]) -> bool:
     """B B^T = scale^2 I for B given by sparse rows of (column, value) pairs.
 
-    Two rows can have a nonzero dot product only when they share a column,
-    so the nonzeros are grouped by column and only those pairs are summed;
-    each row's own length is among them.
+    Each column of B is one int, row k's entry in slot k, so row i of
+    B B^T, sum_j B_ij (column j), is one multiply-add per nonzero. Its
+    entries are at most r^2, r the largest absolute row sum, so in slots
+    of bitlen(max(r, scale)^2) + 2 bits it equals scale^2 in slot i
+    exactly when the ints are equal.
     """
-    by_column: dict[int, list[tuple[int, int]]] = {}
-    for i, row in enumerate(rows):
+    r = abs(scale)
+    for row in rows:
+        total = 0
+        for _, v in row:
+            total += abs(v)
+        r = max(r, total)
+    s = (r * r).bit_length() + 2
+    columns: dict[int, int] = {}
+    shift = 0
+    for row in rows:
         for j, v in row:
-            by_column.setdefault(j, []).append((i, v))
-    square = scale * scale
-    for i, row in enumerate(rows):
-        dots: dict[int, int] = {}
+            columns[j] = columns.get(j, 0) + (v << shift)
+        shift += s
+    target = scale * scale  # in slot i for row i
+    for row in rows:
+        acc = 0
         for j, v in row:
-            for k, w in by_column[j]:
-                dots[k] = dots.get(k, 0) + v * w
-        if dots.pop(i, 0) != square or any(dots.values()):
+            acc += v * columns[j]
+        if acc != target:
             return False
+        target <<= s
     return True
 
 
-def charpoly_rows(
-    rows: list[list[tuple[int, int]]], bound: int, steps: int | None = None
+def faddeev_leverrier(
+    n: int, product, bound: int, steps: int | None = None
 ) -> list[int]:
     """det(y I - B) as integer coefficients, low to high: packed Faddeev-LeVerrier.
 
-    B is n x n, given by sparse rows of (column, value) pairs. The run
+    B is n x n, and product(work) returns B times the matrix whose
+    rows are the ints of work: entry i is sum_j B_ij work[j]. The run
     stops after steps iterations, n when steps is None; step k gives
     q_(n-k), so the result holds q_(n-steps), ..., q_n and 0 below them.
     bound >= 0 must satisfy two conditions:
@@ -282,12 +296,12 @@ def charpoly_rows(
 
         A_k = B M_k,   q_(n-k) = -tr(A_k) / k,   M_(k+1) = A_k + q_(n-k) I,
 
-    and every division is exact, which the code asserts. Each row of M_k
-    is one Python int holding n slots of s bits, entry j in slot j as a
-    signed value, so row i of A_k is one big-int multiply-add per nonzero
-    of row i of B. The trace reads the diagonal slots after adding
-    2^(s-1) to every slot, which turns each signed value into its unsigned
-    slot digit.
+    and every division is exact; one that is not means a bound that does
+    not hold, and raises RuntimeError. Each row of M_k is one Python int
+    holding n slots of s bits, entry j in slot j as a signed value, so
+    product works on whole rows with big-int sums and small multiples. The
+    trace reads the diagonal slots after adding 2^(s-1) to every slot,
+    which turns each signed value into its unsigned slot digit.
 
     Slot width. q_(n-i) is (-1)^i times the sum of the C(n, i) principal
     i x i minors of B, so |q_(n-i)| <= C(n, i) bound^i by (b). As
@@ -312,7 +326,6 @@ def charpoly_rows(
       B, so by Hadamard a minor is at most L^i. This is the arc
       operator A = L*U, whose largest absolute row sum can be near 3L.
     """
-    n = len(rows)
     if steps is None:
         steps = n
     elif not 0 <= steps <= n:
@@ -327,19 +340,36 @@ def charpoly_rows(
     q[n] = 1
     work = [1 << sh for sh in shifts]  # M_1 = I
     for k in range(1, steps + 1):
-        prod = []  # A_k = B M_k
+        prod = product(work)  # A_k = B M_k
+        tr = -n * half
+        for p, sh in zip(prod, shifts):
+            tr += ((p + bias) >> sh) & mask
+        if tr % k:
+            raise RuntimeError(
+                "step %d: the trace is not divisible by %d; bound %d does not hold"
+                % (k, k, bound)
+            )
+        qk = q[n - k] = -(tr // k)
+        work = [p + (qk << sh) for p, sh in zip(prod, shifts)]
+    return q
+
+
+def charpoly_rows(
+    rows: list[list[tuple[int, int]]], bound: int, steps: int | None = None
+) -> list[int]:
+    """faddeev_leverrier on B given by sparse rows of (column, value)
+    pairs: a row of B M_k costs one big-int multiply-add per nonzero."""
+
+    def product(work):
+        out = []
         for row in rows:
             acc = 0
             for j, v in row:
                 acc += v * work[j]
-            prod.append(acc)
-        tr = -n * half
-        for p, sh in zip(prod, shifts):
-            tr += ((p + bias) >> sh) & mask
-        assert tr % k == 0
-        q[n - k] = -(tr // k)
-        work = [p + (q[n - k] << sh) for p, sh in zip(prod, shifts)]
-    return q
+            out.append(acc)
+        return out
+
+    return faddeev_leverrier(len(rows), product, bound, steps)
 
 
 def charpoly_from_scaled(q: list[int], scale: int) -> CharPoly:

@@ -7,27 +7,29 @@ walk is the simple random walk matrix, and the spectrum of the arc operator
 is the image of the vertex spectrum under x -> exp(+-i arccos x), with any
 leftover eigenvalues sitting at +1 or -1.
 
-Both matrices exist only as the integer sparse rows of A = L*U and L*T,
-L = g.degree_lcm, which the kernel reads. Each characteristic polynomial
-takes the shortest exact route the walk's structure allows. On a tree
-or a unicyclic graph the transition charpoly is det(xD - A) / prod(deg),
-which Sachs' expansion makes one weighted matching polynomial of linalg;
-on a denser graph it comes from the kernel. The arc operator is
-orthogonal, so its charpoly is palindromic up to the sign det U, and the
-kernel runs only the first half of its steps. Both come out as one
-linalg.CharPoly, integer coefficients over one denominator, and the
-spectral map compares them in integers.
+Both matrices exist only in integers scaled by L = g.degree_lcm: L*T as
+sparse rows, A = L*U as its coin factorization, one entry per vertex.
+Each characteristic polynomial takes the shortest exact route the
+walk's structure allows. On a tree or a unicyclic graph the transition
+charpoly is det(xD - A) / prod(deg), which Sachs' expansion makes one
+weighted matching polynomial of linalg; on a denser graph the kernel
+runs on the rows of L*T. The kernel steps on the arc operator through
+its coin, which it checks orthogonal first, so the charpoly is
+palindromic up to the sign det U and half of the steps suffice. Both
+come out as one linalg.CharPoly, integer coefficients over one
+denominator, and the spectral map compares them in integers.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import NamedTuple
 
 from .exceptions import InvalidParameterError, ResidualExceededError
 from .graphs import Graph, _memoised, _whole_peel
-from .linalg import CharPoly, charpoly_from_scaled, charpoly_rows, is_scaled_orthogonal
-from .linalg import _packed_matching_poly, _signed_digits
+from .linalg import CharPoly, charpoly_from_scaled, charpoly_rows, faddeev_leverrier
+from .linalg import _packed_matching_poly, _signed_digits, is_scaled_orthogonal
 
 
 def _require_walkable(g: Graph) -> None:
@@ -37,30 +39,69 @@ def _require_walkable(g: Graph) -> None:
         )
 
 
-def _sparse_arc_rows(g: Graph) -> tuple[int, list[list[tuple[int, int]]]]:
-    """L, the lcm of the degrees, and the nonzero entries of A = L*U by row.
+def _arc_plan(g: Graph) -> tuple[int, list]:
+    """L, the lcm of the degrees, and A = L*U as the Grover coin factors it.
 
-    Row e lists (f, A[e][f]) by ascending f, where edge i, (u, v) in
-    g.edges, gives arcs 2i from u to v and 2i + 1 from v to u. Entry
-    (e, f) is nonzero only when f feeds into e (t(f) = o(e)): it is
-    2L/deg(o(e)), less L when e is the reversal of f. That reversal entry
-    is 0 at a vertex of degree 2, and is left out. Built from the
-    adjacency alone, so a row costs the degree of its origin.
+    Edge i, (u, v) in g.edges, gives arcs 2i from u to v and 2i + 1 back,
+    so e ^ 1 reverses arc e. The plan holds one (w, ins, outs) per vertex
+    v, one (e, f, c) in outs per arc e out of v: row e of A is w times the
+    sum of the unit rows of ins, plus c e_f. At degree d >= 3, w = 2L/d,
+    ins are the arcs into v, f = e ^ 1 and c = -L. At degree <= 2 the sum
+    is left out and c e_f = L e_f, f the other arc into v (2L/2 - L = 0),
+    or the reversal at a leaf.
     """
     _require_walkable(g)
     scale = g.degree_lcm
-    into: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]  # (f, o(f)) by t(f)
+    into: list[list[int]] = [[] for _ in range(g.n)]  # arcs by head, ascending
     for i, (u, v) in enumerate(g.edges):
-        into[v].append((2 * i, u))
-        into[u].append((2 * i + 1, v))
-    rows = []
-    for u, v in g.edges:
-        for o, t in ((u, v), (v, u)):
-            w = 2 * scale // g.degree[o]
-            back = w - scale
-            row = [(f, back if y == t else w) for f, y in into[o] if y != t or back]
-            rows.append(row)
-    return scale, rows
+        into[v].append(2 * i)
+        into[u].append(2 * i + 1)
+    plan = []
+    for ins in into:
+        outs = []  # arc f ^ 1 leaves the vertex that f enters
+        if len(ins) > 2:
+            for f in ins:
+                outs.append((f ^ 1, f, -scale))
+            plan.append((2 * scale // len(ins), ins, outs))
+        else:
+            for f in ins:  # the other arc in, or f itself at a leaf
+                outs.append((f ^ 1, ins[0] + ins[-1] - f, scale))
+            plan.append((0, [], outs))
+    return scale, plan
+
+
+def _plan_rows(plan: list, size: int) -> list[list[tuple[int, int]]]:
+    """The sparse rows, by ascending column, of the matrix _coin_product
+    multiplies by: what the certificate checks."""
+    rows: list = [[]] * size
+    for w, ins, outs in plan:
+        block: dict[int, int] = {}
+        for f in ins:
+            block[f] = block.get(f, 0) + w
+        for e, f, c in outs:
+            row = block.copy()
+            row[f] = row.get(f, 0) + c
+            rows[e] = sorted(row.items())
+    return rows
+
+
+def _coin_product(plan: list, size: int, work: list[int]) -> list[int]:
+    """A M for the matrix A a plan describes, M's rows in work. A vertex of
+    degree d >= 3 sums its in-arc rows once, then pays one multiple and one
+    sum per row, where sparse rows pay d^2 multiply-adds."""
+    prod = [0] * size
+    for w, ins, outs in plan:
+        if ins:
+            block = 0
+            for f in ins:
+                block += work[f]
+            block *= w
+            for e, f, c in outs:
+                prod[e] = block + c * work[f]
+        else:
+            for e, f, c in outs:
+                prod[e] = c * work[f]
+    return prod
 
 
 def _sparse_transition_rows(g: Graph) -> tuple[int, list[list[tuple[int, int]]]]:
@@ -104,35 +145,37 @@ def transition_charpoly(g: Graph) -> CharPoly:
 def arc_charpoly(g: Graph) -> CharPoly:
     """Exact characteristic polynomial of the arc operator U.
 
-    Runs the integer kernel on the sparse rows of A = L*U from
-    _sparse_arc_rows, built straight from the adjacency lists.
-    Once A A^T = L^2 I is checked, L is the kernel's bound and half of
-    its N = 2m steps suffice: for a real orthogonal U of even size,
-    x^N c(1/x) = det(I - xU) = det U c(x), so c_j = det U c_(N-j), and
-    in the kernel's scaled coefficients q_j = L^(N-j) c_j that reads
-    q_j = det U L^(N-2j) q_(N-j). det U = (-1)^(m+n): U is the arc
+    Checks the rows expanded from the coin plan of A = L*U against
+    A A^T = L^2 I and steps the kernel on the same plan. Then L is the
+    kernel's bound and half of its N = 2m steps suffice: for a real
+    orthogonal U of even size, x^N c(1/x) = det(I - xU) = det U c(x), so
+    c_j = det U c_(N-j), and c_j L^N = q_j L^j from the kernel's top
+    half fills in the rest. det U = (-1)^(m+n): U is the arc
     reversal, m transpositions, times one coin block (2/d)J - I per
     vertex, of determinant (-1)^(d-1), and the d sum to 2m. When
     det U = -1 the middle coefficient q_(N/2) must be 0, which is
     checked; a nonzero one raises ResidualExceededError, and so does a
-    failed orthogonality check. This is the one place the arc rows are
-    built and checked. Memoised on g, so that find_period and
+    failed orthogonality check. Memoised on g, so that find_period and
     spectral_map_check share one 2m x 2m charpoly per graph.
     """
-    scale, sparse = _sparse_arc_rows(g)
-    if not is_scaled_orthogonal(scale, sparse):
+    scale, plan = _arc_plan(g)
+    size = 2 * g.m
+    half = g.m
+    if not is_scaled_orthogonal(scale, _plan_rows(plan, size)):
         raise ResidualExceededError("the arc rows A fail A A^T = L^2 I")
-    size = len(sparse)
-    half = size // 2
-    q = charpoly_rows(sparse, scale, half)
+    q = faddeev_leverrier(size, partial(_coin_product, plan, size), scale, half)
     sign = -1 if (g.m + g.n) % 2 else 1
     if sign < 0 and q[half]:
         raise ResidualExceededError(
             "det U = -1 but the middle arc charpoly coefficient is %d, not 0" % q[half]
         )
-    for j in range(half):
-        q[j] = sign * scale ** (size - 2 * j) * q[size - j]
-    return charpoly_from_scaled(q, scale)
+    coeffs = [0] * (size + 1)  # c_j L^N = q_j L^j, c_(N-j) = det U c_j
+    power = scale**half
+    for j in range(half, size + 1):
+        coeffs[size - j] = sign * q[j] * power
+        coeffs[j] = q[j] * power  # at j = N/2 this one stands
+        power *= scale
+    return CharPoly(tuple(coeffs), scale**size)
 
 
 def _times_x2_minus_1(poly: list, times: int) -> list:

@@ -35,7 +35,8 @@ from groverwalk.periodicity import (
     tail_recurrence_check,
 )
 from groverwalk.walk import (
-    _sparse_arc_rows,
+    _arc_plan,
+    _plan_rows,
     _sparse_transition_rows,
     spectral_map_check,
     transition_charpoly,
@@ -272,7 +273,8 @@ def test_10_structural_exactness():
         count += 1
         # the rows arc_charpoly and transition_charpoly read: A = L*U must
         # give A A^T = L^2 I, and every row of A and of L*T must sum to L
-        scale, arc_rows = _sparse_arc_rows(g)
+        scale, plan = _arc_plan(g)
+        arc_rows = _plan_rows(plan, 2 * g.m)
         _, transition_rows = _sparse_transition_rows(g)
         a = [[0] * len(arc_rows) for _ in arc_rows]
         for i, row in enumerate(arc_rows):

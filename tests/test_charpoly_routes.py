@@ -1,9 +1,10 @@
 """The structural charpoly routes against the full Faddeev-LeVerrier run.
 
 transition_charpoly peels trees and closes the cycle when m <= n, and
-arc_charpoly runs half of the kernel's steps and fills in the rest from
-det U. Each is compared here with the kernel run on all n steps, and the
-closed forms of the two-tail family pin both routes further.
+arc_charpoly runs half of the kernel's steps on the coin factorization
+and fills in the rest from det U. Each is compared here with the kernel
+run on all n steps of the sparse rows, and the closed forms of the
+two-tail family pin both routes further.
 """
 
 import pytest
@@ -18,7 +19,12 @@ from groverwalk.families import (
     parse_family,
     two_tail_graph,
 )
-from groverwalk.linalg import charpoly_from_scaled, charpoly_rows, is_scaled_orthogonal
+from groverwalk.linalg import (
+    charpoly_from_scaled,
+    charpoly_rows,
+    faddeev_leverrier,
+    is_scaled_orthogonal,
+)
 
 from oracles import bareiss_det, oracle_grover_matrix, poly_mul
 from strategies import trees, unicyclic_graphs
@@ -30,7 +36,8 @@ def kernel_transition(g):
 
 
 def kernel_arc(g):
-    scale, rows = walk._sparse_arc_rows(g)
+    scale, plan = walk._arc_plan(g)
+    rows = walk._plan_rows(plan, 2 * g.m)
     assert is_scaled_orthogonal(scale, rows)
     return charpoly_from_scaled(charpoly_rows(rows, scale), scale)
 
@@ -41,6 +48,7 @@ def no_kernel(monkeypatch):
         raise AssertionError("kernel called")
 
     monkeypatch.setattr(walk, "charpoly_rows", refuse)
+    monkeypatch.setattr(walk, "faddeev_leverrier", refuse)
 
 
 def structural_transition(g):
@@ -50,13 +58,20 @@ def structural_transition(g):
 
 @pytest.fixture
 def kernel_steps(monkeypatch):
+    # (size, steps) of every kernel run: the transition rows through
+    # charpoly_rows, the arc coin plan through faddeev_leverrier
     steps = []
 
     def recording(rows, bound, count=None):
         steps.append((len(rows), count))
         return charpoly_rows(rows, bound, count)
 
+    def recording_plan(n, product, bound, count=None):
+        steps.append((n, count))
+        return faddeev_leverrier(n, product, bound, count)
+
     monkeypatch.setattr(walk, "charpoly_rows", recording)
+    monkeypatch.setattr(walk, "faddeev_leverrier", recording_plan)
     return steps
 
 
@@ -146,12 +161,12 @@ def test_arc_route_rejects_nonzero_middle_when_det_is_minus_one(monkeypatch):
     # path:3 has m + n = 5, so det U = -1 and q_(N/2) must vanish
     g = make_family(parse_family("path:3"))
 
-    def off_middle(rows, bound, steps=None):
-        q = charpoly_rows(rows, bound, steps)
-        q[len(rows) // 2] += 1
+    def off_middle(n, product, bound, steps=None):
+        q = faddeev_leverrier(n, product, bound, steps)
+        q[n // 2] += 1
         return q
 
-    monkeypatch.setattr(walk, "charpoly_rows", off_middle)
+    monkeypatch.setattr(walk, "faddeev_leverrier", off_middle)
     with pytest.raises(ResidualExceededError, match="middle"):
         walk.arc_charpoly.__wrapped__(g)
 

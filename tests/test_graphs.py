@@ -58,7 +58,8 @@ def test_build_c3_arcs():
     # v, then arc 2i + 1 from v to u, so the arcs are 0>1, 1>0, 0>2, 2>0,
     # 1>2, 2>1. On a cycle the one arc feeding arc e ends at its origin and
     # is not its reversal: 2>0 feeds 0>1, 2>1 feeds 1>0, and so on.
-    scale, rows = walk._sparse_arc_rows(g)
+    scale, plan = walk._arc_plan(g)
+    rows = walk._plan_rows(plan, 2 * g.m)
     assert scale == 2
     assert rows == [[(3, 2)], [(5, 2)], [(1, 2)], [(4, 2)], [(0, 2)], [(2, 2)]]
 

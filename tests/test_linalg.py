@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -240,6 +244,30 @@ def test_kernel_rejects_steps_out_of_range():
     for steps in (-1, 3):
         with pytest.raises(InvalidParameterError):
             charpoly_rows(rows, 2, steps)
+
+
+def test_kernel_inexact_division_raises_under_optimisation():
+    # bound 1 is far below the largest row sum, 105, so the slots overflow
+    # and a trace is no multiple of its step; the check must still raise
+    # under python -O, which strips assert statements
+    code = (
+        "from groverwalk.linalg import charpoly_rows\n"
+        "try:\n"
+        "    print(charpoly_rows([[(0, 3), (1, 100)], [(0, 100), (1, 5)]], 1))\n"
+        "except RuntimeError as exc:\n"
+        "    print('RuntimeError', exc)\n"
+    )
+    src = str(Path(linalg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("RuntimeError step 2:"), proc.stdout
 
 
 def test_kernel_slot_width_at_the_bound():

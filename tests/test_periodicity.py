@@ -371,30 +371,54 @@ def test_certificate_matches_square_and_multiply(g, p):
 
 
 @pytest.mark.parametrize(
-    "g,p",
-    [(cycle_graph(5), 5), (two_tail_graph(3, 1), 60), (complete_bipartite(2, 3), 4)],
+    "g,p,count",
+    [
+        (cycle_graph(5), 5, 3),
+        (two_tail_graph(3, 1), 60, 4),
+        (complete_bipartite(2, 3), 4, 4),
+    ],
     ids=["C5", "TT31", "K23"],
 )
-def test_certificate_rejects_non_orthogonal_rows(monkeypatch, g, p):
+def test_certificate_rejects_non_orthogonal_rows(monkeypatch, g, p, count):
     # arc_charpoly checks A A^T = L^2 I once, for the period route and the
-    # spectral map alike, and raises when it fails. Row 0 gets one entry
-    # raised, a zero or a nonzero one, or a nonzero swapped into a zero
-    # slot, which keeps the row's length and breaks only its orthogonality
-    # to the other rows
-    scale, rows = walk._sparse_arc_rows(g)
+    # spectral map alike, on the rows expanded from the coin plan that the
+    # kernel steps on, and raises when it fails. Each edit changes that
+    # plan: arc 0's single term raised by one, or moved to a column outside
+    # row 0, or a column outside row 0 joined to the in-arc sum of arc 0's
+    # origin (with weight 1 where that vertex has no sum); and, where there
+    # is a vertex of degree >= 3, its coin weight 2L/d raised by one
+    scale, plan = walk._arc_plan(g)
     assert find_period(g).period == p
-    row = dict(rows[0])
-    zero = min(set(range(len(rows))) - set(row))
-    nonzero, value = rows[0][0]
-    for edit in ({zero: 1}, {nonzero: value + 1}, {zero: value, nonzero: 0}):
-        bad = {**row, **edit}
-        bad_row = sorted((j, x) for j, x in bad.items() if x)
-        sparse = (scale, [bad_row, *rows[1:]])
-        monkeypatch.setattr(walk, "_sparse_arc_rows", lambda h: sparse)
-        # the memo is bypassed, so the edited rows are the ones checked
+    v, k = next(
+        (v, k)
+        for v, (_, _, outs) in enumerate(plan)
+        for k, (e, _, _) in enumerate(outs)
+        if e == 0
+    )
+    w, ins, outs = plan[v]
+    _, f, c = outs[k]
+    zero = min(set(range(2 * g.m)) - {j for j, _ in walk._plan_rows(plan, 2 * g.m)[0]})
+    edits = [
+        (v, (w, ins, outs[:k] + [(0, f, c + 1)] + outs[k + 1 :])),
+        (v, (w, ins, outs[:k] + [(0, zero, c)] + outs[k + 1 :])),
+        (v, (w or 1, ins + [zero], outs)),
+    ]
+    hubs = [u for u, d in enumerate(g.degree) if d >= 3]
+    if hubs:
+        hw, hins, houts = plan[hubs[0]]
+        edits.append((hubs[0], (hw + 1, hins, houts)))
+    assert len(edits) == count
+    unit = [1 << 64 * j for j in range(2 * g.m)]  # the packed identity
+    rows = walk._coin_product(plan, 2 * g.m, unit)
+    for u, vertex in edits:
+        bad = plan[:u] + [vertex] + plan[u + 1 :]
+        # the edit changes the matrix the kernel multiplies by
+        assert walk._coin_product(bad, 2 * g.m, unit) != rows
+        monkeypatch.setattr(walk, "_arc_plan", lambda h, bad=bad: (scale, bad))
+        # the memo is bypassed, so the edited plan is the one checked
         with pytest.raises(ResidualExceededError, match="A A\\^T"):
             walk.arc_charpoly.__wrapped__(g)
-        # and a fresh graph, with an empty memo, builds them too
+        # and a fresh graph, with an empty memo, builds it too
         with pytest.raises(ResidualExceededError):
             find_period(build_graph(g.n, g.edges))
 
@@ -408,17 +432,17 @@ def test_find_period_at_arc_cap(k, r, want):
 
 
 def test_analyze_builds_arc_charpoly_once(monkeypatch, capsys, count_runs):
-    kernel = walk.charpoly_rows
-    sizes = []
+    kernel = walk.faddeev_leverrier
+    runs_of_kernel = []
 
-    def counting(rows, bound, steps=None):
-        sizes.append(len(rows))
-        return kernel(rows, bound, steps)
+    def counting(n, product, bound, steps=None):
+        runs_of_kernel.append((n, steps))
+        return kernel(n, product, bound, steps)
 
-    monkeypatch.setattr(walk, "charpoly_rows", counting)
-    # the arc rows and their orthogonality check, counted in every module
-    # that binds them
-    calls = {"_sparse_arc_rows": 0, "is_scaled_orthogonal": 0}
+    monkeypatch.setattr(walk, "faddeev_leverrier", counting)
+    # the arc coin plan and its orthogonality check, counted in every
+    # module that binds them
+    calls = {"_arc_plan": 0, "is_scaled_orthogonal": 0}
     for name in calls:
         for module in (walk, periodicity, cli):
             fn = getattr(module, name, None)
@@ -433,8 +457,9 @@ def test_analyze_builds_arc_charpoly_once(monkeypatch, capsys, count_runs):
     g = two_tail_graph(5, 2)
     assert cli.main(["analyze", "--family", "twotail:5,2", "--json", "--no-timing"]) == 0
     assert json.loads(capsys.readouterr().out)["period"]["period"] == 360
-    assert sizes.count(2 * g.m) == 1
-    assert calls == {"_sparse_arc_rows": 1, "is_scaled_orthogonal": 1}
+    # one arc run of N/2 = m steps on the N = 2m arcs
+    assert runs_of_kernel == [(2 * g.m, g.m)]
+    assert calls == {"_arc_plan": 1, "is_scaled_orthogonal": 1}
     assert runs == {"arc_charpoly": 1}
 
 

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from groverwalk.families import (
     two_tail_graph,
 )
 from groverwalk.graphs import build_graph
-from groverwalk.linalg import charpoly_from_scaled, charpoly_rows
+from groverwalk.linalg import charpoly_from_scaled, charpoly_rows, faddeev_leverrier
 from groverwalk.periodicity import chebyshev_eigen_check
 from groverwalk.walk import spectral_map_check
 
@@ -28,6 +29,13 @@ from oracles import (
     transition_eigenvalues,
 )
 from strategies import connected_graphs
+
+
+def arc_rows(g):
+    # L and the sparse rows of A = L*U, expanded from the coin plan that
+    # arc_charpoly steps on
+    scale, plan = walk._arc_plan(g)
+    return scale, walk._plan_rows(plan, 2 * g.m)
 
 
 def dense(rows):
@@ -48,14 +56,14 @@ def transition_entries(g):
 
 
 def test_p2_operator_is_swap():
-    scale, rows = walk._sparse_arc_rows(path_graph(2))
+    scale, rows = arc_rows(path_graph(2))
     assert (scale, rows) == (1, [[(1, 1)], [(0, 1)]])
     assert int_mat_mul(dense(rows), dense(rows)) == [[1, 0], [0, 1]]
 
 
 def test_c3_operator_is_permutation():
     # degree 2 everywhere: the coin is trivial and the walk just shifts arcs
-    scale, rows = walk._sparse_arc_rows(cycle_graph(3))
+    scale, rows = arc_rows(cycle_graph(3))
     assert scale == 2
     for i, row in enumerate(rows):
         assert len(row) == 1 and row[0][1] == scale
@@ -65,7 +73,7 @@ def test_c3_operator_is_permutation():
 
 def test_star_rows():
     g = complete_bipartite(1, 3)
-    scale, rows = walk._sparse_arc_rows(g)
+    scale, rows = arc_rows(g)
     assert scale == 3
     # arc 2i starts at the low end of edge i, arc 2i + 1 at its high end
     origins = [end for edge in g.edges for end in edge]
@@ -91,7 +99,7 @@ def test_star_rows():
 )
 def test_operator_orthogonal_row_stochastic(g):
     # A A^T = L^2 I and every row of A = L*U and of L*T sums to L
-    scale, rows = walk._sparse_arc_rows(g)
+    scale, rows = arc_rows(g)
     a = dense(rows)
     size = len(a)
     square = int_mat_mul(a, [list(col) for col in zip(*a)])
@@ -118,7 +126,7 @@ def test_operator_matches_oracle():
     ]
     for n, edges in cases:
         g = build_graph(n, edges)
-        scale, rows = walk._sparse_arc_rows(g)
+        scale, rows = arc_rows(g)
         got = tuple(tuple(Fraction(v, scale) for v in row) for row in dense(rows))
         assert got == oracle_grover_matrix(n, edges)
 
@@ -134,7 +142,7 @@ def test_arc_rows_are_scaled_operator(connected_by_n):
     for n in range(2, 7):
         for g in connected_by_n[n]:
             graphs += 1
-            scale, rows = walk._sparse_arc_rows(g)
+            scale, rows = arc_rows(g)
             assert scale == math.lcm(*g.degree), g
             assert all(type(x) is int for row in rows for _, x in row), g
             oracle = oracle_grover_matrix(g.n, g.edges)
@@ -193,7 +201,7 @@ def test_chebyshev_eigenvalues_in_oracle_spectrum(k):
 def test_single_vertex_rejected():
     g = build_graph(1, [])
     with pytest.raises(InvalidParameterError):
-        walk._sparse_arc_rows(g)
+        walk._arc_plan(g)
     with pytest.raises(InvalidParameterError):
         walk._sparse_transition_rows(g)
     with pytest.raises(InvalidParameterError):
@@ -273,9 +281,14 @@ def test_transition_rows_are_scaled_matrix(connected_by_n):
             assert rows == scaled_nonzeros(transition_entries(g), scale), g
 
 
-# the five shapes of the CI arc-cap smoke step
+# the six shapes of the CI arc-cap smoke step
 ARC_CAP_SHAPES = [
-    "path:65", "twotail:3,30", "twotail:61,1", "kbipartite:2,32", "twotail:5,3"
+    "path:65",
+    "twotail:3,30",
+    "twotail:61,1",
+    "kbipartite:2,32",
+    "twotail:5,3",
+    "kbipartite:8,8",
 ]
 
 
@@ -289,14 +302,14 @@ def test_sparse_rows_follow_the_walk_rules(connected_by_n):
     for g in graphs:
         scale = math.lcm(*g.degree)
         want = scaled_nonzeros(oracle_grover_matrix(g.n, g.edges), scale)
-        assert walk._sparse_arc_rows(g) == (scale, want), g
+        assert arc_rows(g) == (scale, want), g
         pairs = set(g.edges) | {(v, u) for u, v in g.edges}
         want = [
             [(v, scale // g.degree[u]) for v in range(g.n) if (u, v) in pairs]
             for u in range(g.n)
         ]
         assert walk._sparse_transition_rows(g) == (scale, want), g
-    assert len(graphs) == 147
+    assert len(graphs) == 148
 
 
 def test_charpolys_from_rows_equal_charpoly_exact(connected_by_n):
@@ -308,7 +321,7 @@ def test_charpolys_from_rows_equal_charpoly_exact(connected_by_n):
             graphs += 1
             for route, rows_of in (
                 (walk.transition_charpoly, walk._sparse_transition_rows),
-                (walk.arc_charpoly, walk._sparse_arc_rows),
+                (walk.arc_charpoly, arc_rows),
             ):
                 scale, rows = rows_of(g)
                 bound = max(sum(abs(v) for _, v in row) for row in rows)
@@ -317,16 +330,42 @@ def test_charpolys_from_rows_equal_charpoly_exact(connected_by_n):
     assert graphs == 142
 
 
+def test_coin_step_equals_sparse_rows_kernel(connected_by_n):
+    # the whole kernel run with the coin product against the same run with
+    # the generic product on the rows expanded from the same plan, both
+    # with the slots bounded by the largest absolute row sum, not by L
+    graphs = [g for n in range(2, 7) for g in connected_by_n[n]]
+    graphs += [make_family(parse_family(spec)) for spec in ARC_CAP_SHAPES]
+    for g in graphs:
+        _, plan = walk._arc_plan(g)
+        rows = walk._plan_rows(plan, 2 * g.m)
+        bound = max(sum(abs(v) for _, v in row) for row in rows)
+        product = partial(walk._coin_product, plan, len(rows))
+        got = faddeev_leverrier(len(rows), product, bound)
+        assert got == charpoly_rows(rows, bound), g
+    assert len(graphs) == 148
+
+
 def test_charpolys_build_no_rational_matrix(monkeypatch):
-    # the kernel reads only the integer sparse rows: one (column, int) pair
-    # per nonzero entry, never a dense row
+    # the kernel reads only integers: the transition run one (column, int)
+    # pair per nonzero entry, the arc run a coin plan of at most deg v
+    # in-arcs and deg v single terms per vertex v; never a dense row
     seen = []
+    plans = []
+    coin_product = walk._coin_product
 
     def recording(rows, bound, steps=None):
         seen.append(rows)
         return charpoly_rows(rows, bound, steps)
 
+    def recording_plan(plan, size, work):
+        # one entry per run: every step of a run reads the same plan
+        if not plans or plans[-1] is not plan:
+            plans.append(plan)
+        return coin_product(plan, size, work)
+
     monkeypatch.setattr(walk, "charpoly_rows", recording)
+    monkeypatch.setattr(walk, "_coin_product", recording_plan)
     graphs = (
         path_graph(2),
         cycle_graph(5),
@@ -337,7 +376,14 @@ def test_charpolys_build_no_rational_matrix(monkeypatch):
         walk.transition_charpoly(g)
         walk.arc_charpoly(g)
     # four arc runs and the one transition run past one cycle, K_{2,3}
-    assert len(seen) == 5
+    assert (len(plans), len(seen)) == (4, 1)
+    for plan, g in zip(plans, graphs):
+        assert len(plan) == g.n
+        for (w, ins, outs), d in zip(plan, g.degree):
+            assert len(ins) in (0, d) and len(outs) == d
+            assert all(type(x) is int for x in (w, *ins))
+            assert all(type(x) is int for term in outs for x in term)
+        seen.append(walk._plan_rows(plan, 2 * g.m))
     for rows in seen:
         for row in rows:
             assert all(type(j) is int and type(v) is int and v for j, v in row)
