@@ -23,12 +23,12 @@ print it, so verify and gen load none of fractions, decimal and json.
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import stat
 import sys
 import time
+import types
 
 from .census import CensusRecord, analyze_graph
 from .exceptions import CapExceededError, GroverWalkError, ResidualExceededError
@@ -457,6 +457,7 @@ _SUITES = {
     "chebyshev": _suite_chebyshev,
     "main-theorem": _suite_main_theorem,
 }
+_SUITE_NAMES = ", ".join(sorted(_SUITES))
 
 # The defaults of the verify flags, each under the one suite that reads it.
 _SUITE_DEFAULTS = {
@@ -467,6 +468,9 @@ _SUITE_DEFAULTS = {
 
 def _suite_flags(args) -> None:
     """Fill in the defaults of the flags the suite reads; refuse the others."""
+    if args.suite not in _SUITES:
+        got = _quote(args.suite)
+        raise GroverWalkError("unknown suite %s; choose from %s" % (got, _SUITE_NAMES))
     defaults = _SUITE_DEFAULTS.get(args.suite, {})
     for name in ("k", "r", "max_n"):
         if getattr(args, name) is None:
@@ -533,52 +537,91 @@ def _parse_max_n(text: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing. Each command takes only the flags it reads.
+# The command line. _COMMANDS gives each command its help and the flags it
+# reads, each with its default and help. A default of False makes a switch,
+# and the Ellipsis a flag that must be given. "graph" is analyze's path.
+
+_OUT = {"--out": (None, "write output to this file instead of stdout")}
+_REPORT = {"--json": (False, "compact single-line JSON"),
+           "--no-timing": (False, "omit timing for stable output"), **_OUT}
+_FAMILY = "family spec, e.g. cycle:5 or twotail:3,2"
+_COMMANDS = {
+    "analyze": ("full report for one graph", {
+        "graph": (None, "graph file path; give -- before one that starts with -"),
+        "--family": (None, _FAMILY), **_REPORT}),
+    "census": ("survey odd-unicyclic graphs up to --max-n", {
+        "--max-n": (str(ENUMERATION_CAP), "census size (default %d)" % ENUMERATION_CAP),
+        **_REPORT}),
+    "verify": ("run a named verification suite", {
+        "--suite": (..., "one of %s (required)" % _SUITE_NAMES),
+        "--k": (None, "chebyshev cycle lengths (default 3,5,7)"),
+        "--r": (None, "chebyshev tail parameter span (default 2..6)"),
+        "--max-n": (None, "main-theorem census size (default %d)" % ENUMERATION_CAP),
+        **_OUT}),
+    "gen": ("write a family graph file", {"--family": (..., _FAMILY + " (required)"), **_OUT}),
+}
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="groverwalk",
-        description="Exact Grover-walk periodicity toolkit for small graphs.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    analyze = sub.add_parser("analyze", help="full report for one graph")
-    analyze.add_argument("graph", nargs="?", help="graph file path")
-    census = sub.add_parser("census", help="survey odd-unicyclic graphs up to --max-n")
-    verify = sub.add_parser("verify", help="run a named verification suite")
-    verify.add_argument("--suite", required=True, choices=sorted(_SUITES))
-    verify.add_argument("--k", help="chebyshev cycle lengths (default 3,5,7)")
-    verify.add_argument("--r", help="chebyshev tail parameter span (default 2..6)")
-    verify.add_argument(
-        "--max-n", help="main-theorem census size (default %d)" % ENUMERATION_CAP
-    )
-    gen = sub.add_parser("gen", help="write a family graph file")
+def _print_help(command: str | None) -> None:
+    """Print the help of command, or of the program, from _COMMANDS."""
+    if command is None:
+        text = "Exact Grover-walk periodicity toolkit; COMMAND --help lists its flags."
+        rows = {name: (False, about) for name, (about, _) in _COMMANDS.items()}
+    else:
+        text, rows = _COMMANDS[command]
+    lines = ["usage: groverwalk %s [FLAGS]" % (command or "COMMAND"), "", text, ""]
+    for name, (default, about) in rows.items():
+        shown = name + " VALUE" if name[0] == "-" and default is not False else name
+        lines.append("  %-16s %s" % (shown, about))
+    sys.stdout.write("\n".join(lines) + "\n")
 
-    family_help = "family spec, e.g. cycle:5 or twotail:3,2"
-    analyze.add_argument("--family", help=family_help)
-    gen.add_argument("--family", required=True, help=family_help)
-    census.add_argument("--max-n", default=str(ENUMERATION_CAP))
-    for p in (analyze, census):
-        p.add_argument("--json", action="store_true", help="compact single-line JSON")
-        p.add_argument(
-            "--no-timing", action="store_true", help="omit timing for stable output"
-        )
-    for p, func in [
-        (analyze, cmd_analyze),
-        (census, cmd_census),
-        (verify, cmd_verify),
-        (gen, cmd_gen),
-    ]:
-        p.add_argument("--out", help="write output to this file instead of stdout")
-        p.set_defaults(func=func)
-    return parser
+
+def _read_argv(argv: list[str]):
+    """The args of the command argv names, read by its _COMMANDS entry, or
+    None once help is printed. A value is taken verbatim and the last of a
+    repeated flag wins; a usage error raises GroverWalkError."""
+    if argv[:1] in (["-h"], ["--help"]):
+        return _print_help(None)
+    if not argv or argv[0] not in _COMMANDS:
+        got = "unknown command %s" % _quote(argv[0]) if argv else "no command given"
+        raise GroverWalkError("%s; choose from %s" % (got, ", ".join(_COMMANDS)))
+    command, tokens, paths = argv[0], iter(argv[1:]), []
+    flags = _COMMANDS[command][1]
+    values = {name: default for name, (default, _) in flags.items()}
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        if token == "--":
+            paths.extend(tokens)
+        elif not token.startswith("-"):
+            paths.append(token)
+        elif token in ("-h", "--help"):
+            return _print_help(command)
+        elif name not in flags:
+            raise GroverWalkError("%s does not read %s" % (command, _quote(name)))
+        elif flags[name][0] is False and eq:
+            raise GroverWalkError("%s takes no value" % name)
+        elif flags[name][0] is False:
+            values[name] = True
+        else:
+            values[name] = value if eq else next(tokens, None)
+            if values[name] is None:
+                raise GroverWalkError("%s needs a value" % name)
+    if len(paths) > int("graph" in flags):
+        raise GroverWalkError("unexpected argument %s" % _quote(paths[-1]))
+    if paths:
+        values["graph"] = paths[0]
+    for name, value in values.items():
+        if value is ...:
+            raise GroverWalkError("%s needs %s" % (command, name))
+    names = {name.lstrip("-").replace("-", "_"): value for name, value in values.items()}
+    return types.SimpleNamespace(command=command, **names)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        status = args.func(args)
+        args = _read_argv(sys.argv[1:] if argv is None else list(argv))
+        # looked up when called, so that a rebound cmd_ function is the one run
+        status = 0 if args is None else globals()["cmd_" + args.command](args)
         sys.stdout.flush()  # a closed pipe may show only here
         return status
     except BrokenPipeError:

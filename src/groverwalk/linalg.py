@@ -110,10 +110,12 @@ def _divide_exact(a: list[int], b: tuple[int, ...]) -> list[int] | None:
     Gauss's lemma the quotient of an integer polynomial by a primitive
     divisor has integer coefficients, so the division stops at the first
     step that the leading coefficient of b does not divide exactly. The
-    zero polynomial divides out.
+    zero polynomial divides out at once.
     """
+    if not any(a):
+        return [0] * max(len(a) - len(b) + 1, 1)
     if len(a) < len(b):
-        return None if any(a) else [0]
+        return None
     db = len(b) - 1
     lead = b[db]
     rest = list(a)

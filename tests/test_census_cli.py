@@ -305,13 +305,21 @@ def test_census_peak_memory_is_bounded(tmp_path):
 
 
 _LOADED_BY_COMMANDS = """
-import os, sys
+import contextlib, io, os, sys
 from groverwalk import cli
 
 def loaded(*names):
+    # the command line is read from cli's own table: no command loads the
+    # argument parser of the standard library, nor the gettext, locale and
+    # shutil modules that it imports
+    names += ("argparse", "gettext", "locale", "shutil")
     return " ".join(m for m in names if m in sys.modules)
 
 print("import:" + loaded("dataclasses", "inspect", "fractions", "decimal", "json"))
+for argv in (["--help"], ["analyze", "--help"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    print("%s:" % " ".join(argv) + loaded("fractions", "decimal", "json"))
 for suite in sorted(cli._SUITES):
     assert cli.main(["verify", "--suite", suite, "--out", os.devnull]) == 0
     print("verify %s:" % suite + loaded("fractions", "decimal", "json"))
@@ -330,7 +338,9 @@ def test_cli_import_skips_dataclasses_and_inspect():
     # the CLI loads neither module (nor the ast, dis and tokenize behind them).
     # No command builds a Fraction, so none loads fractions or the decimal
     # module behind it, and only the JSON reports load json; the verify
-    # suites run first, in the one interpreter, before a report loads it.
+    # suites and help run first, in the one interpreter, before a report
+    # loads it. Help is printed from cli's flag table, and no command loads
+    # argparse, gettext, locale or shutil.
     # -S keeps site out: a .pth hook of some installs imports inspect itself
     env = dict(os.environ, PYTHONPATH=SRC)
     proc = subprocess.run(
@@ -342,7 +352,7 @@ def test_cli_import_skips_dataclasses_and_inspect():
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 1 + len(cli._SUITES) + 3, lines
+    assert len(lines) == 1 + len(cli._SUITES) + 5, lines
     assert all(line.endswith(":") for line in lines), lines
 
 
@@ -933,6 +943,127 @@ def test_cli_fuzzed_lenient_max_n_exits_2(value, style):
     for argv in (["census"], ["verify", "--suite", "main-theorem"]):
         code, err = run_main(argv + ["--max-n=" + text])
         assert code == 2 and "non-integer value" in err, (argv, text, err)
+
+
+# ---------------------------------------------------------------------------
+# The command-line reader.
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["census", "--max-n", "5", "--k-max", "10"], "census does not read '--k-max'"),
+        # no prefix of a flag stands for it
+        (["analyze", "--fam", "cycle:5"], "analyze does not read '--fam'"),
+        (["gen", "--fam=cycle:5"], "gen does not read '--fam'"),
+        (["analyze", "--family"], "--family needs a value"),
+        (["analyze", "a.graph", "b.graph"], "unexpected argument 'b.graph'"),
+        (["census", "extra"], "unexpected argument 'extra'"),
+        (["census", "--json=yes"], "--json takes no value"),
+        (["analyze", "--no-timing="], "--no-timing takes no value"),
+        (["verify"], "verify needs --suite"),
+        (["verify", "--suite", "nosuch"], "unknown suite 'nosuch'; choose from "),
+        (["verify", "--k", "3"], "verify needs --suite"),
+        (["gen"], "gen needs --family"),
+        (["gen", "--out", "x.graph"], "gen needs --family"),
+        (["nosuch"], "unknown command 'nosuch'; choose from analyze, census, verify, gen"),
+        (["--json"], "unknown command '--json'"),
+        ([], "no command given; choose from analyze, census, verify, gen"),
+        (["census", "-" + "x" * 500], "census does not read '-xxxx"),
+        (["nosuch" * 100], "unknown command 'nosuchnosuch"),
+    ],
+)
+def test_cli_usage_error_is_one_line_and_exit_two(argv, error, tmp_path, monkeypatch):
+    # a usage error leaves main with 2 and one error line that quotes at
+    # most 60 characters of the offending text, and no SystemExit; nothing
+    # is built and no --out file is opened
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "iter_odd_unicyclic", None)
+    monkeypatch.setattr(cli, "make_family", None)
+    code, err = run_main(argv + ["--out", "report.txt"] if argv[:1] == ["census"] else argv)
+    assert code == 2
+    assert err.startswith("error: " + error), err
+    assert err.count("\n") == 1 and len(err) < 200, err
+    assert not list(tmp_path.iterdir())
+
+
+def test_cli_reads_flags_from_the_table(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    # --flag=value, a value that starts with -, and the last of a repeated
+    # flag, which wins
+    argv = ["gen", "--family=cycle:4", "--out", "-o.graph", "--family", "cycle:3"]
+    assert cli.main(argv) == 0
+    assert (tmp_path / "-o.graph").read_text() == write_graph_file(cli.cycle_graph(3))
+    # -- before a path that starts with -
+    assert cli.main(["analyze", "--json", "--no-timing", "--", "-o.graph"]) == 0
+    by_path = capsys.readouterr().out
+    assert cli.main(["analyze", "--family", "cycle:3", "--json", "--no-timing"]) == 0
+    assert capsys.readouterr().out == by_path
+    assert cli.main(["analyze", "-o.graph"]) == 2
+    assert capsys.readouterr().err == "error: analyze does not read '-o.graph'\n"
+
+
+@pytest.mark.parametrize("command", [None] + list(cli._COMMANDS))
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+def test_cli_help_lists_every_flag(command, flag, capsys):
+    argv = [flag] if command is None else [command, flag]
+    assert cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.startswith("usage: groverwalk %s [FLAGS]\n" % (command or "COMMAND"))
+    names = cli._COMMANDS if command is None else cli._COMMANDS[command][1]
+    listed = {line.split()[0] for line in out.splitlines() if line.startswith("  ")}
+    assert listed == set(names)
+    # help stops the reading: a flag after it is not checked
+    assert cli.main(argv + ["--nosuch"]) == 0
+    assert capsys.readouterr().out == out
+
+
+# every flag of the table with its default; --max-n's default differs
+# between census and verify, but both are values, not switches
+_TABLE = {
+    name: default for _, flags in cli._COMMANDS.values() for name, (default, _) in flags.items()
+}
+_FLAGS = sorted(name for name in _TABLE if name[0] == "-")
+_SWITCHES = sorted(name for name, default in _TABLE.items() if default is False)
+_UNKNOWN = ["--fam", "--k-max", "--suit", "--no-tim", "--js", "-x", "--FAMILY", "--fam=cycle:5"]
+_free_text = st.one_of(st.text(max_size=12), st.sampled_from(["cycle:5", "3", "2..3", "table1"]))
+# one step of the reader: a token that never takes the next one as its
+# value, or a flag with its value, which may be any token at all
+_step = st.one_of(
+    st.sampled_from(_SWITCHES + ["-h", "--help", "--"]).map(lambda t: [t]),
+    st.builds(lambda f, v: [f + "=" + v], st.sampled_from(_FLAGS), _free_text),
+    st.builds(
+        lambda f, v: [f, v],
+        st.sampled_from(_FLAGS),
+        st.one_of(_free_text, st.sampled_from(_FLAGS)),
+    ),
+    _free_text.filter(lambda t: t not in _FLAGS).map(lambda t: [t]),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(
+    command=st.sampled_from(list(cli._COMMANDS) * 4 + ["nosuch", "-h", "", "--json"]),
+    steps=st.lists(_step, max_size=5),
+    unknown=st.sampled_from(_UNKNOWN),
+    tail=st.lists(st.one_of(_free_text, st.sampled_from(_FLAGS)), max_size=3),
+)
+def test_cli_fuzzed_argv_exits_cleanly(command, steps, unknown, tail, tmp_path_factory):
+    # the unknown flag is read as a flag or, after --, as a path, so every
+    # list ends in help, a usage error or a missing file: no census runs
+    # and no --out file is opened
+    argv = [command] + [token for step in steps for token in step] + [unknown] + tail
+    cwd = os.getcwd()
+    os.chdir(tmp_path_factory.getbasetemp())
+    try:
+        code, err = run_main(argv)
+    finally:
+        os.chdir(cwd)
+    assert_clean_exit(code, err)
+    assert code == 0 or err.startswith("error: "), (argv, err)
+    if command != "-h" and ["-h"] not in steps and ["--help"] not in steps:
+        assert code == 2, argv  # no help was asked for
 
 
 def test_cli_verify_table1():

@@ -73,6 +73,34 @@ def test_divide_exact():
     assert _divide_exact([3], (1, 2)) is None
 
 
+def _long_division(a: list[int], b: tuple[int, ...]) -> list[int] | None:
+    """Schoolbook division of a by b, each step taken, as the reference."""
+    db = len(b) - 1
+    rest = list(a)
+    quot = [0] * max(len(a) - db, 1)
+    for i in range(len(a) - db - 1, -1, -1):
+        c, r = divmod(rest[i + db], b[db])
+        if r:
+            return None
+        quot[i] = c
+        for j, bj in enumerate(b):
+            rest[i + j] -= c * bj
+    return None if any(rest[:db]) else quot
+
+
+@pytest.mark.parametrize("b", [(1,), (-1, 1), (1, 2), (1, 0, 1), (0, -3, 0, 4)])
+def test_divide_exact_zero_dividend_returns_at_once(b):
+    # a zero dividend of any length gives the quotient that the whole
+    # division gives; a non-multiple of the same length still gives None
+    for length in range(9):
+        zero = [0] * length
+        assert _divide_exact(zero, b) == _long_division(zero, b)
+        if length and len(b) > 1:
+            one = [1] + zero[1:]  # the constant 1, which b does not divide
+            assert _long_division(one, b) is None
+            assert _divide_exact(one, b) is None
+
+
 def test_charpoly_known_values():
     zero_cp = rational_charpoly([[0, 0], [0, 0]])
     assert zero_cp.degree == 2
