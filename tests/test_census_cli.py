@@ -519,6 +519,17 @@ def test_cli_out_file(tmp_path):
     assert report["period"]["period"] == 4
 
 
+def test_cli_out_file_from_a_process_is_the_printed_report(tmp_path, capsys):
+    # the with block closes an --out file before the command returns, so
+    # its bytes do not wait on interpreter teardown
+    argv = ["census", "--max-n", "7", "--json", "--no-timing"]
+    target = tmp_path / "census.json"
+    proc = run_cli(*argv, "--out", str(target))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+    assert cli.main(argv) == 0
+    assert target.read_bytes() == capsys.readouterr().out.encode()
+
+
 def test_census_out_file_is_whole_or_absent(tmp_path, monkeypatch, capsys):
     # over the cap nothing is opened; a failure after the first record
     # removes the partial file, while stdout keeps what it was sent
@@ -608,6 +619,88 @@ def test_cli_closed_stdout_ends_quietly():
     assert child.wait(timeout=120) == 141
     assert child.stderr.read() == b""
     child.stderr.close()
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (["--help"], 141),
+        (["gen", "--family", "cycle:3"], 141),
+        (["census", "--max-n", "5"], 141),
+        (["verify", "--suite", "table1"], 141),
+        (["gen", "--family", "cycle:3", "--out", "c3.graph"], 0),
+        (["verify", "--suite", "table1", "--out", "table1.txt"], 0),
+    ],
+)
+def test_cli_started_without_stdout(argv, status, tmp_path, capsys):
+    # with file descriptor 1 closed (`>&-`) Python sets sys.stdout to None:
+    # a command that writes there ends as a closed pipe does, with 141 and
+    # nothing on stderr, and a command that writes to --out runs as usual
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m groverwalk "$@" >&-', sys.executable, *argv],
+        stderr=subprocess.PIPE,
+        text=True,
+        env=_child_env(),
+        cwd=tmp_path,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (status, "")
+    if status == 0:
+        assert cli.main(argv[:-2]) == 0
+        assert (tmp_path / argv[-1]).read_text() == capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--family", "cycle:3", "--out", ""],
+        ["gen", "--family", "cycle:3", "--out="],
+        ["analyze", "--family", "cycle:3", "--out="],
+        ["census", "--max-n", "5", "--out", ""],
+        ["verify", "--suite", "table1", "--out", ""],
+    ],
+)
+def test_cli_empty_out_is_refused(argv, tmp_path, monkeypatch, capsys):
+    # an empty --out, as `--out "$UNSET"` gives, names no file: it is refused
+    # as a path that cannot be opened, and nothing goes to stdout
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not list(tmp_path.iterdir())
+
+
+_FREEZE_COUNT = """
+import gc, runpy, sys
+sys.argv[1:] = ["gen", "--family", "cycle:3"]
+try:
+    runpy.run_module(%r, run_name="__main__", alter_sys=True)
+except SystemExit as exit:
+    assert exit.code == 0, exit.code
+print(gc.get_freeze_count(), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("module", ["groverwalk", "groverwalk.cli"])
+def test_process_entry_freezes_the_start_up_heap(module, capsys):
+    # python -m groverwalk and python -m groverwalk.cli enter through run(),
+    # which freezes the objects start-up made so that the collections at
+    # shutdown skip them; the in-process main() leaves the caller's heap as
+    # it was
+    proc = subprocess.run(
+        [sys.executable, "-c", _FREEZE_COUNT % module],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        timeout=120,
+    )
+    assert proc.stdout.startswith("3 3\n"), proc.stderr
+    assert int(proc.stderr) > 0
+    before = gc.get_freeze_count()
+    assert cli.main(["gen", "--family", "cycle:3"]) == 0
+    assert gc.get_freeze_count() == before
+    assert capsys.readouterr().out == proc.stdout
 
 
 def test_verify_flags_reach_only_the_suite_that_reads_them(monkeypatch, capsys):
@@ -1157,7 +1250,7 @@ def test_console_script_available(capsys):
         # not installed: the entry point it would be installed from, matched
         # as text because Python 3.10 has no tomllib
         text = (Path(SRC).parent / "pyproject.toml").read_text(encoding="utf-8")
-        script = r'^\[project\.scripts\]\ngroverwalk = "groverwalk\.cli:main"$'
+        script = r'^\[project\.scripts\]\ngroverwalk = "groverwalk\.cli:run"$'
         assert re.search(script, text, re.MULTILINE), "no groverwalk script"
     else:
         proc = subprocess.run(
