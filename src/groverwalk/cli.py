@@ -646,7 +646,12 @@ def main(argv=None) -> int:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     except (GroverWalkError, OSError) as err:
-        print("error: %s" % err, file=sys.stderr)
+        if sys.stderr is not None:  # not print, which falls back to stdout
+            try:
+                sys.stderr.write("error: %s\n" % err)
+                sys.stderr.flush()
+            except OSError:  # fd 2 closed or not writable: the line is dropped
+                pass
         return 2
 
 

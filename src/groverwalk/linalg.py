@@ -8,10 +8,10 @@ back out. It can stop after its first steps, which give the top
 coefficients. charpoly_rows runs it on sparse rows of (column, value)
 pairs, as walk does for the transition matrix of a graph with m > n;
 walk runs the arc operator on its coin factorization, for half of the
-steps. The other route,
-for a tree or a unicyclic graph, and the matching sums of periodicity
-are one weighted matching polynomial, _packed_matching_poly, held as an
-int at x = 2^s and read back by _signed_digits. CharPoly holds one form:
+steps. The other route, for a tree or a unicyclic graph, and the
+matching sums of periodicity are one weighted matching polynomial of a
+pool with at most one cycle, _packed_matching_poly, held as an int at
+x = 2^s and read back by _signed_digits. CharPoly holds one form:
 integer coefficients over one positive denominator, with no common
 factor, which the exact divisions, the matching identities and the
 reports read. No command route builds a Fraction: the CharPoly helpers
@@ -26,7 +26,6 @@ import math
 from typing import TYPE_CHECKING
 
 from .exceptions import InvalidParameterError
-from .graphs import peel_leaves
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -60,16 +59,16 @@ def _packed_matching_poly(a: list[int], w, peel, cycle_weight: int = 0) -> int:
     and the part that leaves it free; folding leaf u into v gives
     (T_v T_u + w_uv F_u F_v, F_v T_u), and each root closes a tree, a
     factor T_v. Schwenk's edge formula (A. J. Schwenk, LNM 406, 1974)
-    splits what is left at an edge e = uv:
+    cuts the cycle at e = uv = c_(k-1) c_0 into two paths that merge folds:
 
-        mu(P) = mu(P - e) + w_e F_u F_v mu(P - u - v) + cycle_weight prod_C F_c,
+        mu(P) = mu(P - e) + w_e F_u F_v mu(P - u - v) + cycle_weight prod_C F_c.
 
-    one cycle at c_(k-1) c_0 into two paths that merge folds, and a denser
-    core at its first edge, recurring with a_v = T_v and w_e F_u F_v; a
-    cycle weight there raises InvalidParameterError.
+    A core that is not one cycle raises InvalidParameterError.
     """
     removals, roots, cycle, core = peel
-    n, each = len(a), isinstance(w, dict)
+    each = isinstance(w, dict)
+    if core and not cycle:
+        raise InvalidParameterError("a matching pool may hold at most one cycle")
 
     def merge(pairs, t, f):  # fold each leaf u into v, in order
         for u, v in pairs:
@@ -77,29 +76,19 @@ def _packed_matching_poly(a: list[int], w, peel, cycle_weight: int = 0) -> int:
             t[v], f[v] = t[v] * t[u] + weight * f[u] * f[v], f[v] * t[u]
         return t
 
-    f = [1] * n
+    f = [1] * len(a)
     t = merge(removals, list(a), f)
     trees = math.prod(map(t.__getitem__, roots)) if roots else 1
-    if not core:
+    if not cycle:
         return trees
-    u, v = (cycle[-1], cycle[0]) if cycle else core[0]
+    u, v = cycle[-1], cycle[0]
     cut = (w[(u, v) if u < v else (v, u)] if each else w) * f[u] * f[v]
-    if cycle:  # the paths c_0 ... c_(k-1) and c_1 ... c_(k-2)
-        ring = cycle_weight * math.prod(map(f.__getitem__, cycle))
-        without = merge(zip(cycle, cycle[1:]), t[:], f[:])[u]
-        inner = cycle[1:-1]
-        if len(inner) > 1:
-            merge(zip(inner, inner[1:]), t, f)
-        return trees * (without + cut * t[inner[-1]] + ring)
-    if cycle_weight:
-        raise InvalidParameterError("a cycle weight needs at most one cycle")
-    core_w = {e: (w[e] if each else w) * f[e[0]] * f[e[1]] for e in core}
-    apart = tuple(e for e in core if u not in e and v not in e)
-    alone = set().union(*core).difference((u, v), *apart)  # reached only from u, v
-    cut *= math.prod([t[x] for x in alone])
-    closed = _packed_matching_poly(t, core_w, peel_leaves(n, core[1:]))
-    closed += cut * _packed_matching_poly(t, core_w, peel_leaves(n, apart))
-    return trees * closed
+    ring = cycle_weight * math.prod(map(f.__getitem__, cycle))
+    without = merge(zip(cycle, cycle[1:]), t[:], f[:])[u]  # c_0 ... c_(k-1)
+    inner = cycle[1:-1]  # the path c_1 ... c_(k-2)
+    if len(inner) > 1:
+        merge(zip(inner, inner[1:]), t, f)
+    return trees * (without + cut * t[inner[-1]] + ring)
 
 
 def _divide_exact(a: list[int], b: tuple[int, ...]) -> list[int] | None:

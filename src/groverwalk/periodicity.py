@@ -80,9 +80,11 @@ def matching_sum(g: Graph, t: int, allowed_edges=None) -> Fraction:
     """Sum over t-matchings of the product of reciprocal-degree weights.
 
     The matchings are drawn from allowed_edges (default: all edges). The
-    empty matching contributes 1, so t=0 always returns 1. No matching is
-    listed: the sum is entry t of the integer matching polynomial of the
-    pool, _matching_poly, over L^(2t), one Fraction.
+    empty matching contributes 1, so t=0 returns 1. No matching is listed:
+    the sum is entry t of the integer matching polynomial of the pool,
+    _matching_poly, over L^(2t), one Fraction. A pool with two or more
+    cycles raises InvalidParameterError: the identity suites pass only
+    forests and unicyclic pools, and no command needs more.
     """
     from fractions import Fraction
 

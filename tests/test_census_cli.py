@@ -99,7 +99,7 @@ def test_census_peels_each_record_once(count_runs, monkeypatch):
         runs["peel_leaves"] += 1
         return loop(*args)
 
-    for module in (graphs, linalg, periodicity):
+    for module in (graphs, periodicity):
         monkeypatch.setattr(module, "peel_leaves", counted)
     records = run_census(9).records
     assert len(records) == 247
@@ -669,6 +669,31 @@ def test_cli_empty_out_is_refused(argv, tmp_path, monkeypatch, capsys):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"])
+def test_cli_error_without_stderr_exits_two(redirect):
+    # with file descriptor 2 closed Python sets sys.stderr to None, and with
+    # it open for reading only a write fails with EBADF: either way the
+    # error line is dropped, never printed to stdout, and the exit is 2
+    script = 'exec "$0" -m groverwalk census --max-n 13 ' + redirect
+    proc = subprocess.run(
+        ["sh", "-c", script, sys.executable],
+        stdout=subprocess.PIPE,
+        text=True,
+        env=_child_env(),
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+
+
+def test_cli_error_with_stderr_none_stays_off_stdout(monkeypatch, capsys):
+    # in process, as a caller that has no stderr sees it; restored before
+    # capsys puts the streams back
+    with monkeypatch.context() as patch:
+        patch.setattr(sys, "stderr", None)
+        status = cli.main(["census", "--max-n", "13"])
+    assert (status, capsys.readouterr().out) == (2, "")
 
 
 _FREEZE_COUNT = """

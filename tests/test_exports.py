@@ -8,7 +8,8 @@ from groverwalk import census, exceptions, graphs, linalg, periodicity, walk
 # names deleted once a single route replaced them: matchings come from the
 # matching polynomials of periodicity, and the walk matrices, with their
 # characteristic polynomials, only from integer sparse rows; the arcs are
-# an index order of those rows, stated in walk
+# an index order of those rows, stated in walk; linalg reads the peel its
+# caller makes and imports nothing from graphs
 REMOVED = {
     graphs: ["enumerate_matchings", "_split_lines", "_LINE", "Arc"],
     walk: [
@@ -29,6 +30,7 @@ REMOVED = {
         "charpoly_exact",
         "row_sum_bound",
         "is_integer",
+        "peel_leaves",
     ],
     exceptions: ["DimensionMismatchError", "NonSquareError"],
 }

@@ -206,7 +206,7 @@ def test_peel_leaves_removes_each_tree_edge_once():
 
 def test_peel_leaves_needs_at_most_one_cycle():
     # the peel names a cycle only when what is left is one cycle, and the
-    # cycle-weighted closing refuses any other core
+    # matching polynomial refuses any other core
     k4 = build_graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     assert peel_leaves(k4.n, k4.edges) == ((), (), (), k4.edges)
     two = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)]

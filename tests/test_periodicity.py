@@ -501,10 +501,28 @@ def assert_matching_sums_match_oracle(g, allowed=None):
         assert got == want, (g, t, allowed)
 
 
+def cycle_rank(n, pool):
+    # len(pool) - n + the number of components, by union-find
+    root = list(range(n))
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    rank = 0
+    for u, v in pool:
+        ru, rv = find(u), find(v)
+        rank += ru == rv
+        root[ru] = rv
+    return rank
+
+
 def test_matching_sums_match_fraction_oracle(connected_by_n, odd_unicyclic_up_to):
-    # the matching polynomial, leaf peel and edge split, against
-    # the subset scan: every odd-unicyclic class with n <= 10 with the pools
-    # the identity checks pass, and every connected graph with n <= 7
+    # the matching polynomial, leaf peel and cycle closure, against the
+    # subset scan: every odd-unicyclic class with n <= 10 with the pools the
+    # identity checks pass, and every connected graph with n <= 7 on each
+    # pool with at most one cycle; a pool with more is refused
     unicyclic = odd_unicyclic_up_to(10)
     assert len(unicyclic) == 650
     for g in unicyclic:
@@ -518,9 +536,17 @@ def test_matching_sums_match_fraction_oracle(connected_by_n, odd_unicyclic_up_to
             assert_matching_sums_match_oracle(g, branch_frame(g).outer_edges)
     connected = [g for n in range(1, 8) for g in connected_by_n[n]]
     assert len(connected) == 996
+    refused = 0
     for g in connected:
-        assert_matching_sums_match_oracle(g)
-        assert_matching_sums_match_oracle(g, g.edges[::2])
+        for allowed in (None, g.edges[::2]):
+            if cycle_rank(g.n, g.edges if allowed is None else allowed) <= 1:
+                assert_matching_sums_match_oracle(g, allowed)
+                continue
+            refused += 1
+            for t in range(g.n // 2 + 2):
+                with pytest.raises(InvalidParameterError, match="at most one cycle"):
+                    matching_sum(g, t, allowed)
+    assert refused == 1109  # of the 1,992 pools
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=60)
